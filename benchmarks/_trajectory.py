@@ -3,7 +3,7 @@
 The standard workload is the noisy HOSP slice the simjoin trajectory
 also uses (800 tuples at ``REPRO_BENCH_SCALE=smoke``, 5000 at
 ``paper``), repaired end-to-end with the engine default (greedy-m,
-indexed detection) under ``trace=True``. Each run appends one
+vectorized detection) under ``trace=True``. Each run appends one
 normalized entry:
 
 * identity — scale, tuple/FD counts, algorithm, dataset fingerprint;
@@ -33,12 +33,12 @@ bytes the pre-1.2 substrate would have pickled per task), and the
 so the gate can pin exact values at every scale).
 
 ``--simjoin`` appends a ``vectorized_simjoin`` entry to
-``BENCH_simjoin.json`` instead: the vectorized-vs-indexed detection
+``BENCH_simjoin.json`` instead: the vectorized-vs-naive detection
 sweep on the noisy HOSP slice (detect-phase walls, the distinct-id
 counters), the same sweep on a Tax substrate slice whose constant
 active domain is the regime dictionary-granularity filtering exists
 for, and a five-algorithm repair-hash sweep at serial and ``n_jobs=2``
-under ``join_strategy="vectorized"`` — the equality and speedup floors
+under ``join_strategy="vectorized"`` — the equalities
 ``benchmarks/check_simjoin_gate.py`` gates.
 
 ``--sched`` appends a ``skew_sched`` entry: the adaptive skew-aware
@@ -348,7 +348,7 @@ SIMJOIN_COUNTERS = (
 
 
 def _simjoin_detect_sweep(relation, fds, thresholds, rounds: int = 2) -> dict:
-    """Detect-phase walls and counters: indexed vs vectorized.
+    """Detect-phase walls and counters: naive vs vectorized.
 
     Mirrors the ablation bench's measurement discipline — a fresh
     distance model per run (no cache leakage between strategies), one
@@ -364,7 +364,7 @@ def _simjoin_detect_sweep(relation, fds, thresholds, rounds: int = 2) -> dict:
     patterns = {fd: group_patterns(relation, fd) for fd in fds}
     out: dict = {"n_tuples": len(relation), "n_fds": len(fds)}
     signatures = {}
-    for strategy in ("indexed", "vectorized"):
+    for strategy in ("naive", "vectorized"):
         best_wall = None
         best_counters: dict = {}
         signature = None
@@ -396,13 +396,13 @@ def _simjoin_detect_sweep(relation, fds, thresholds, rounds: int = 2) -> dict:
                 best_counters = counters
         signatures[strategy] = signature
         out[strategy] = {"seconds": round(best_wall, 4), **best_counters}
-    if signatures["vectorized"] != signatures["indexed"]:
+    if signatures["vectorized"] != signatures["naive"]:
         raise AssertionError(
-            "vectorized and indexed detection disagree on this workload"
+            "vectorized and naive detection disagree on this workload"
         )
     out["violations_equal"] = True
     out["speedup"] = round(
-        out["indexed"]["seconds"] / max(out["vectorized"]["seconds"], 1e-9), 3
+        out["naive"]["seconds"] / max(out["vectorized"]["seconds"], 1e-9), 3
     )
     return out
 
@@ -410,7 +410,7 @@ def _simjoin_detect_sweep(relation, fds, thresholds, rounds: int = 2) -> dict:
 def _vectorized_hash_sweep() -> dict:
     """Repair hashes of every algorithm under the vectorized strategy.
 
-    For each algorithm: the indexed-serial reference hash plus the
+    For each algorithm: the naive-serial reference hash plus the
     vectorized hash at serial and ``n_jobs=2`` — three values the gate
     requires to be one.
     """
@@ -421,7 +421,7 @@ def _vectorized_hash_sweep() -> dict:
     weights = Weights(0.5, 0.5)
     thresholds = hosp_thresholds(weights=weights)
     settings = (
-        ("indexed", {"join_strategy": "indexed"}),
+        ("naive", {"join_strategy": "naive"}),
         ("vectorized", {"join_strategy": "vectorized"}),
         ("vectorized_n_jobs2", {"join_strategy": "vectorized", "n_jobs": 2}),
     )
@@ -703,10 +703,10 @@ def main(argv: list) -> int:
         hosp = entry["hosp"]
         tax = entry["tax"]
         print(
-            f"simjoin: vectorized {hosp['speedup']}x vs indexed on "
+            f"simjoin: vectorized {hosp['speedup']}x vs naive on "
             f"{hosp['n_tuples']} HOSP tuples "
             f"({hosp['vectorized']['seconds']}s vs "
-            f"{hosp['indexed']['seconds']}s), {tax['speedup']}x on "
+            f"{hosp['naive']['seconds']}s), {tax['speedup']}x on "
             f"{tax['n_tuples']} Tax tuples; "
             f"{hosp['vectorized']['distinct_pairs_examined']} distinct "
             f"pair(s) for {hosp['vectorized']['tuple_fanout']} tuple "

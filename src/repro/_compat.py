@@ -6,7 +6,7 @@ Every deprecated surface in the library — legacy positional
 accessors — funnels through :func:`deprecated`, so every warning carries
 the same release-tagged shape::
 
-    <message> [deprecated since 1.2, scheduled for removal in 1.3]
+    <message> [deprecated since 2.0, scheduled for removal in 2.1]
 
 Centralizing the call keeps the messages greppable (one format to search
 release notes for) and makes the removal release a one-file audit: when
@@ -18,10 +18,10 @@ from __future__ import annotations
 import warnings
 
 #: the release that introduced the current deprecation batch
-CURRENT_RELEASE = "1.2"
+CURRENT_RELEASE = "2.0"
 
 #: the release in which the current deprecation batch is removed
-NEXT_RELEASE = "1.3"
+NEXT_RELEASE = "2.1"
 
 
 def deprecated(

@@ -26,18 +26,14 @@ config field          CLI flag                 meaning
 ``thresholds``        ``--tau``                similarity threshold(s)
 ``weights``           ``--lhs-weight``         projection-distance weights
 ``join_strategy``     ``--join-strategy``      detection strategy
-                      (``--simjoin-strategy``  (pre-1.2 alias, both sides)
-                      / ``simjoin_strategy=``)
 ``kernel``            ``--kernel``             Levenshtein kernel
 ``n_jobs``            ``--n-jobs``             executor worker processes
 ``component_budget``  ``--component-budget``   exact-search degradation budget
 ``trace``             ``--trace``              observability recording
 ====================  =======================  =================================
 
-``RepairConfig(simjoin_strategy=...)`` and ``--simjoin-strategy`` remain
-accepted aliases of ``join_strategy`` / ``--join-strategy``; the
-``join_strategy`` spelling is the documented one. All strategies —
-including the numpy-batched ``"vectorized"`` one — emit identical
+The two join strategies — the numpy-batched ``"vectorized"`` default
+and the unfiltered ``"naive"`` reference scan — emit identical
 violations; they differ only in how many candidate pairs they examine.
 
 Serving

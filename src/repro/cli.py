@@ -39,7 +39,7 @@ from repro.core.engine import ALGORITHMS, Repairer
 from repro.core.distances import KERNELS, Weights
 from repro.dataset.csvio import read_csv, write_csv
 from repro.exec import RepairConfig
-from repro.index.simjoin import STRATEGIES
+from repro.index.simjoin import DEFAULT_JOIN, STRATEGIES
 from repro.obs import format_phase_table
 
 
@@ -94,15 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--join-strategy",
-        "--simjoin-strategy",  # pre-1.2 spelling, kept as an alias
-        dest="join_strategy",
         choices=list(STRATEGIES),
-        default="indexed",
+        default=DEFAULT_JOIN,
         help=(
             "FT-violation detection strategy; sets "
-            "RepairConfig.join_strategy (default: indexed — "
-            "sub-quadratic candidate generation; all strategies return "
-            "identical violations)"
+            f"RepairConfig.join_strategy (default: {DEFAULT_JOIN} — "
+            "numpy-batched blocking; naive is the unfiltered reference "
+            "scan and returns identical violations)"
         ),
     )
     parser.add_argument(

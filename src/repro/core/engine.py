@@ -138,14 +138,12 @@ class Repairer:
         otherwise.
     join_strategy:
         Violation-detection strategy (see
-        :class:`repro.index.simjoin.SimilarityJoin`): ``"indexed"``
-        (default — sub-quadratic candidate generation via the blocker
-        planner, ``docs/detection.md``), ``"vectorized"`` (the same
-        filters batched through numpy at distinct-dictionary-id
-        granularity; falls back to ``"indexed"`` when numpy is
-        missing), ``"filtered"``, ``"qgram"`` or ``"naive"``. Every
-        strategy returns identical violations. ``simjoin_strategy=`` is
-        accepted as a synonym.
+        :class:`repro.index.simjoin.SimilarityJoin`): ``"vectorized"``
+        (default — a numpy-batched blocker union at
+        distinct-dictionary-id granularity that falls back to a
+        length-filtered pair scan when no sound blocker exists,
+        ``docs/detection.md``) or ``"naive"`` (the unfiltered reference
+        scan). Both return identical violations.
     fallback:
         For exact algorithms only: ``"error"`` propagates budget
         overruns, ``"greedy"`` degrades to the corresponding greedy
@@ -233,11 +231,6 @@ class Repairer:
 
     @property
     def join_strategy(self) -> str:
-        return self.config.join_strategy
-
-    @property
-    def simjoin_strategy(self) -> str:
-        """Alias of :attr:`join_strategy` (the CLI flag spelling)."""
         return self.config.join_strategy
 
     @property

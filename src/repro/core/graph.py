@@ -46,7 +46,7 @@ from repro.core.violation import Pattern, group_patterns
 from repro.dataset.relation import Cell, Relation
 from repro.detect.base import installed_flags
 from repro.index.registry import AttributeIndexRegistry
-from repro.index.simjoin import SimilarityJoin
+from repro.index.simjoin import DEFAULT_JOIN, SimilarityJoin
 from repro.obs import span
 
 
@@ -189,7 +189,7 @@ class ViolationGraph:
         fd: FD,
         model: DistanceModel,
         tau: float,
-        join_strategy: str = "filtered",
+        join_strategy: str = DEFAULT_JOIN,
         grouping: bool = True,
         registry: Optional["AttributeIndexRegistry"] = None,
     ) -> "ViolationGraph":

@@ -24,6 +24,7 @@ from repro.core.repair import RepairResult, apply_edits
 from repro.core.single.greedy import greedy_independent_set
 from repro.dataset.relation import Relation
 from repro.index.registry import AttributeIndexRegistry
+from repro.index.simjoin import DEFAULT_JOIN
 
 
 def greedy_sets_per_fd(
@@ -31,7 +32,7 @@ def greedy_sets_per_fd(
     fds: Sequence[FD],
     model: DistanceModel,
     thresholds: Dict[FD, float],
-    join_strategy: str = "filtered",
+    join_strategy: str = DEFAULT_JOIN,
     seed_dominant: bool = True,
     registry: Optional[AttributeIndexRegistry] = None,
     counters: Optional[Dict[str, int]] = None,
@@ -73,7 +74,7 @@ def repair_multi_fd_appro(
     model: DistanceModel,
     thresholds: Dict[FD, float],
     use_tree: bool = True,
-    join_strategy: str = "filtered",
+    join_strategy: str = DEFAULT_JOIN,
 ) -> RepairResult:
     """Appro-M repair of one FD-graph component."""
     fds = list(fds)

@@ -45,6 +45,7 @@ from repro.core.repair import RepairResult, apply_edits
 from repro.core.violation import PreparedProjection
 from repro.dataset.relation import Relation
 from repro.index.registry import AttributeIndexRegistry
+from repro.index.simjoin import DEFAULT_JOIN
 from repro.obs import span
 
 
@@ -130,7 +131,7 @@ def repair_multi_fd_greedy(
     model: DistanceModel,
     thresholds: Dict[FD, float],
     use_tree: bool = True,
-    join_strategy: str = "filtered",
+    join_strategy: str = DEFAULT_JOIN,
 ) -> RepairResult:
     """Greedy-M repair of one FD-graph component."""
     fds = list(fds)

@@ -22,6 +22,7 @@ from repro.core.graph import ViolationGraph, accumulate_join_counters
 from repro.core.repair import RepairResult, apply_edits, edits_from_assignment
 from repro.core.single.mis import ExpansionStats, best_maximal_independent_set
 from repro.dataset.relation import Relation
+from repro.index.simjoin import DEFAULT_JOIN
 
 
 def repair_single_fd_exact(
@@ -31,7 +32,7 @@ def repair_single_fd_exact(
     tau: float,
     prune: bool = True,
     max_nodes: Optional[int] = 200_000,
-    join_strategy: str = "filtered",
+    join_strategy: str = DEFAULT_JOIN,
     grouping: bool = True,
     registry=None,
 ) -> RepairResult:

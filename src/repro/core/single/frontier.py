@@ -41,15 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.graph import mask_bits
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.graph import ViolationGraph
-
-try:  # pragma: no cover - numpy ships with the toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
 
 #: float tolerance of the winner tie-break (kept from the original scan)
 TIE_EPSILON = 1e-12
@@ -218,8 +215,8 @@ class SearchKernel:
             [list(row) for row in cost_rows] if cost_rows is not None else None
         )
         self.cost_columns = None
-        if prune and self.cost_rows is not None and _np is not None:
-            self.cost_columns = _np.array(self.cost_rows, dtype=float)
+        if prune and self.cost_rows is not None:
+            self.cost_columns = np.array(self.cost_rows, dtype=float)
 
     @classmethod
     def for_graph(
@@ -269,15 +266,8 @@ class SearchKernel:
         produces; the outer accumulation walks outside vertices in dense
         (= access) order, the oracle's sum order.
         """
-        members = mask_bits(mask)
-        if self.cost_columns is not None:
-            column = self.cost_columns[:, members].min(axis=1).tolist()
-        else:
-            rows = self.cost_rows
-            assert rows is not None
-            column = [
-                min(rows[i][j] for j in members) for i in range(self.n)
-            ]
+        assert self.cost_columns is not None, "upper_of needs prune costs"
+        column = self.cost_columns[:, mask_bits(mask)].min(axis=1).tolist()
         total = 0.0
         multiplicities = self.multiplicities
         outside = self.full_mask & ~mask

@@ -26,6 +26,7 @@ from repro.core.graph import ViolationGraph, accumulate_join_counters
 from repro.core.repair import RepairResult, apply_edits
 from repro.core.single.exact import materialize_pattern_assignment
 from repro.dataset.relation import Relation
+from repro.index.simjoin import DEFAULT_JOIN
 from repro.obs import span
 
 
@@ -200,7 +201,7 @@ def repair_single_fd_greedy(
     fd: FD,
     model: DistanceModel,
     tau: float,
-    join_strategy: str = "filtered",
+    join_strategy: str = DEFAULT_JOIN,
     grouping: bool = True,
     registry=None,
 ) -> RepairResult:

@@ -103,7 +103,8 @@ def _length_lower_bound(model: DistanceModel, fd: FD, v1: Tuple, v2: Tuple) -> f
     """A cheap lower bound on the weighted projection distance.
 
     For string attributes ``ned >= |len_a - len_b| / max(len_a, len_b)``;
-    for numerics the exact distance is already cheap. Summing the
+    numerics and attributes with a distance override (which the length
+    bound says nothing about) contribute their exact distance. Summing the
     weighted per-attribute lower bounds lower-bounds Eq. (2), so a pair
     whose bound exceeds tau can be skipped without any edit-distance
     computation.
@@ -115,7 +116,7 @@ def _length_lower_bound(model: DistanceModel, fd: FD, v1: Tuple, v2: Tuple) -> f
         if a == b:
             continue
         weight = model.weights.lhs if pos < n_lhs else model.weights.rhs
-        if isinstance(a, str):
+        if isinstance(a, str) and not model.has_override(attr):
             la, lb = len(a), len(b)
             longest = la if la > lb else lb
             if longest:
@@ -154,58 +155,19 @@ def projection_distance_within(
     return total
 
 
-def projection_distance_within_banded(
-    model: DistanceModel,
-    fd: FD,
-    v1: Tuple,
-    v2: Tuple,
-    tau: float,
-) -> Optional[float]:
-    """Eq. (2) distance if ``<= tau``, else ``None`` — banded kernel.
-
-    Semantically identical to :func:`projection_distance_within` (same
-    accepted pairs, bit-identical totals): per-attribute distances come
-    from :meth:`DistanceModel.attribute_distance_within` with the
-    remaining weighted budget, so string attributes run the O(k*n)
-    banded Levenshtein instead of the full dynamic program. Used as the
-    verify step of the ``indexed`` similarity-join strategy.
-    """
-    total = 0.0
-    n_lhs = len(fd.lhs)
-    w_lhs, w_rhs = model.weights.lhs, model.weights.rhs
-    for pos, attr in enumerate(fd.attributes):
-        a, b = v1[pos], v2[pos]
-        if a == b:
-            continue
-        weight = w_lhs if pos < n_lhs else w_rhs
-        if weight <= 0.0:
-            continue  # contributes exactly 0.0, like the reference path
-        dist = model.attribute_distance_within(attr, a, b, (tau - total) / weight)
-        if dist is None:
-            return None
-        total += weight * dist
-        if total > tau:
-            return None
-    return total
-
-
 class PreparedProjection:
     """One-vs-many Eq. (2): fix the left projection, stream the rights.
 
-    Wraps :meth:`DistanceModel.prepare_within` /
-    :meth:`DistanceModel.prepare_distance` comparers — one per FD
+    Wraps :meth:`DistanceModel.prepare_distance` comparers — one per FD
     attribute, each with its Myers PEQ table prepared once — so
     verifying one pattern against a whole candidate list (the shape of
-    blocker verification and the greedy conflict loops) pays the
-    per-value preparation once instead of per pair. Returned distances,
-    accepted pairs, and cache/counter traffic are identical to the
-    pairwise :func:`projection_distance_within` /
-    :func:`projection_distance_within_banded`.
+    the scan fallback and the greedy conflict loops) pays the per-value
+    preparation once instead of per pair. Returned distances, accepted
+    pairs, and cache/counter traffic are identical to the pairwise
+    :func:`projection_distance_within`.
     """
 
-    __slots__ = (
-        "model", "fd", "values", "_weights", "_within", "_exact", "_bound"
-    )
+    __slots__ = ("model", "fd", "values", "_weights", "_exact", "_bound")
 
     def __init__(self, model: DistanceModel, fd: FD, values: Tuple) -> None:
         self.model = model
@@ -216,22 +178,21 @@ class PreparedProjection:
         self._weights = tuple(
             w_lhs if pos < n_lhs else w_rhs for pos in range(len(fd.attributes))
         )
-        self._within = tuple(
-            model.prepare_within(attr, values[pos])
-            for pos, attr in enumerate(fd.attributes)
-        )
         self._exact = tuple(
             model.prepare_distance(attr, values[pos])
             for pos, attr in enumerate(fd.attributes)
         )
-        # length-bound spec: left lengths resolved once (-1 = non-string)
+        # length-bound spec: left lengths resolved once (-1 = the exact
+        # distance: non-strings and overridden attributes)
         self._bound = tuple(
             (
                 pos,
                 attr,
                 self._weights[pos],
                 values[pos],
-                len(values[pos]) if isinstance(values[pos], str) else -1,
+                len(values[pos])
+                if isinstance(values[pos], str) and not model.has_override(attr)
+                else -1,
             )
             for pos, attr in enumerate(fd.attributes)
         )
@@ -252,27 +213,6 @@ class PreparedProjection:
                     total += weight * abs(la - lb) / longest
             else:
                 total += weight * model.attribute_distance(attr, a, b)
-        return total
-
-    def distance_within_banded(self, other: Tuple, tau: float) -> Optional[float]:
-        """One-vs-many :func:`projection_distance_within_banded`."""
-        total = 0.0
-        values = self.values
-        weights = self._weights
-        within = self._within
-        for pos in range(len(values)):
-            a, b = values[pos], other[pos]
-            if a == b:
-                continue
-            weight = weights[pos]
-            if weight <= 0.0:
-                continue  # contributes exactly 0.0, like the reference path
-            dist = within[pos](b, (tau - total) / weight)
-            if dist is None:
-                return None
-            total += weight * dist
-            if total > tau:
-                return None
         return total
 
     def distance_within(

@@ -53,12 +53,9 @@ from typing import (
     Tuple,
 )
 
-from repro._compat import deprecated
+import numpy as np
 
-try:  # numpy is optional at runtime; vectorized paths degrade without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-absent CI job
-    _np = None  # type: ignore[assignment]
+from repro._compat import deprecated
 
 #: Attribute kinds understood by the distance model.
 STRING = "string"
@@ -280,7 +277,11 @@ class Relation:
         cls, schema: Schema, records: Iterable[Mapping[str, Any]]
     ) -> "Relation":
         """Deprecated spelling of :meth:`from_records`."""
-        deprecated("Relation.from_dicts() is deprecated; use Relation.from_records()")
+        deprecated(
+            "Relation.from_dicts() is deprecated; use Relation.from_records()",
+            since="1.2",
+            remove_in="1.3",
+        )
         return cls.from_records(schema, records)
 
     def append(self, row: Sequence[Any]) -> int:
@@ -388,7 +389,11 @@ class Relation:
 
     def record(self, tid: int) -> Dict[str, Any]:
         """Deprecated spelling of :meth:`as_record`."""
-        deprecated("Relation.record() is deprecated; use Relation.as_record()")
+        deprecated(
+            "Relation.record() is deprecated; use Relation.as_record()",
+            since="1.2",
+            remove_in="1.3",
+        )
         return self.as_record(tid)
 
     def project(self, tid: int, attributes: Sequence[str]) -> Tuple[Any, ...]:
@@ -439,15 +444,9 @@ class Relation:
         is invalidated by appends (which may reallocate the buffer) but
         tracks in-place ``set_value`` mutations, exactly like
         :meth:`column`. The dtype is the C ``unsigned int`` the column is
-        stored as. Raises ``RuntimeError`` when numpy is unavailable —
-        callers that can degrade should check for numpy themselves.
+        stored as.
         """
-        if _np is None:
-            raise RuntimeError(
-                "Relation.column_array() requires numpy; "
-                "use Relation.column() for the buffer-protocol view"
-            )
-        return _np.frombuffer(self.column(attribute), dtype=_np.uintc)
+        return np.frombuffer(self.column(attribute), dtype=np.uintc)
 
     def dictionary(self, attribute: str) -> ValueDictionary:
         """The :class:`ValueDictionary` of *attribute*."""

@@ -24,12 +24,11 @@ The execution-layer knobs are new in this layer:
   ``--trace`` / ``--report out.json``. Off by default; the
   instrumentation points stay no-ops (see ``docs/observability.md``).
 
-``join_strategy`` defaults to ``"indexed"`` — the sub-quadratic
-candidate-generation detection path (see ``docs/detection.md``), which
-returns exactly the same violations as the scan strategies.
-``"vectorized"`` batches the same filters through numpy at
-distinct-dictionary-id granularity (identical violations again) and
-degrades to ``"indexed"`` when numpy is unavailable.
+``join_strategy`` defaults to ``"vectorized"`` — the numpy-batched
+blocker union at distinct-dictionary-id granularity (see
+``docs/detection.md``), which falls back to a length-filtered pair scan
+when no sound blocker exists. ``"naive"`` is the unfiltered reference
+scan; both return exactly the same violations.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.core.distances import KERNELS, DistanceFn, Weights
+from repro.index.simjoin import DEFAULT_JOIN, STRATEGIES
 
 #: per-FD tau mapping, one scalar for every FD, or None (derive from data)
 ThresholdsLike = Union[None, float, Mapping[Any, float]]
@@ -59,7 +59,7 @@ class RepairConfig:
     weights: Weights = field(default_factory=Weights)
     thresholds: ThresholdsLike = None
     use_tree: bool = True
-    join_strategy: str = "indexed"
+    join_strategy: str = DEFAULT_JOIN
     kernel: str = "myers"
     fallback: str = "error"
     max_nodes: Optional[int] = 200_000
@@ -94,6 +94,11 @@ class RepairConfig:
             )
         if self.fallback not in ("error", "greedy"):
             raise ValueError("fallback must be 'error' or 'greedy'")
+        if self.join_strategy not in STRATEGIES:
+            raise ValueError(
+                f"unknown join_strategy {self.join_strategy!r}; expected "
+                f"one of {list(STRATEGIES)}"
+            )
         if self.kernel not in KERNELS:
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; expected one of "
@@ -136,18 +141,9 @@ class RepairConfig:
         Unknown field names raise; ``_UNSET`` sentinels (used by the
         keyword-override path of the Repairer constructor) are skipped,
         so ``cfg.merged(n_jobs=4, algorithm=_UNSET)`` only touches
-        ``n_jobs``. ``simjoin_strategy`` is accepted as a synonym of
-        ``join_strategy`` (the CLI flag spelling) — a plain alias, no
-        deprecation attached.
+        ``n_jobs``.
         """
         changes = {k: v for k, v in overrides.items() if v is not _UNSET}
-        if "simjoin_strategy" in changes:
-            if "join_strategy" in changes:
-                raise TypeError(
-                    "pass join_strategy or its alias simjoin_strategy, "
-                    "not both"
-                )
-            changes["join_strategy"] = changes.pop("simjoin_strategy")
         unknown = [k for k in changes if k not in _field_names()]
         if unknown:
             raise TypeError(f"unknown RepairConfig field(s): {unknown}")

@@ -205,7 +205,7 @@ class ExecutionStats(dict):
 
         0.0 for full pair scans (every pair examined) and whenever the
         detection counters are absent; approaches 1.0 when the
-        ``indexed`` blocker discards almost the entire cross product.
+        blocker union discards almost the entire cross product.
         """
         possible = int(self.get("possible_pairs", 0))
         if not possible:

@@ -1,24 +1,12 @@
 """Indexes and optimizations for FT-violation detection."""
 
-from repro.index.blocking import (
-    AttributeBlocker,
-    BlockPlan,
-    QGramPrefixIndex,
-    candidate_pairs,
-    plan_blocker,
-)
-from repro.index.qgram import QGramIndex, passes_count_filter, qgram_overlap
-from repro.index.simjoin import STRATEGIES, SimilarityJoin
+from repro.index.blocking import AttributeBlocker, BlockPlan
+from repro.index.simjoin import DEFAULT_JOIN, STRATEGIES, SimilarityJoin
 
 __all__ = [
-    "QGramIndex",
-    "qgram_overlap",
-    "passes_count_filter",
     "SimilarityJoin",
     "STRATEGIES",
+    "DEFAULT_JOIN",
     "AttributeBlocker",
     "BlockPlan",
-    "QGramPrefixIndex",
-    "candidate_pairs",
-    "plan_blocker",
 ]

@@ -16,29 +16,18 @@ per member of ``S``, each run at ratio ``r_i = b_i / w_i``:
 * ``band`` — sort the distinct numeric values and emit pairs within
   ``r * spread`` of each other; pairs farther apart have normalized
   Euclidean distance ``> r``.
-* ``qgram`` — length-aware inverted q-gram index with prefix-filter
-  probing. For value lengths ``(la, lb)`` the edit budget is
+* ``qgram`` — for value lengths ``(la, lb)`` the edit budget is
   ``k = floor(r * max(la, lb) + eps)`` (the epsilon keeps
-  float-boundary pairs in); a string within ``k`` edits of the probe
-  value shares all but at most ``k * q`` of its distinct q-grams — one
-  edit destroys at most ``q`` distinct gram types — so it must hit at
-  least one of any ``k * q + 1`` of them. Probing the ``k * q + 1``
-  globally rarest grams of the query against per-length posting lists
-  is therefore sound; buckets whose length differs from the query's by
-  more than ``k`` are skipped outright (``lev >= |la - lb|``). Probe
-  survivors are then settled *exactly* at the value level with the
-  banded Levenshtein kernel — distinct values are far fewer than
-  patterns, so this is cheap and makes the blocker emit precisely the
-  pairs within their edit budget.
+  float-boundary pairs in). A length band (``lev >= |la - lb|``) and a
+  q-gram count filter (one edit destroys at most ``q`` distinct gram
+  types) propose distinct-value pairs; the similarity join then settles
+  each survivor exactly with the Levenshtein kernel.
 
-:func:`plan_blocker` builds the single-attribute plans the budget
-``b = tau`` allows plus a greedy multi-attribute allocation (exact
-partitions are nearly free budget-wise, numeric bands absorb arbitrary
-budget, q-gram budgets rise one edit at a time on the longest
-attribute first), ranks every plan by estimated candidate pairs, and
-returns the cheapest — or a *scan* plan when nothing beats the filtered
-pair scan, e.g. because every blocker would be vacuous at the required
-ratios.
+:func:`_allocate_union` splits ``tau`` across the usable attributes
+(exact partitions are nearly free budget-wise, numeric bands absorb
+arbitrary budget, q-gram budgets rise one edit at a time);
+:func:`vectorized_band_pairs` and :func:`vectorized_qgram_pairs` run the
+band and q-gram blockers over distinct values with numpy.
 
 Every blocker rejects with a real margin (``>= 1`` whole edit for
 q-grams, a relative-plus-absolute band slack for numerics, one
@@ -49,20 +38,15 @@ an exclusion. The full soundness argument lives in ``docs/detection.md``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.constraints import FD
-from repro.core.distances import DistanceModel, levenshtein_banded, qgrams
+from repro.core.distances import DistanceModel
 from repro.core.violation import Pattern
 from repro.index.qgram import packed_overlap
-from repro.index.registry import AttributeIndexRegistry
-
-try:  # numpy is optional at runtime; the vectorized passes degrade without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-absent CI job
-    _np = None  # type: ignore[assignment]
 
 #: relative epsilon inside the edit-budget floor so float rounding in
 #: ``ratio * length`` can never round an exactly-representable budget
@@ -81,19 +65,13 @@ _BAND_ABS_SLACK = 1e-12
 #: partitioning), and by which ratios stay clear of the ``d <= 1`` clamp.
 _EXACT_MARGIN = 1e-6
 
-#: a block plan must beat the scan estimate by this factor; candidate
-#: generation overhead eats narrow wins.
-_PLAN_ADVANTAGE = 0.8
-
-
 @dataclass(frozen=True)
 class AttributeBlocker:
     """One attribute's sound candidate filter inside a :class:`BlockPlan`.
 
     ``ratio`` is the attribute-level distance budget ``b / weight``; a
     pair this blocker rejects is guaranteed to have normalized distance
-    ``> ratio`` on the attribute. ``budget`` is the integer edit budget
-    for ``qgram`` blockers (0 otherwise).
+    ``> ratio`` on the attribute.
     """
 
     kind: str  # "exact" | "band" | "qgram"
@@ -101,12 +79,6 @@ class AttributeBlocker:
     attribute: str
     weight: float
     ratio: float
-    budget: int = 0
-    estimate: int = 0
-    #: q-gram blockers precompute their surviving value-id pairs during
-    #: planning (the work is value-level and cheap); ``None`` means the
-    #: emitter must probe the index itself.
-    value_pairs: Optional[Tuple[Tuple[int, int], ...]] = None
 
     def describe(self) -> str:
         return f"{self.kind}({self.attribute})"
@@ -114,12 +86,12 @@ class AttributeBlocker:
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """The blocker union chosen for one similarity self-join.
+    """The blocker union one similarity self-join ran.
 
     ``kind`` is ``block`` when :attr:`blockers` is a sound union whose
     per-attribute budgets sum to at least ``tau``, or ``scan`` when the
-    join must fall back to the filtered pair scan. ``estimate`` is the
-    (possibly heuristic) candidate-pair count used to rank plans.
+    join fell back to the length-filtered pair scan. ``estimate`` is the
+    candidate-pair count the union produced.
     """
 
     kind: str  # "block" | "scan"
@@ -201,147 +173,11 @@ def _intra_pair_count(groups: Sequence[Sequence[int]]) -> int:
     return sum(len(g) * (len(g) - 1) // 2 for g in groups)
 
 
-def _cross_pairs(
-    left: Sequence[int], right: Sequence[int]
-) -> List[Tuple[int, int]]:
-    return [(u, v) if u < v else (v, u) for u in left for v in right]
-
-
 # ----------------------------------------------------------------------
 # Band join (numeric attributes)
 # ----------------------------------------------------------------------
 def _band_width(ratio: float, spread: float) -> float:
     return ratio * spread * (1.0 + _BAND_SLACK) + spread * _BAND_ABS_SLACK
-
-
-def _band_windows(values: List[float], band: float) -> List[Tuple[int, int]]:
-    """Value-id pairs whose numeric gap is within *band* (two-pointer)."""
-    order = sorted(range(len(values)), key=lambda vid: values[vid])
-    pairs: List[Tuple[int, int]] = []
-    left = 0
-    for right in range(len(order)):
-        while values[order[right]] - values[order[left]] > band:
-            left += 1
-        for mid in range(left, right):
-            pairs.append((order[mid], order[right]))
-    return pairs
-
-
-def _band_estimate(
-    values: List[float], groups: List[List[int]], band: float
-) -> int:
-    """Exact candidate-pair count of the band join, without emitting."""
-    order = sorted(range(len(values)), key=lambda vid: values[vid])
-    total = _intra_pair_count(groups)
-    left = 0
-    window = 0  # sum of group sizes currently in [left, right)
-    for right in range(len(order)):
-        while values[order[right]] - values[order[left]] > band:
-            window -= len(groups[order[left]])
-            left += 1
-        total += window * len(groups[order[right]])
-        window += len(groups[order[right]])
-    return total
-
-
-# ----------------------------------------------------------------------
-# Q-gram prefix index (string attributes)
-# ----------------------------------------------------------------------
-class QGramPrefixIndex:
-    """Length-bucketed inverted q-gram index over distinct values.
-
-    Posting lists are keyed by (value length, gram); probing iterates
-    the length buckets the edit budget allows and unions the postings
-    of the query's ``k*q + 1`` rarest grams (the prefix filter). When a
-    query has at most ``k*q`` distinct grams the filter is vacuous for
-    that query and the whole bucket is taken — soundness over
-    selectivity.
-    """
-
-    def __init__(self, values: Sequence[str], ratio: float, q: int) -> None:
-        self.ratio = ratio
-        self.q = q
-        self._profiles: List[frozenset] = [
-            frozenset(qgrams(value, q)) for value in values
-        ]
-        frequency: Counter = Counter()
-        for profile in self._profiles:
-            frequency.update(profile)
-        self._frequency = frequency
-        self._lengths: List[int] = [len(value) for value in values]
-        self._by_length: Dict[int, List[int]] = {}
-        self._postings: Dict[int, Dict[str, List[int]]] = {}
-        for vid, length in enumerate(self._lengths):
-            self._by_length.setdefault(length, []).append(vid)
-            bucket = self._postings.setdefault(length, {})
-            for gram in self._profiles[vid]:
-                bucket.setdefault(gram, []).append(vid)
-
-    def budget(self, la: int, lb: int) -> int:
-        """The edit budget for a value-length pair, epsilon included."""
-        return int(self.ratio * max(la, lb) + _BUDGET_EPS)
-
-    def candidate_value_pairs(self) -> Set[Tuple[int, int]]:
-        """All value-id pairs that may be within their edit budget."""
-        frequency = self._frequency
-        pairs: Set[Tuple[int, int]] = set()
-        lengths = sorted(self._by_length)
-        for vid, profile in enumerate(self._profiles):
-            la = self._lengths[vid]
-            prefix_source = sorted(profile, key=lambda g: (frequency[g], g))
-            for lb in lengths:
-                k = self.budget(la, lb)
-                if abs(la - lb) > k:
-                    continue
-                if len(prefix_source) <= k * self.q:
-                    hits: Sequence[int] = self._by_length[lb]
-                else:
-                    bucket = self._postings[lb]
-                    seen: Set[int] = set()
-                    for gram in prefix_source[: k * self.q + 1]:
-                        seen.update(bucket.get(gram, ()))
-                    hits = seen
-                for other in hits:
-                    if other != vid:
-                        pairs.add((vid, other) if vid < other else (other, vid))
-        return pairs
-
-
-def _qgram_value_pairs(
-    values: Sequence[str],
-    groups: Sequence[Sequence[int]],
-    ratio: float,
-    q: int,
-    cap: int,
-    expansion_limit: float,
-) -> Optional[Tuple[Tuple[Tuple[int, int], ...], int]]:
-    """Value-id pairs within the *ratio* budget, plus their expansion.
-
-    Prefix-index probing proposes candidates; each survivor is then
-    settled exactly with the banded Levenshtein kernel, so the emitted
-    set is precisely the pairs within ``floor(ratio * max_len + eps)``
-    edits — the tightest sound single-attribute candidate set. Returns
-    ``(pairs, expanded)`` where *expanded* counts the cross pattern
-    pairs the value pairs unfold to, or ``None`` as soon as the probe
-    survivors exceed *cap* or the running expansion exceeds
-    *expansion_limit* — a blocker past either bound cannot beat the
-    plan that set it, so the (banded) verification work stops early.
-    """
-    index = QGramPrefixIndex(values, ratio, q)
-    raw = index.candidate_value_pairs()
-    if len(raw) > cap:
-        return None
-    kept: List[Tuple[int, int]] = []
-    expanded = 0
-    for u, v in sorted(raw):
-        a, b = values[u], values[v]
-        k = index.budget(len(a), len(b))
-        if levenshtein_banded(a, b, k) <= k:
-            kept.append((u, v))
-            expanded += len(groups[u]) * len(groups[v])
-            if expanded > expansion_limit:
-                return None
-    return tuple(kept), expanded
 
 
 # ----------------------------------------------------------------------
@@ -351,32 +187,30 @@ def _qgram_value_pairs(
 #: budget per packed-overlap gather — both bound peak memory, neither
 #: affects the emitted pair set.
 _VEC_MATRIX_ELEMS = 1 << 21
-_VEC_OVERLAP_BYTES = 1 << 23
+_VEC_OVERLAP_BYTES = 1 << 20
 
 
 def vectorized_band_pairs(values: Sequence[float], band: float) -> Tuple[Any, Any, int]:
     """Value-id pairs with ``|a - b| <= band``, as numpy arrays.
 
-    The vectorized twin of :func:`_band_windows`: an argsort plus one
-    ``searchsorted`` per side replaces the two-pointer scan, and the
-    windows expand through segmented ``repeat``/``cumsum`` arithmetic.
-    Returns ``(u, v, passes)`` where *passes* counts the vectorized
-    filter passes run. Same pair set as the scalar code — the window
-    condition compares the same floats.
+    An argsort plus one ``searchsorted`` finds each value's window, and
+    the windows expand through segmented ``repeat``/``cumsum``
+    arithmetic. Returns ``(u, v, passes)`` where *passes* counts the
+    vectorized filter passes run.
     """
-    arr = _np.asarray(values, dtype=_np.float64)
-    order = _np.argsort(arr, kind="stable")
+    arr = np.asarray(values, dtype=np.float64)
+    order = np.argsort(arr, kind="stable")
     sv = arr[order]
-    idx = _np.arange(len(sv), dtype=_np.int64)
-    starts = _np.searchsorted(sv, sv - band, side="left")
+    idx = np.arange(len(sv), dtype=np.int64)
+    starts = np.searchsorted(sv, sv - band, side="left")
     counts = idx - starts
     total = int(counts.sum())
     if total == 0:
-        empty = _np.zeros(0, dtype=_np.int64)
+        empty = np.zeros(0, dtype=np.int64)
         return empty, empty, 1
-    pair_of = _np.repeat(idx, counts)
-    base = _np.cumsum(counts) - counts
-    within = _np.arange(total, dtype=_np.int64) - base[pair_of]
+    pair_of = np.repeat(idx, counts)
+    base = np.cumsum(counts) - counts
+    within = np.arange(total, dtype=np.int64) - base[pair_of]
     mids = starts[pair_of] + within
     return order[mids], order[pair_of], 1
 
@@ -414,23 +248,23 @@ def vectorized_qgram_pairs(
     row_bytes = packed.shape[1] if packed.ndim == 2 else 1
     overlap_chunk = max(1, _VEC_OVERLAP_BYTES // max(row_bytes, 1))
     row_chunk = max(16, _VEC_MATRIX_ELEMS // max(n_values, 1))
-    idx = _np.arange(n_values, dtype=_np.int64)
+    idx = np.arange(n_values, dtype=np.int64)
     for start in range(0, n_values, row_chunk):
         stop = min(start + row_chunk, n_values)
         li = lengths[start:stop, None]
-        maxlen = _np.maximum(li, lengths[None, :])
-        budget = (ratio * maxlen + _BUDGET_EPS).astype(_np.int64)
-        mask = _np.abs(li - lengths[None, :]) <= budget
+        maxlen = np.maximum(li, lengths[None, :])
+        budget = (ratio * maxlen + _BUDGET_EPS).astype(np.int64)
+        mask = np.abs(li - lengths[None, :]) <= budget
         mask &= idx[None, :] > idx[start:stop, None]  # upper triangle
         passes += 1
-        rows, cols = _np.nonzero(mask)
+        rows, cols = np.nonzero(mask)
         if rows.size == 0:
             continue
         budgets = budget[rows, cols]
         rows = rows + start
-        need = _np.maximum(sizes[rows], sizes[cols]) - budgets * q
-        keep = _np.ones(rows.size, dtype=bool)
-        check = _np.nonzero(need > 0)[0]
+        need = np.maximum(sizes[rows], sizes[cols]) - budgets * q
+        keep = np.ones(rows.size, dtype=bool)
+        check = np.nonzero(need > 0)[0]
         for lo in range(0, check.size, overlap_chunk):
             sel = check[lo : lo + overlap_chunk]
             overlap = packed_overlap(packed, rows[sel], cols[sel])
@@ -440,21 +274,21 @@ def vectorized_qgram_pairs(
         out_v.append(cols[keep])
         out_k.append(budgets[keep])
     if not out_u:
-        empty = _np.zeros(0, dtype=_np.int64)
+        empty = np.zeros(0, dtype=np.int64)
         return empty, empty, empty, passes
     return (
-        _np.concatenate(out_u),
-        _np.concatenate(out_v),
-        _np.concatenate(out_k),
+        np.concatenate(out_u),
+        np.concatenate(out_v),
+        np.concatenate(out_k),
         passes,
     )
 
 
 # ----------------------------------------------------------------------
-# The planner
+# Budget allocation
 # ----------------------------------------------------------------------
 class _AttrInfo:
-    """Everything the planner needs to know about one usable attribute."""
+    """Everything the budget split needs to know about one usable attribute."""
 
     def __init__(
         self,
@@ -465,8 +299,6 @@ class _AttrInfo:
         spread: float,
         values: List[Any],
         groups: List[List[int]],
-        q: int,
-        registry: AttributeIndexRegistry,
     ) -> None:
         self.position = position
         self.attribute = attribute
@@ -475,8 +307,6 @@ class _AttrInfo:
         self.spread = spread
         self.values = values
         self.groups = groups
-        self.q = q
-        self.registry = registry
         self.intra = _intra_pair_count(groups)
         if numeric:
             self.max_len = 0
@@ -526,73 +356,31 @@ class _AttrInfo:
                 return level
         return None
 
-    # -- blocker construction ------------------------------------------
-    def blocker(
-        self, budget: float, limit: float = float("inf")
-    ) -> Optional[AttributeBlocker]:
-        """The sound blocker this attribute runs at *budget*, or None.
+    def kind_at(self, ratio: float) -> Optional[str]:
+        """The blocker kind this attribute runs at *ratio*, or None.
 
-        *limit* bounds the candidate-pair estimate a q-gram blocker may
-        reach: construction aborts (returns ``None``) as soon as the
-        running expansion proves the blocker cannot beat the plan that
-        set the limit, which keeps planning cheap on hopeless ratios.
+        ``None`` means the blocker would be vacuous: normalized
+        distances are clamped at 1, so a ratio near 1 excludes nothing.
         """
-        if budget <= 0.0 or self.weight <= 0.0:
-            return None
-        ratio = budget / self.weight
         if ratio >= 1.0 - _EXACT_MARGIN:
-            return None  # vacuous: normalized distances are clamped at 1
-        value_pairs: Optional[Tuple[Tuple[int, int], ...]] = None
+            return None
         if self.numeric:
-            if self.spread <= 0.0:
-                kind, k, estimate = "exact", 0, self.intra
-            else:
-                band = _band_width(ratio, self.spread)
-                kind, k = "band", 0
-                estimate = self.registry.band_estimate(
-                    self.attribute, self.values, self.groups, band
-                )
-        elif ratio * self.max_len < 1.0 - _EXACT_MARGIN:
-            kind, k, estimate = "exact", 0, self.intra
-        else:
-            k = int(ratio * self.max_len + _BUDGET_EPS)
-            kind = "qgram"
-            result = self.registry.qgram_value_pairs(
-                self.attribute,
-                self.values,
-                self.groups,
-                ratio,
-                self._pair_cap(),
-                limit - self.intra,
-            )
-            if result is None:
-                return None  # cannot beat the plan that set the limit
-            value_pairs, expanded = result
-            estimate = self.intra + expanded
-        return AttributeBlocker(
-            kind=kind,
-            position=self.position,
-            attribute=self.attribute,
-            weight=self.weight,
-            ratio=ratio,
-            budget=k,
-            estimate=estimate,
-            value_pairs=value_pairs,
-        )
-
-    def _pair_cap(self) -> int:
-        """Value-pair budget for planning-time banded verification."""
-        n_patterns = sum(len(group) for group in self.groups)
-        return max(50_000, n_patterns * n_patterns // 8)
+            return "exact" if self.spread <= 0.0 else "band"
+        if ratio * self.max_len < 1.0 - _EXACT_MARGIN:
+            return "exact"
+        return "qgram"
 
 
 def _usable_attributes(
     fd: FD,
     model: DistanceModel,
     patterns: Sequence[Pattern],
-    q: int,
-    registry: AttributeIndexRegistry,
 ) -> List[_AttrInfo]:
+    """Positive-weight FD attributes a blocker can run on.
+
+    Attributes with a distance override or a value that refuses the
+    numeric coercion are left out.
+    """
     n_lhs = len(fd.lhs)
     infos: List[_AttrInfo] = []
     for position, attribute in enumerate(fd.attributes):
@@ -616,8 +404,6 @@ def _usable_attributes(
                 spread,
                 values,
                 groups,
-                q,
-                registry,
             )
         )
     return infos
@@ -682,131 +468,3 @@ def _allocate_union(
         infos = [info for i, info in enumerate(infos) if keep[i]]
         budgets = [b for i, b in enumerate(budgets) if keep[i]]
     return list(zip(infos, budgets))
-
-
-def plan_blocker(
-    fd: FD,
-    model: DistanceModel,
-    tau: float,
-    patterns: Sequence[Pattern],
-    q: int = 2,
-    registry: Optional[AttributeIndexRegistry] = None,
-) -> BlockPlan:
-    """Pick the cheapest sound blocker union for one self-join.
-
-    Candidate plans are the greedy multi-attribute allocation of
-    :func:`_allocate_union` plus every single attribute whose weight
-    exceeds ``tau`` (the whole budget on one blocker); each is ranked
-    by its candidate-pair count (exact for every blocker kind — q-gram
-    blockers settle their value pairs during planning) and the cheapest
-    wins. Construction aborts early once a plan provably cannot beat
-    the best so far; when nothing beats ``_PLAN_ADVANTAGE`` times the
-    ``P * (P - 1) / 2`` scan estimate the plan is a ``scan``.
-
-    Pass a shared :class:`AttributeIndexRegistry` so plans over FDs
-    with overlapping attributes reuse each other's q-gram indexes and
-    sorted numeric orders; the plan itself is identical either way.
-    """
-    n = len(patterns)
-    scan = BlockPlan(kind="scan", estimate=n * (n - 1) // 2)
-    if n < 2 or tau < 0.0:
-        return scan
-    if registry is None:
-        registry = AttributeIndexRegistry(q)
-    infos = _usable_attributes(fd, model, patterns, q, registry)
-    if not infos:
-        return scan
-    # candidate generation has real overhead (probing, set union, sort);
-    # a plan must leave a clear margin over the scan to be worth it, and
-    # the margin doubles as the abort limit for blocker construction
-    limit = scan.estimate * _PLAN_ADVANTAGE
-    best: Optional[BlockPlan] = None
-    allocation = _allocate_union(infos, tau)
-    if allocation is not None:
-        blockers: Optional[List[AttributeBlocker]] = []
-        total = 0
-        for info, budget in allocation:
-            blocker = info.blocker(budget, limit - total)
-            if blocker is None or total + blocker.estimate > limit:
-                blockers = None
-                break
-            blockers.append(blocker)
-            total += blocker.estimate
-        if blockers:
-            best = BlockPlan(
-                kind="block", blockers=tuple(blockers), estimate=total
-            )
-            limit = min(limit, float(total))
-    for info in infos:
-        if tau >= info.weight:
-            continue  # the attribute alone can never exceed tau
-        blocker = info.blocker(max(tau, info.base_budget()), limit)
-        if blocker is None or blocker.estimate >= limit:
-            continue
-        best = BlockPlan(
-            kind="block", blockers=(blocker,), estimate=blocker.estimate
-        )
-        limit = float(blocker.estimate)
-    if best is None or best.estimate >= scan.estimate * _PLAN_ADVANTAGE:
-        return scan
-    return best
-
-
-def candidate_pairs(
-    plan: BlockPlan,
-    patterns: Sequence[Pattern],
-    model: DistanceModel,
-    q: int = 2,
-    registry: Optional[AttributeIndexRegistry] = None,
-) -> List[Tuple[int, int]]:
-    """Candidate pattern-index pairs of *plan*, sorted ``(i, j), i < j``.
-
-    The union of the plan's per-attribute blockers; each contributes its
-    within-group pairs (blocking value identical, distance 0 on the
-    attribute) plus its band/q-gram cross pairs. Sorted emission keeps
-    the verify order identical to the nested-loop scan, which keeps the
-    violation list — and therefore every downstream repair —
-    byte-identical across strategies.
-    """
-    if plan.kind == "scan":
-        raise ValueError("scan plans have no candidate generator")
-    if registry is None:
-        registry = AttributeIndexRegistry(q)
-    seen: Set[Tuple[int, int]] = set()
-    for blocker in plan.blockers:
-        numeric = blocker.kind == "band" or (
-            blocker.kind == "exact" and model.is_numeric(blocker.attribute)
-        )
-        grouped = _group_by_value(patterns, blocker.position, numeric)
-        if grouped is None:  # planner vetted this; defensive only
-            raise ValueError(
-                f"attribute {blocker.attribute!r} stopped coercing"
-            )
-        values, groups = grouped
-        for members in groups:
-            for i, u in enumerate(members):
-                for v in members[i + 1 :]:
-                    seen.add((u, v))
-        if blocker.kind == "band":
-            band = _band_width(blocker.ratio, model.spread(blocker.attribute))
-            for u, v in registry.band_windows(blocker.attribute, values, band):
-                seen.update(_cross_pairs(groups[u], groups[v]))
-        elif blocker.kind == "qgram":
-            value_pairs: Sequence[Tuple[int, int]]
-            if blocker.value_pairs is not None:
-                value_pairs = blocker.value_pairs
-            else:
-                # unsettled fallback: the shared index's raw probe
-                # survivors, translated to local ids — same set the
-                # per-FD QGramPrefixIndex emitted
-                entry, codes = registry.string_index(blocker.attribute, values)
-                local_of = {code: vid for vid, code in enumerate(codes)}
-                value_pairs = sorted(
-                    (local_of[cu], local_of[cv])
-                    if local_of[cu] < local_of[cv]
-                    else (local_of[cv], local_of[cu])
-                    for cu, cv in entry.raw_pairs(blocker.ratio)
-                )
-            for u, v in value_pairs:
-                seen.update(_cross_pairs(groups[u], groups[v]))
-    return sorted(seen)

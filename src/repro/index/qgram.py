@@ -1,46 +1,18 @@
-"""Q-gram machinery for edit-distance filtering.
+"""Numpy encodings of q-gram profiles and strings for the vectorized join.
 
-Classic similarity-join filters: if ``lev(a, b) <= k`` then the padded
-q-gram multisets of *a* and *b* overlap in at least
-``max(|a|, |b|) + q - 1 - k*q`` grams. The converse gives a cheap,
-sound rejection test that avoids the dynamic program for most pairs.
+Classic similarity-join filter: if ``lev(a, b) <= k`` then the distinct
+q-gram sets of *a* and *b* share at least ``max(|G_a|, |G_b|) - k*q``
+grams, because one edit destroys at most ``q`` distinct gram types.
+:func:`gram_matrix` and :func:`packed_overlap` evaluate that test for
+many value pairs at once; :func:`char_arrays` and :func:`batched_myers`
+settle the survivors with Myers' bit-parallel edit distance.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
-from repro.core.distances import qgrams
-
-try:  # numpy is optional at runtime; vectorized paths degrade without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-absent CI job
-    _np = None  # type: ignore[assignment]
-
-
-def qgram_overlap(a: str, b: str, q: int = 2) -> int:
-    """Multiset overlap of the padded q-gram profiles of *a* and *b*."""
-    ca, cb = Counter(qgrams(a, q)), Counter(qgrams(b, q))
-    return sum(min(count, cb[gram]) for gram, count in ca.items())
-
-
-def passes_count_filter(a: str, b: str, max_edits: int, q: int = 2) -> bool:
-    """Sound test: can ``lev(a, b) <= max_edits`` possibly hold?
-
-    Returns ``False`` only when the q-gram count filter *proves* the edit
-    distance exceeds *max_edits*.
-    """
-    if max_edits < 0:
-        return a == b
-    if not a or not b:
-        # An empty string has no q-grams; answer exactly.
-        return max(len(a), len(b)) <= max_edits
-    need = max(len(a), len(b)) + q - 1 - max_edits * q
-    if need <= 0:
-        return True
-    return qgram_overlap(a, b, q) >= need
-
+import numpy as np
 
 _POPCOUNT_TABLE: Any = None
 
@@ -54,10 +26,8 @@ def popcount_table() -> Any:
     """
     global _POPCOUNT_TABLE
     if _POPCOUNT_TABLE is None:
-        if _np is None:
-            raise RuntimeError("popcount_table() requires numpy")
-        _POPCOUNT_TABLE = _np.array(
-            [bin(i).count("1") for i in range(256)], dtype=_np.uint8
+        _POPCOUNT_TABLE = np.array(
+            [bin(i).count("1") for i in range(256)], dtype=np.uint8
         )
     return _POPCOUNT_TABLE
 
@@ -76,26 +46,24 @@ def gram_matrix(profiles: Sequence[Set[str]]) -> Tuple[Any, Any, Any, Any]:
       (``ceil(G/8)`` bytes per row) for pairwise overlap popcounts;
     * ``sizes`` — ``int64`` profile sizes (the CSR row lengths).
     """
-    if _np is None:
-        raise RuntimeError("gram_matrix() requires numpy")
     vocabulary: Dict[str, int] = {}
     columns: List[int] = []
-    indptr = _np.zeros(len(profiles) + 1, dtype=_np.int64)
+    indptr = np.zeros(len(profiles) + 1, dtype=np.int64)
     for row, profile in enumerate(profiles):
         columns.extend(
             vocabulary.setdefault(gram, len(vocabulary))
             for gram in sorted(profile)
         )
         indptr[row + 1] = len(columns)
-    gram_ids = _np.asarray(columns, dtype=_np.int64)
+    gram_ids = np.asarray(columns, dtype=np.int64)
     width = (max(len(vocabulary), 1) + 7) // 8
-    packed = _np.zeros((len(profiles), width), dtype=_np.uint8)
-    bits = (1 << (gram_ids & 7)).astype(_np.uint8)
+    packed = np.zeros((len(profiles), width), dtype=np.uint8)
+    bits = (1 << (gram_ids & 7)).astype(np.uint8)
     bytes_of = gram_ids >> 3
     for row in range(len(profiles)):
         lo, hi = indptr[row], indptr[row + 1]
-        _np.bitwise_or.at(packed[row], bytes_of[lo:hi], bits[lo:hi])
-    return indptr, gram_ids, packed, _np.diff(indptr)
+        np.bitwise_or.at(packed[row], bytes_of[lo:hi], bits[lo:hi])
+    return indptr, gram_ids, packed, np.diff(indptr)
 
 
 def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any]:
@@ -110,24 +78,22 @@ def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any]:
     not fit one machine word, so :func:`batched_myers` routes pairs
     where *both* sides are that wide back to the scalar kernel.
     """
-    if _np is None:
-        raise RuntimeError("char_arrays() requires numpy")
     vocabulary: Dict[str, int] = {}
     maxlen = max((len(value) for value in values), default=0)
-    codes = _np.zeros((len(values), max(maxlen, 1)), dtype=_np.int32)
-    lengths = _np.zeros(len(values), dtype=_np.int64)
+    codes = np.zeros((len(values), max(maxlen, 1)), dtype=np.int32)
+    lengths = np.zeros(len(values), dtype=np.int64)
     for row, value in enumerate(values):
         lengths[row] = len(value)
         for col, ch in enumerate(value):
             codes[row, col] = vocabulary.setdefault(ch, len(vocabulary))
-    peq = _np.zeros((len(values), max(len(vocabulary), 1)), dtype=_np.uint64)
-    one = _np.uint64(1)
+    peq = np.zeros((len(values), max(len(vocabulary), 1)), dtype=np.uint64)
+    one = np.uint64(1)
     for row, value in enumerate(values):
         if len(value) > 63:
             continue
         target = peq[row]
         for col, ch in enumerate(value):
-            target[vocabulary[ch]] |= one << _np.uint64(col)
+            target[vocabulary[ch]] |= one << np.uint64(col)
     return codes, lengths, peq
 
 
@@ -146,27 +112,27 @@ def batched_myers(codes: Any, lengths: Any, peq: Any, lefts: Any,
     """
     ll, lr = lengths[lefts], lengths[rights]
     swap = lr < ll
-    pattern = _np.where(swap, rights, lefts)
-    text = _np.where(swap, lefts, rights)
+    pattern = np.where(swap, rights, lefts)
+    text = np.where(swap, lefts, rights)
     m, n = lengths[pattern], lengths[text]
-    out = _np.full(len(pattern), -1, dtype=_np.int64)
+    out = np.full(len(pattern), -1, dtype=np.int64)
     out[m == 0] = n[m == 0]
-    run = _np.nonzero((m > 0) & (m <= 63))[0]
+    run = np.nonzero((m > 0) & (m <= 63))[0]
     if not run.size:
         return out
     # sort by text length descending: at column j the still-active pairs
     # are exactly the prefix [0:count_j], so state updates are views
-    order = run[_np.argsort(-n[run], kind="stable")]
+    order = run[np.argsort(-n[run], kind="stable")]
     pattern, text, m, n = pattern[order], text[order], m[order], n[order]
-    m64 = m.astype(_np.uint64)
-    one = _np.uint64(1)
+    m64 = m.astype(np.uint64)
+    one = np.uint64(1)
     full = (one << m64) - one  # m <= 63 keeps every shift in-word
-    last_shift = (m64 - one).astype(_np.uint64)
+    last_shift = (m64 - one).astype(np.uint64)
     pv = full.copy()
-    mv = _np.zeros(len(order), dtype=_np.uint64)
+    mv = np.zeros(len(order), dtype=np.uint64)
     score = m.copy()
     longest = int(n[0])
-    counts = _np.bincount(n, minlength=longest + 1)
+    counts = np.bincount(n, minlength=longest + 1)
     active = len(order)
     for col in range(longest):
         # pairs whose text is exactly `col` characters long retire now
@@ -178,8 +144,8 @@ def batched_myers(codes: Any, lengths: Any, peq: Any, lefts: Any,
         xh = (((eq & pv_s) + pv_s) ^ pv_s) | eq
         ph = mv_s | (~(xh | pv_s) & full[sl])
         mh = pv_s & xh
-        score[sl] += ((ph >> last_shift[sl]) & one).astype(_np.int64)
-        score[sl] -= ((mh >> last_shift[sl]) & one).astype(_np.int64)
+        score[sl] += ((ph >> last_shift[sl]) & one).astype(np.int64)
+        score[sl] -= ((mh >> last_shift[sl]) & one).astype(np.int64)
         ph = ((ph << one) | one) & full[sl]
         mh = (mh << one) & full[sl]
         pv[sl] = mh | (~(xv | ph) & full[sl])
@@ -196,87 +162,5 @@ def packed_overlap(packed: Any, left: Any, right: Any) -> Any:
     ``len(pairs) x row_bytes`` gather.
     """
     table = popcount_table()
-    inter = _np.bitwise_and(packed[left], packed[right])
-    return table[inter].sum(axis=1, dtype=_np.int64)
-
-
-class QGramIndex:
-    """Inverted index from q-grams to string ids.
-
-    Supports candidate generation for "find all indexed strings within
-    edit distance *k* of a query": any true match must share at least one
-    q-gram with the query whenever ``k*q < len(query) + q - 1``, so the
-    union of posting lists (plus a count threshold) is a candidate set.
-    Used by the similarity-join ablation and by closest-value lookups.
-    """
-
-    def __init__(self, q: int = 2) -> None:
-        if q < 1:
-            raise ValueError("q must be >= 1")
-        self.q = q
-        self._postings: Dict[str, Set[int]] = {}
-        self._strings: List[str] = []
-        self._gramless: Set[int] = set()  # empty strings have no q-grams
-
-    def add(self, text: str) -> int:
-        """Index *text*; returns its id."""
-        sid = len(self._strings)
-        self._strings.append(text)
-        grams = set(qgrams(text, self.q))
-        if not grams:
-            self._gramless.add(sid)
-        for gram in grams:
-            self._postings.setdefault(gram, set()).add(sid)
-        return sid
-
-    def extend(self, texts: Iterable[str]) -> None:
-        """Index several strings."""
-        for text in texts:
-            self.add(text)
-
-    def string(self, sid: int) -> str:
-        """The indexed string with id *sid*."""
-        return self._strings[sid]
-
-    def __len__(self) -> int:
-        return len(self._strings)
-
-    def candidates(self, query: str, max_edits: int) -> List[int]:
-        """Ids of indexed strings that *may* be within *max_edits* of *query*.
-
-        Sound (never drops a true match); the caller verifies candidates
-        with the exact edit distance. Falls back to all ids when the
-        filter is vacuous for this query/threshold combination.
-        """
-        profile = set(qgrams(query, self.q))
-        # One edit touches at most q gram positions, hence destroys at
-        # most q *distinct* gram types: a true match keeps at least this
-        # many of the query's distinct grams.
-        need = len(profile) - max_edits * self.q
-        if need <= 0 or not profile:
-            return list(range(len(self._strings)))
-        counts: Counter = Counter()
-        for gram in profile:
-            for sid in self._postings.get(gram, ()):
-                counts[sid] += 1
-        # Candidate strings may be longer than the query, which raises
-        # their own requirement; checking against the query-side bound
-        # alone stays sound.
-        out = [sid for sid, seen in counts.items() if seen >= max(need, 1)]
-        # Gramless (empty) strings never hit a posting list; they can
-        # still match when the whole query fits in the edit budget.
-        if self._gramless and len(query) <= max_edits:
-            out.extend(self._gramless)
-        return out
-
-    def search(self, query: str, max_edits: int) -> List[Tuple[int, int]]:
-        """Exact search: (id, distance) for strings within *max_edits*."""
-        from repro.core.distances import levenshtein
-
-        hits: List[Tuple[int, int]] = []
-        for sid in self.candidates(query, max_edits):
-            dist = levenshtein(query, self._strings[sid], upper_bound=max_edits)
-            if dist <= max_edits:
-                hits.append((sid, dist))
-        hits.sort(key=lambda pair: (pair[1], pair[0]))
-        return hits
+    inter = np.bitwise_and(packed[left], packed[right])
+    return table[inter].sum(axis=1, dtype=np.int64)

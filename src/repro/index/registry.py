@@ -1,35 +1,25 @@
 """Per-relation shared attribute indexes for FT-violation detection.
 
 Several FDs of a workload typically share attributes (the FD-graph
-overlap the paper exploits in Theorems 5-7), yet the blocker planner
-historically rebuilt every q-gram index, sorted numeric band, and exact
-partition per FD. :class:`AttributeIndexRegistry` hoists those
-structures to the attribute level: the **distinct coerced values** of an
-attribute are the same for every FD containing it (patterns cover all
-tuples), so one canonical index per attribute serves every plan, with a
-per-call code translation between the canonical numbering and each
-FD's local value ids.
+overlap the paper exploits in Theorems 5-7). :class:`AttributeIndexRegistry`
+hoists the detection structures to the attribute level: the **distinct
+coerced values** of an attribute are the same for every FD containing
+it (patterns cover all tuples), so one canonical index per attribute
+serves every join, with a per-call code translation between the
+canonical numbering and each FD's local value ids.
 
 Shared per string attribute:
 
 * the q-gram profiles, gram frequencies, length buckets, and inverted
-  posting lists (ratio-independent — built lazily on first q-gram probe),
-* the raw probe survivors per ratio (``raw_pairs``),
+  posting lists (built lazily on the first one-vs-many probe),
+* the packed gram and character matrices of the vectorized join,
 * the exact settle verdicts ``lev(a, b) <= k`` per value pair and
-  budget, computed through the active Levenshtein kernel with interned
-  Myers preparations (see :class:`repro.core.distances.PreparedKernel`).
+  budget, and the exact edit counts the bounded kernel proved.
 
-Shared per numeric attribute: the sorted value order and the band-join
-windows per band width.
+Shared per numeric attribute: the sorted value order.
 
-Everything the registry returns is provably identical to what the
-per-FD rebuild produced: raw probe sets depend only on the value *set*
-(frequencies, buckets, and postings are numbering-invariant), settle
-verdicts are value-level facts, band windows and estimates are
-unordered-pair sets/counts that tie order cannot change, and the
-expansion-limit abort of :meth:`qgram_value_pairs` triggers for a given
-total in any iteration order. Detection output therefore stays
-byte-identical with and without sharing.
+Everything the registry returns is a value-level fact, so detection
+output is byte-identical with and without sharing.
 
 The registry validates its entries per call (length equality plus
 membership of every local value) and rebuilds on mismatch, so it stays
@@ -44,19 +34,16 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.distances import (
     PreparedKernel,
     default_kernel,
     levenshtein,
     qgrams,
 )
-
-
-def _budget_eps() -> float:
-    # function-level import: blocking imports this module at load time
-    from repro.index.blocking import _BUDGET_EPS
-
-    return _BUDGET_EPS
+from repro.index.blocking import _BUDGET_EPS
+from repro.index.qgram import batched_myers, char_arrays, gram_matrix
 
 
 class _StringIndex:
@@ -71,7 +58,6 @@ class _StringIndex:
         "_frequency",
         "_by_length",
         "_postings",
-        "_raw_pairs",
         "settled",
         "exact_edits",
         "_gram_arrays",
@@ -89,7 +75,6 @@ class _StringIndex:
         self._frequency: Optional[Counter] = None
         self._by_length: Optional[Dict[int, List[int]]] = None
         self._postings: Optional[Dict[int, Dict[str, List[int]]]] = None
-        self._raw_pairs: Dict[float, Tuple[Tuple[int, int], ...]] = {}
         #: settle verdicts ``lev(values[u], values[v]) <= k`` keyed (u, v, k)
         self.settled: Dict[Tuple[int, int, int], bool] = {}
         #: exact edit counts keyed (min(u, v), max(u, v)); only values a
@@ -116,60 +101,17 @@ class _StringIndex:
         self._by_length = by_length
         self._postings = postings
 
-    def raw_pairs(self, ratio: float) -> Tuple[Tuple[int, int], ...]:
-        """Probe survivors at *ratio*, in canonical codes, cached.
-
-        Replicates ``QGramPrefixIndex.candidate_value_pairs`` exactly:
-        the emitted pair *set* depends only on the value set, never on
-        the numbering, so translating codes to any FD's local ids yields
-        the same candidate set the per-FD index produced.
-        """
-        cached = self._raw_pairs.get(ratio)
-        if cached is not None:
-            return cached
-        self._ensure_grams()
-        eps = _budget_eps()
-        q = self.q
-        frequency = self._frequency
-        by_length = self._by_length
-        postings = self._postings
-        lengths = self.lengths
-        pairs: Set[Tuple[int, int]] = set()
-        length_keys = sorted(by_length)
-        for code, profile in enumerate(self._profiles):
-            la = lengths[code]
-            prefix_source = sorted(profile, key=lambda g: (frequency[g], g))
-            for lb in length_keys:
-                k = int(ratio * (la if la > lb else lb) + eps)
-                if abs(la - lb) > k:
-                    continue
-                if len(prefix_source) <= k * q:
-                    hits: Sequence[int] = by_length[lb]
-                else:
-                    bucket = postings[lb]
-                    seen: Set[int] = set()
-                    for gram in prefix_source[: k * q + 1]:
-                        seen.update(bucket.get(gram, ()))
-                    hits = seen
-                for other in hits:
-                    if other != code:
-                        pairs.add((code, other) if code < other else (other, code))
-        result = tuple(sorted(pairs))
-        self._raw_pairs[ratio] = result
-        return result
-
     def probe(self, query: str, ratio: float) -> List[int]:
         """Canonical codes possibly within ``ratio`` edits of *query*.
 
-        The one-vs-many form of :meth:`raw_pairs`: the same pigeonhole
-        prefix filter (any ``k*q + 1`` grams of the query must hit a
+        The pigeonhole prefix filter (any ``k*q + 1`` grams of the query must hit a
         value within ``k`` edits, since one edit destroys at most ``q``
         grams), applied from a single probe value that need not be in
         the index. The result is a superset of the values within
         ``floor(ratio * max_len + eps)`` edits — callers verify exactly.
         """
         self._ensure_grams()
-        eps = _budget_eps()
+        eps = _BUDGET_EPS
         q = self.q
         la = len(query)
         profile = frozenset(qgrams(query, q))
@@ -192,7 +134,6 @@ class _StringIndex:
                     out.update(bucket.get(gram, ()))
         return sorted(out)
 
-
     def gram_arrays(self) -> Tuple[Any, Any, Any, Any, Any]:
         """Numpy encodings for the vectorized join, built lazily once.
 
@@ -200,15 +141,13 @@ class _StringIndex:
         and bit-packed q-gram matrices from
         :func:`repro.index.qgram.gram_matrix` over the canonical
         profiles, plus the canonical value lengths as an ``int64``
-        array. Requires numpy (the caller gates on availability).
+        array.
         """
         if self._gram_arrays is None:
-            from repro.index.qgram import _np, gram_matrix
-
             self._ensure_grams()
-            assert self._profiles is not None and _np is not None
+            assert self._profiles is not None
             indptr, gram_ids, packed, sizes = gram_matrix(self._profiles)
-            lengths = _np.asarray(self.lengths, dtype=_np.int64)
+            lengths = np.asarray(self.lengths, dtype=np.int64)
             self._gram_arrays = (indptr, gram_ids, packed, sizes, lengths)
         return self._gram_arrays
 
@@ -217,19 +156,16 @@ class _StringIndex:
 
         Lazily built ``(codes, lengths, peq)`` from
         :func:`repro.index.qgram.char_arrays` over the canonical values.
-        Requires numpy (the caller gates on availability).
         """
         if self._char_arrays is None:
-            from repro.index.qgram import char_arrays
-
             self._char_arrays = char_arrays(self.values)
         return self._char_arrays
 
 
 class _NumericIndex:
-    """Canonical sorted order (and band windows) of one numeric attribute."""
+    """Canonical sorted order of one numeric attribute."""
 
-    __slots__ = ("values", "code_of", "order", "_windows", "_sorted")
+    __slots__ = ("values", "code_of", "order", "_sorted")
 
     def __init__(self, values: Sequence[float]) -> None:
         self.values: List[float] = list(values)
@@ -239,7 +175,6 @@ class _NumericIndex:
         self.order: List[int] = sorted(
             range(len(self.values)), key=lambda code: self.values[code]
         )
-        self._windows: Dict[float, Tuple[Tuple[int, int], ...]] = {}
         self._sorted: Optional[List[float]] = None
 
     def probe(self, query: float, band: float) -> List[int]:
@@ -252,31 +187,10 @@ class _NumericIndex:
         hi = bisect_right(self._sorted, query + band)
         return self.order[lo:hi]
 
-    def windows(self, band: float) -> Tuple[Tuple[int, int], ...]:
-        """Canonical code pairs within *band* of each other, cached."""
-        cached = self._windows.get(band)
-        if cached is not None:
-            return cached
-        values = self.values
-        order = self.order
-        pairs: List[Tuple[int, int]] = []
-        left = 0
-        for right in range(len(order)):
-            while values[order[right]] - values[order[left]] > band:
-                left += 1
-            for mid in range(left, right):
-                pairs.append((order[mid], order[right]))
-        result = tuple(pairs)
-        self._windows[band] = result
-        return result
-
-
 class AttributeIndexRegistry:
     """Shared per-attribute index store with build/reuse accounting.
 
     One instance per relation (or per repair run): pass it to every
-    :func:`repro.index.blocking.plan_blocker` /
-    :func:`~repro.index.blocking.candidate_pairs` call and to every
     :class:`repro.index.simjoin.SimilarityJoin` so FDs sharing an
     attribute share its indexes. Thread-confined like
     :class:`~repro.core.distances.DistanceModel` — parallel workers each
@@ -294,8 +208,6 @@ class AttributeIndexRegistry:
         self._strings: Dict[str, _StringIndex] = {}
         self._numerics: Dict[str, _NumericIndex] = {}
         self._kernels: Dict[str, PreparedKernel] = {}
-        self._gram_profiles: Dict[str, Counter] = {}
-        self._count_filter: Dict[Tuple[str, str, int], bool] = {}
 
     def counters(self) -> Dict[str, int]:
         """The accounting triple, for stats plumbing."""
@@ -363,54 +275,6 @@ class AttributeIndexRegistry:
             self._kernels[text] = prepared
         return prepared
 
-    def gram_profile(self, text: str) -> Counter:
-        """The interned q-gram multiset of *text* (for count filters)."""
-        profile = self._gram_profiles.get(text)
-        if profile is None:
-            profile = Counter(qgrams(text, self.q))
-            self._gram_profiles[text] = profile
-        return profile
-
-    def count_filter_reject(
-        self, a: str, b: str, pa: Counter, pb: Counter, need: int
-    ) -> bool:
-        """Cached count-filter verdict: ``gram overlap(a, b) < need``.
-
-        The same value pairs recur across pattern pairs and across FDs
-        sharing the attribute, so the overlap loop runs once per
-        distinct ``(pair, budget)``; every later probe is a dict hit.
-        Overlap is symmetric, hence the normalized key.
-        """
-        if a > b:
-            a, b = b, a
-        key = (a, b, need)
-        verdict = self._count_filter.get(key)
-        if verdict is None:
-            if len(pb) < len(pa):
-                pa, pb = pb, pa
-            overlap = 0
-            for gram, count in pa.items():
-                other = pb[gram]
-                if other:
-                    overlap += count if count < other else other
-            verdict = overlap < need
-            self._count_filter[key] = verdict
-        return verdict
-
-    def _settle(self, entry: _StringIndex, u: int, v: int, k: int) -> bool:
-        """Whether ``lev(values[u], values[v]) <= k`` — cached, kernel-routed."""
-        key = (u, v, k)
-        verdict = entry.settled.get(key)
-        if verdict is None:
-            a, b = entry.values[u], entry.values[v]
-            self.kernel_calls += 1
-            if default_kernel() == "myers":
-                verdict = self.prepared_kernel(a).compare(b, k) <= k
-            else:
-                verdict = levenshtein(a, b, upper_bound=k) <= k
-            entry.settled[key] = verdict
-        return verdict
-
     def bounded_edits_many(
         self,
         entry: _StringIndex,
@@ -421,12 +285,11 @@ class AttributeIndexRegistry:
         """Batched bounded edit distances between canonical value pairs.
 
         Each result honours the kernel contract: exact iff it does not
-        exceed its budget. Under the Myers kernel (with numpy present)
-        misses run through :func:`repro.index.qgram.batched_myers` — the
-        bit-parallel column update as elementwise ``uint64`` ops over
-        the whole batch; pairs the one-word bitvector cannot hold (both
-        sides over 63 characters), other kernels, and numpy-absent runs
-        are grouped by left value and settled through one prepared
+        exceed its budget. Under the Myers kernel misses run through
+        :func:`repro.index.qgram.batched_myers` — the bit-parallel column
+        update as elementwise ``uint64`` ops over the whole batch; pairs
+        the one-word bitvector cannot hold (both sides over 63
+        characters) and other kernels are grouped by left value and settled through one prepared
         :meth:`PreparedKernel.compare_many` per group. Exact results are
         cached in ``entry.exact_edits`` so the blocker settle and the
         verify pass never re-run a kernel on the same distinct pair.
@@ -447,33 +310,26 @@ class AttributeIndexRegistry:
             return out
         use_myers = default_kernel() == "myers"
         if use_myers:
-            from repro.index.qgram import _np, batched_myers
-
-            if _np is not None:
-                codes, lengths, peq = entry.char_arrays()
-                batch = batched_myers(
-                    codes,
-                    lengths,
-                    peq,
-                    _np.fromiter(
-                        (lefts[p] for p in miss), _np.int64, count=len(miss)
-                    ),
-                    _np.fromiter(
-                        (rights[p] for p in miss), _np.int64, count=len(miss)
-                    ),
-                )
-                remaining: List[int] = []
-                for pos, edits in zip(miss, batch.tolist()):
-                    if edits < 0:  # too wide for one word; scalar below
-                        remaining.append(pos)
-                        continue
-                    out[pos] = edits
-                    u, v, k = lefts[pos], rights[pos], budgets[pos]
-                    settled[(u, v, k)] = edits <= k
-                    # batched distances are unconditionally exact
-                    edits_cache[(u, v) if u < v else (v, u)] = edits
-                self.kernel_calls += len(miss) - len(remaining)
-                miss = remaining
+            codes, lengths, peq = entry.char_arrays()
+            batch = batched_myers(
+                codes,
+                lengths,
+                peq,
+                np.fromiter((lefts[p] for p in miss), np.int64, count=len(miss)),
+                np.fromiter((rights[p] for p in miss), np.int64, count=len(miss)),
+            )
+            remaining: List[int] = []
+            for pos, edits in zip(miss, batch.tolist()):
+                if edits < 0:  # too wide for one word; scalar below
+                    remaining.append(pos)
+                    continue
+                out[pos] = edits
+                u, v, k = lefts[pos], rights[pos], budgets[pos]
+                settled[(u, v, k)] = edits <= k
+                # batched distances are unconditionally exact
+                edits_cache[(u, v) if u < v else (v, u)] = edits
+            self.kernel_calls += len(miss) - len(remaining)
+            miss = remaining
         pending: Dict[int, List[int]] = {}
         for pos in miss:
             pending.setdefault(lefts[pos], []).append(pos)
@@ -507,7 +363,7 @@ class AttributeIndexRegistry:
         rights: Sequence[int],
         budgets: Sequence[int],
     ) -> List[bool]:
-        """Batched :meth:`_settle`: ``lev(values[u], values[v]) <= k`` per pair.
+        """Batched settle verdicts ``lev(values[u], values[v]) <= k`` per pair.
 
         Probes the verdict and exact-edit caches first, then routes the
         misses through :meth:`bounded_edits_many`.
@@ -538,46 +394,6 @@ class AttributeIndexRegistry:
             for p, edits in zip(miss, edits_batch):
                 out[p] = edits <= budgets[p]
         return out
-
-    def qgram_value_pairs(
-        self,
-        attribute: str,
-        values: Sequence[str],
-        groups: Sequence[Sequence[int]],
-        ratio: float,
-        cap: int,
-        expansion_limit: float,
-    ) -> Optional[Tuple[Tuple[Tuple[int, int], ...], int]]:
-        """Shared-index drop-in for ``blocking._qgram_value_pairs``.
-
-        Same contract: the settled value-id pairs (local ids, sorted)
-        within ``floor(ratio * max_len + eps)`` edits plus their pattern
-        expansion, or ``None`` past *cap* / *expansion_limit*. The abort
-        decision and emitted set are iteration-order independent, so the
-        canonical traversal matches the per-FD one exactly.
-        """
-        entry, codes = self.string_index(attribute, values)
-        raw = entry.raw_pairs(ratio)
-        if len(raw) > cap:
-            return None
-        eps = _budget_eps()
-        lengths = entry.lengths
-        local_of = {code: vid for vid, code in enumerate(codes)}
-        kept: List[Tuple[int, int]] = []
-        expanded = 0
-        for cu, cv in raw:
-            la, lb = lengths[cu], lengths[cv]
-            k = int(ratio * (la if la > lb else lb) + eps)
-            if self._settle(entry, cu, cv, k):
-                u, v = local_of[cu], local_of[cv]
-                if u > v:
-                    u, v = v, u
-                kept.append((u, v))
-                expanded += len(groups[u]) * len(groups[v])
-                if expanded > expansion_limit:
-                    return None
-        kept.sort()
-        return tuple(kept), expanded
 
     def qgram_probe(
         self,
@@ -622,44 +438,3 @@ class AttributeIndexRegistry:
             return []
         local_of = {code: vid for vid, code in enumerate(codes)}
         return [local_of[code] for code in raw]
-
-    # ------------------------------------------------------------------
-    def band_windows(
-        self, attribute: str, values: Sequence[float], band: float
-    ) -> List[Tuple[int, int]]:
-        """Shared-index drop-in for ``blocking._band_windows`` (local ids)."""
-        entry, codes = self.numeric_index(attribute, values)
-        local_of = {code: vid for vid, code in enumerate(codes)}
-        pairs: List[Tuple[int, int]] = []
-        for cu, cv in entry.windows(band):
-            pairs.append((local_of[cu], local_of[cv]))
-        return pairs
-
-    def band_estimate(
-        self,
-        attribute: str,
-        values: Sequence[float],
-        groups: Sequence[Sequence[int]],
-        band: float,
-    ) -> int:
-        """Shared-order drop-in for ``blocking._band_estimate``.
-
-        The count of unordered pairs within *band* (plus intra-group
-        pairs) is invariant to tie order in the sort, so the canonical
-        order gives the exact per-FD estimate without re-sorting.
-        """
-        entry, codes = self.numeric_index(attribute, values)
-        total = sum(len(g) * (len(g) - 1) // 2 for g in groups)
-        local_values = list(values)
-        # translate the canonical sorted order to local ids
-        local_of = {code: vid for vid, code in enumerate(codes)}
-        order = [local_of[code] for code in entry.order]
-        left = 0
-        window = 0  # sum of group sizes currently in [left, right)
-        for right in range(len(order)):
-            while local_values[order[right]] - local_values[order[left]] > band:
-                window -= len(groups[order[left]])
-                left += 1
-            total += window * len(groups[order[right]])
-            window += len(groups[order[right]])
-        return total

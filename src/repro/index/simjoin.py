@@ -1,53 +1,42 @@
 """Similarity self-join over FD patterns.
 
 Detecting FT-violations is a threshold self-join: find every pattern pair
-whose weighted projection distance (Eq. 2) is at most ``tau``. This
-module wraps the join with pluggable strategies so the cost of detection
-can be studied (ablation benches) and tuned:
+whose weighted projection distance (Eq. 2) is at most ``tau``. Two
+strategies implement it:
 
-* ``naive``     — exact distance for every pair, no filtering.
-* ``filtered``  — per-attribute length lower bound + early-abort
-  accumulation over the full pair scan.
-* ``qgram``     — ``filtered`` plus a q-gram count filter on the most
-  selective string attribute of the FD.
-* ``indexed``   — sub-quadratic candidate generation (engine default):
-  a per-FD blocker planner (:mod:`repro.index.blocking`) replaces the
-  all-pairs loop with exact-match partitioning, a sorted numeric band
-  join, or an inverted q-gram prefix index, and candidates are verified
-  with the banded Levenshtein kernel. Falls back to the filtered scan
-  when no attribute is indexable.
-* ``vectorized`` — the ``indexed`` pigeonhole union run at
+* ``vectorized`` (the default, :data:`DEFAULT_JOIN`) — a pigeonhole
+  union of per-attribute blockers (:mod:`repro.index.blocking`) run at
   **distinct-dictionary-id granularity** with numpy-batched filtering:
   per-attribute length-band + q-gram count-filter passes over the
   packed gram matrices propose distinct-id pairs, each survivor is
   settled exactly once with the prepared Myers kernel, verified value
   pairs fan out to pattern pairs through the dictionary frequency
   lists, and Eq. (2) accumulates per candidate as elementwise float64
-  vector ops (bit-identical to the scalar accumulation). Degrades to
-  ``indexed`` (with a :class:`DegradedJoinWarning`) when numpy is
-  missing, and to the indexed/scan paths when the FD has custom
-  distance overrides or uncoercible numerics.
+  vector ops (bit-identical to the scalar accumulation). When the join
+  has fewer than two patterns, the FD has a custom distance override or
+  an active attribute that refuses the numeric coercion, or no sound
+  budget split covers ``tau``, it falls back to the length-filtered
+  pair scan.
+* ``naive`` — exact distance for every pair, no filtering: the test
+  oracle.
 
-All strategies return exactly the same violations, in the same order,
-with bit-identical distances; only the work differs.
+Both return exactly the same violations, in the same order, with
+bit-identical distances; only the work differs.
 
-**Counter semantics** (normalized across strategies):
+**Counter semantics:**
 
 * ``possible_pairs``       — ``P * (P - 1) / 2`` for ``P`` patterns; the
   work a full pair scan would face.
-* ``candidates_generated`` — pairs the strategy put on the table: equal
-  to ``possible_pairs`` for the scan strategies, the blocker output for
-  ``indexed``.
+* ``candidates_generated`` — pairs the join put on the table: the blocker
+  union's output, or ``possible_pairs`` for the scans.
 * ``pairs_examined``       — candidate pairs actually inspected (always
   equals ``candidates_generated``; kept for backward compatibility).
 * ``pairs_filtered``       — of those, rejected by a cheap sound filter
-  (length lower bound, q-gram count) before exact verification. Always
-  0 for ``naive``, which verifies everything.
-* ``pairs_verified``       — pairs that reached the exact Eq. (2)
-  accumulation: ``pairs_examined - pairs_filtered``.
+  (length lower bound, edit budget) before the Eq. (2) comparison.
+  Always 0 for ``naive``, which verifies everything.
+* ``pairs_verified``       — ``pairs_examined - pairs_filtered``.
 
-The ``vectorized`` strategy adds three distinct-id counters (0 for the
-tuple-granular strategies):
+Three distinct-id counters are 0 on the scans:
 
 * ``distinct_pairs_examined`` — unique distinct-value pairs given an
   exact evaluation (blocker settles plus verification), summed per
@@ -60,65 +49,46 @@ tuple-granular strategies):
   chunks, count-filter chunks, band windows).
 
 ``reduction_ratio`` summarizes the blocking win: the fraction of the
-possible pairs the strategy never examined.
+possible pairs the join never examined.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Counter as CounterType
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
-from repro.core.violation import (
-    FTViolation,
-    Pattern,
-    PreparedProjection,
-    _length_lower_bound,
-)
+from repro.core.violation import FTViolation, Pattern, PreparedProjection
 from repro.index.blocking import (
-    _EXACT_MARGIN,
-    BlockPlan,
     AttributeBlocker,
+    BlockPlan,
     _allocate_union,
     _band_width,
     _usable_attributes,
-    candidate_pairs,
-    plan_blocker,
     vectorized_band_pairs,
     vectorized_qgram_pairs,
 )
-from repro.index.qgram import passes_count_filter
 from repro.index.registry import AttributeIndexRegistry
 from repro.obs import span
 
-try:  # numpy is optional at runtime; ``vectorized`` degrades without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-absent CI job
-    _np = None  # type: ignore[assignment]
+STRATEGIES = ("naive", "vectorized")
 
-STRATEGIES = ("naive", "filtered", "qgram", "indexed", "vectorized")
-
-
-class DegradedJoinWarning(RuntimeWarning):
-    """A join strategy degraded to a weaker implementation.
-
-    Emitted once per join when ``join_strategy="vectorized"`` runs in an
-    environment without numpy and falls back to ``indexed``: results are
-    identical, only the distinct-id batching is lost.
-    """
+#: the join every repair runs unless ``RepairConfig.join_strategy`` says
+#: otherwise
+DEFAULT_JOIN = "vectorized"
 
 
 class SimilarityJoin:
     """Threshold self-join over patterns of one FD.
 
-    See the module docstring for the strategy menu and the exact counter
+    See the module docstring for the two strategies and the exact counter
     semantics. After :meth:`join` the instance exposes
     ``possible_pairs`` / ``candidates_generated`` / ``pairs_examined`` /
     ``pairs_filtered`` / ``pairs_verified``, the achieved
-    :attr:`reduction_ratio`, and (for ``indexed``) the chosen
-    :attr:`plan`.
+    :attr:`reduction_ratio`, and (for ``vectorized``) the :attr:`plan`
+    it ran — a blocker union, or ``scan`` after a fallback.
     """
 
     def __init__(
@@ -126,7 +96,7 @@ class SimilarityJoin:
         fd: FD,
         model: DistanceModel,
         tau: float,
-        strategy: str = "indexed",
+        strategy: str = DEFAULT_JOIN,
         q: int = 2,
         registry: Optional[AttributeIndexRegistry] = None,
     ) -> None:
@@ -142,7 +112,6 @@ class SimilarityJoin:
         #: shared attribute indexes; pass one registry to every join of a
         #: run so FDs with overlapping attributes reuse each other's work
         self.registry = registry if registry is not None else AttributeIndexRegistry(q)
-        self._qgram_attr = self._pick_qgram_attribute() if strategy == "qgram" else None
         self.plan: Optional[BlockPlan] = None
         self._reset_counters()
 
@@ -157,7 +126,7 @@ class SimilarityJoin:
         self.kernel_calls = 0
         self.index_builds = 0
         self.index_reuses = 0
-        # distinct-id counters of the vectorized strategy (0 elsewhere)
+        # distinct-id counters of the blocker union (0 on the scans)
         self.distinct_pairs_examined = 0
         self.tuple_fanout = 0
         self.vector_filter_passes = 0
@@ -188,47 +157,6 @@ class SimilarityJoin:
         }
 
     # ------------------------------------------------------------------
-    def _pick_qgram_attribute(self) -> Optional[Tuple[int, float]]:
-        """Choose the string attribute with the tightest edit budget.
-
-        Returns (position in the FD projection, weight) or ``None`` when
-        the FD has no usable string attribute.
-        """
-        n_lhs = len(self.fd.lhs)
-        best: Optional[Tuple[int, float]] = None
-        for pos, _attr in enumerate(self.fd.attributes):
-            weight = (
-                self.model.weights.lhs if pos < n_lhs else self.model.weights.rhs
-            )
-            if weight <= 0:
-                continue
-            if best is None or weight > best[1]:
-                best = (pos, weight)
-        return best
-
-    def _qgram_reject(self, v1: Tuple, v2: Tuple) -> bool:
-        """True when the q-gram filter proves the pair exceeds tau.
-
-        Pairwise reference form of the test; the scan loop inlines a
-        boolean-identical version over registry-interned gram profiles
-        with the verdict cached per distinct value pair
-        (:meth:`AttributeIndexRegistry.count_filter_reject`).
-        """
-        if self._qgram_attr is None:
-            return False
-        pos, weight = self._qgram_attr
-        a, b = v1[pos], v2[pos]
-        if not isinstance(a, str) or not isinstance(b, str) or a == b:
-            return False
-        # The single attribute alone must satisfy weight * ned <= tau,
-        # i.e. lev <= (tau / weight) * max(len).
-        longest = max(len(a), len(b))
-        if longest == 0:
-            return False
-        max_edits = int((self.tau / weight) * longest)
-        return not passes_count_filter(a, b, max_edits, self.q)
-
-    # ------------------------------------------------------------------
     def join(self, patterns: Sequence[Pattern]) -> List[FTViolation]:
         """All FT-violating pairs among *patterns* at threshold ``tau``."""
         self._reset_counters()
@@ -242,28 +170,19 @@ class SimilarityJoin:
             reuses0 = registry.index_reuses
             n = len(patterns)
             self.possible_pairs = n * (n - 1) // 2
-            if self.strategy == "indexed":
-                out = self._indexed_path(patterns)
-            elif self.strategy == "vectorized":
-                if _np is None:
-                    warnings.warn(
-                        "numpy is unavailable; join_strategy='vectorized' "
-                        "degrades to 'indexed' (identical results, scalar "
-                        "performance)",
-                        DegradedJoinWarning,
-                        stacklevel=2,
-                    )
-                    out = self._indexed_path(patterns)
-                else:
-                    vectorized = self._join_vectorized(patterns)
-                    if vectorized is None:
-                        # custom overrides / uncoercible actives: the
-                        # scalar paths own those semantics
-                        out = self._indexed_path(patterns)
-                    else:
-                        out = vectorized
-            else:
+            if self.strategy == "naive":
                 out = self._join_scan(patterns)
+            else:
+                vectorized = self._join_vectorized(patterns)
+                if vectorized is None:
+                    # tiny inputs / custom overrides / uncoercible
+                    # actives / no sound budget split
+                    self.plan = BlockPlan(
+                        kind="scan", estimate=self.possible_pairs
+                    )
+                    out = self._join_scan(patterns)
+                else:
+                    out = vectorized
             self.kernel_calls = (
                 model.kernel_calls + registry.kernel_calls - kernel_calls0
             )
@@ -274,16 +193,6 @@ class SimilarityJoin:
             detect_span.set(violations=len(out), **self.counters())
         return out
 
-    def _indexed_path(self, patterns: Sequence[Pattern]) -> List[FTViolation]:
-        """Plan and run the ``indexed`` strategy (also the degraded path)."""
-        self.plan = plan_blocker(
-            self.fd, self.model, self.tau, patterns, self.q, self.registry
-        )
-        if self.plan.kind != "scan":
-            return self._join_indexed(patterns)
-        # no indexable attribute: fall back to the filtered scan
-        return self._join_scan(patterns)
-
     # ------------------------------------------------------------------
     def _join_vectorized(
         self, patterns: Sequence[Pattern]
@@ -292,8 +201,8 @@ class SimilarityJoin:
 
         Pipeline (soundness/identity argument in ``docs/detection.md``):
 
-        1. reuse the pigeonhole allocation of the indexed planner to
-           split ``tau`` across the FD's usable attributes;
+        1. split ``tau`` across the FD's usable attributes with the
+           pigeonhole allocation of :func:`_allocate_union`;
         2. realize each blocker at distinct-id granularity — numpy band
            windows for numerics, length-band + packed q-gram
            count-filter passes for strings, with survivors settled
@@ -308,17 +217,13 @@ class SimilarityJoin:
            attribute order — IEEE-identical to the scalar Eq. (2) loop,
            so emitted distances are bit-identical.
 
-        Returns ``None`` when the FD needs the scalar paths (custom
-        distance overrides, uncoercible numerics, or no sound
-        allocation); the caller degrades to ``indexed``.
+        Returns ``None`` when the scalar scan should run instead: fewer
+        than two patterns, custom distance overrides, uncoercible
+        numerics, or no sound allocation.
         """
-        np = _np
         model, fd, tau, registry = self.model, self.fd, self.tau, self.registry
         n = len(patterns)
-        if n < 2:
-            self.plan = BlockPlan(kind="block", blockers=(), estimate=0)
-            return []
-        if any(model.has_override(attr) for attr in fd.attributes):
+        if n < 2 or any(model.has_override(attr) for attr in fd.attributes):
             return None
         n_lhs = len(fd.lhs)
         active = sum(
@@ -326,24 +231,19 @@ class SimilarityJoin:
             for pos in range(len(fd.attributes))
             if (model.weights.lhs if pos < n_lhs else model.weights.rhs) > 0.0
         )
-        infos = _usable_attributes(fd, model, patterns, self.q, registry)
+        infos = _usable_attributes(fd, model, patterns)
         if len(infos) != active:
             return None  # an active attribute failed coercion
         allocation = _allocate_union(infos, tau)
         if allocation is None:
             return None  # the union cannot cover tau soundly
-        # -- pick each blocker's kind up front (mirrors _AttrInfo.blocker)
+        # -- pick each blocker's kind up front
         realized: List[Tuple[Any, float, str]] = []
         for info, budget in allocation:
             ratio = budget / info.weight
-            if ratio >= 1.0 - _EXACT_MARGIN:
-                return None  # vacuous blocker; defensive (planner agrees)
-            if info.numeric:
-                kind = "exact" if info.spread <= 0.0 else "band"
-            elif ratio * info.max_len < 1.0 - _EXACT_MARGIN:
-                kind = "exact"
-            else:
-                kind = "qgram"
+            kind = info.kind_at(ratio)
+            if kind is None:
+                return None  # vacuous blocker; defensive (allocation agrees)
             realized.append((info, ratio, kind))
 
         # -- per-attribute group arrays (shared by fan-out and verify)
@@ -508,62 +408,12 @@ class SimilarityJoin:
             )
         return out
 
-    def _join_indexed(self, patterns: Sequence[Pattern]) -> List[FTViolation]:
-        """Verify only the blocker's candidates, in scan order.
-
-        Candidates arrive sorted by left index, so the left pattern's
-        per-attribute kernel preparations (:class:`PreparedProjection`)
-        are built once per run of equal ``i`` and reused across all its
-        right-hand candidates — the one-vs-many shape.
-        """
-        assert self.plan is not None
-        candidates = candidate_pairs(
-            self.plan, patterns, self.model, self.q, self.registry
-        )
-        self.candidates_generated = len(candidates)
-        out: List[FTViolation] = []
-        model, fd, tau = self.model, self.fd, self.tau
-        prepared: Optional[PreparedProjection] = None
-        prepared_i = -1
-        for i, j in candidates:
-            self.pairs_examined += 1
-            left, right = patterns[i], patterns[j]
-            if _length_lower_bound(model, fd, left.values, right.values) > tau:
-                self.pairs_filtered += 1
-                continue
-            self.pairs_verified += 1
-            if i != prepared_i:
-                prepared = PreparedProjection(model, fd, left.values)
-                prepared_i = i
-            dist = prepared.distance_within_banded(right.values, tau)
-            if dist is not None:
-                out.append(FTViolation(left, right, dist))
-        return out
-
     def _join_scan(self, patterns: Sequence[Pattern]) -> List[FTViolation]:
-        """The quadratic pair scan shared by naive/filtered/qgram."""
+        """The quadratic pair scan: ``naive``, or the length-filtered fallback."""
         out: List[FTViolation] = []
         naive = self.strategy == "naive"
-        qgram = self.strategy == "qgram"
         model, fd, tau = self.model, self.fd, self.tau
         lhs, rhs = fd.lhs, fd.rhs
-        profiles: Optional[List[Optional["CounterType[str]"]]] = None
-        pos = -1
-        ratio = 0.0
-        q = self.q
-        reject = self.registry.count_filter_reject
-        if qgram and self._qgram_attr is not None:
-            # gram profiles once per pattern (interned per distinct value
-            # in the registry), not twice per pair
-            pos, weight = self._qgram_attr
-            ratio = self.tau / weight
-            gram_profile = self.registry.gram_profile
-            profiles = [
-                gram_profile(p.values[pos])
-                if isinstance(p.values[pos], str)
-                else None
-                for p in patterns
-            ]
         for i, left in enumerate(patterns):
             # left preparation once per row of the scan (one-vs-many):
             # the length-bound spec and per-attribute kernel comparers
@@ -571,11 +421,7 @@ class SimilarityJoin:
             prepared = (
                 None if naive else PreparedProjection(model, fd, left.values)
             )
-            pa = profiles[i] if profiles is not None else None
-            if pa is not None:
-                a_left = left.values[pos]
-                la = len(a_left)
-            for k, right in enumerate(patterns[i + 1 :], start=i + 1):
+            for right in patterns[i + 1 :]:
                 self.pairs_examined += 1
                 if naive:
                     # genuinely unfiltered: full Eq. (2), then compare
@@ -589,28 +435,6 @@ class SimilarityJoin:
                 if prepared.length_lower_bound(right.values) > tau:
                     self.pairs_filtered += 1
                     continue
-                if pa is not None:
-                    # inline count filter: the single attribute alone
-                    # must satisfy weight * ned <= tau, i.e.
-                    # lev <= (tau / weight) * max(len)
-                    b = right.values[pos]
-                    pb = profiles[k]
-                    if pb is not None and a_left != b:
-                        lb = len(b)
-                        longest = la if la > lb else lb
-                        if longest:
-                            max_edits = int(ratio * longest)
-                            if not a_left or not b:
-                                if longest > max_edits:
-                                    self.pairs_filtered += 1
-                                    continue
-                            else:
-                                need = longest + q - 1 - max_edits * q
-                                if need > 0 and reject(
-                                    a_left, b, pa, pb, need
-                                ):
-                                    self.pairs_filtered += 1
-                                    continue
                 self.pairs_verified += 1
                 dist = prepared.distance_within(
                     right.values, tau, use_filters=False
@@ -641,7 +465,7 @@ def _fanout_keys(
     canonicalized to ``min * n + max``. Returns ``None`` for an empty
     expansion.
     """
-    if _np is None or len(u) == 0:
+    if len(u) == 0:
         return None
     su = gsize[u]
     sv = gsize[v]
@@ -649,9 +473,9 @@ def _fanout_keys(
     total = int(counts.sum())
     if total == 0:
         return None
-    pair_of = _np.repeat(_np.arange(len(u), dtype=_np.int64), counts)
-    base = _np.cumsum(counts) - counts
-    within = _np.arange(total, dtype=_np.int64) - base[pair_of]
+    pair_of = np.repeat(np.arange(len(u), dtype=np.int64), counts)
+    base = np.cumsum(counts) - counts
+    within = np.arange(total, dtype=np.int64) - base[pair_of]
     right_size = sv[pair_of]
     iu = within // right_size
     iv = within - iu * right_size
@@ -663,4 +487,4 @@ def _fanout_keys(
         if pi.size == 0:
             return None
         return pi * n + pj
-    return _np.minimum(pi, pj) * n + _np.maximum(pi, pj)
+    return np.minimum(pi, pj) * n + np.maximum(pi, pj)

@@ -68,8 +68,8 @@ class TestDeprecationPolicy:
     def test_message_format(self):
         with pytest.warns(
             DeprecationWarning,
-            match=r"use new\(\) \[deprecated since 1\.2, "
-            r"scheduled for removal in 1\.3\]",
+            match=r"use new\(\) \[deprecated since 2\.0, "
+            r"scheduled for removal in 2\.1\]",
         ):
             deprecated("use new()", stacklevel=2)
 
@@ -86,9 +86,9 @@ class TestDeprecationPolicy:
         with pytest.warns(DeprecationWarning, match=r"deprecated since 1\.1"):
             repro.Repairer(fds, rng=3)
 
-    def test_config_simjoin_alias_still_accepted(self):
-        config = repro.RepairConfig().merged(simjoin_strategy="naive")
-        assert config.join_strategy == "naive"
+    def test_config_simjoin_alias_removed(self):
+        with pytest.raises(TypeError, match="simjoin_strategy"):
+            repro.RepairConfig().merged(simjoin_strategy="naive")
 
 
 class TestCliConfigNamespace:
@@ -99,10 +99,12 @@ class TestCliConfigNamespace:
         blessed = parser.parse_args(
             ["in.csv", "--fd", "A -> B", "--join-strategy", "naive"]
         )
-        legacy = parser.parse_args(
-            ["in.csv", "--fd", "A -> B", "--simjoin-strategy", "naive"]
-        )
-        assert blessed.join_strategy == legacy.join_strategy == "naive"
+        assert blessed.join_strategy == "naive"
+        # the pre-1.2 --simjoin-strategy alias is gone in 2.0
+        with pytest.raises(SystemExit):
+            parser.parse_args(
+                ["in.csv", "--fd", "A -> B", "--simjoin-strategy", "naive"]
+            )
 
     def test_kernel_flag_maps_to_config_field(self):
         from repro.cli import build_parser

@@ -1,17 +1,12 @@
-"""Unit tests for the candidate-generation blocker planner."""
-
-import pytest
+"""Unit tests for the blocker union the vectorized join runs."""
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel, Weights, levenshtein
 from repro.core.violation import ft_violation_pairs, group_patterns
 from repro.dataset.relation import Relation, Schema
-from repro.index.blocking import (
-    BlockPlan,
-    QGramPrefixIndex,
-    candidate_pairs,
-    plan_blocker,
-)
+from repro.index.blocking import _BUDGET_EPS, vectorized_qgram_pairs
+from repro.index.registry import _StringIndex
+from repro.index.simjoin import SimilarityJoin
 
 
 def _setup(rows, columns=("K", "V"), numeric=(), weights=None):
@@ -32,20 +27,34 @@ def _violating_index_pairs(patterns, fd, model, tau):
     }
 
 
+def _plan(fd, model, tau, patterns):
+    """Run the vectorized join; return the plan it chose and the join."""
+    join = SimilarityJoin(fd, model, tau, strategy="vectorized")
+    join.join(patterns)
+    return join.plan, join
+
+
+def _qgram_pairs(values, ratio, q=2):
+    """``(i, j) -> edit budget`` for the pairs the q-gram blocker keeps."""
+    _, _, packed, sizes, lengths = _StringIndex(values, q).gram_arrays()
+    u, v, budgets, _ = vectorized_qgram_pairs(packed, sizes, lengths, ratio, q)
+    return dict(zip(zip(u.tolist(), v.tolist()), budgets.tolist()))
+
+
 class TestPlanSelection:
     def test_tiny_tau_yields_exact_partitions(self):
         rows = [(f"key-{i:03d}", f"val-{i:03d}") for i in range(40)]
         _, fd, model, patterns = _setup(rows)
         # tau below one normalized edit on every attribute: any
         # difference exceeds it, so exact partitioning is sound
-        plan = plan_blocker(fd, model, 0.01, patterns)
+        plan, _ = _plan(fd, model, 0.01, patterns)
         assert plan.kind == "block"
         assert {b.kind for b in plan.blockers} == {"exact"}
 
     def test_numeric_attribute_gets_band_blocker(self):
         rows = [(f"key-{i:03d}", float(i)) for i in range(40)]
         _, fd, model, patterns = _setup(rows, numeric=("V",))
-        plan = plan_blocker(fd, model, 0.2, patterns)
+        plan, _ = _plan(fd, model, 0.2, patterns)
         assert plan.kind == "block"
         assert any(b.kind == "band" for b in plan.blockers)
 
@@ -54,7 +63,7 @@ class TestPlanSelection:
         _, fd, model, patterns = _setup(rows)
         # ~0.5 weight, 14-char keys: tau 0.1 allows ~2 edits on K, so an
         # exact partition is unsound there and a q-gram blocker must run
-        plan = plan_blocker(fd, model, 0.1, patterns)
+        plan, _ = _plan(fd, model, 0.1, patterns)
         assert plan.kind == "block"
         kinds = {b.kind for b in plan.blockers}
         assert "qgram" in kinds or kinds == {"exact"}
@@ -63,43 +72,41 @@ class TestPlanSelection:
         rows = [(f"k{i}", f"v{i}") for i in range(10)]
         _, fd, model, patterns = _setup(rows)
         # tau near the weight sum: every blocker vacuous -> scan
-        plan = plan_blocker(fd, model, 0.99, patterns)
+        plan, _ = _plan(fd, model, 0.99, patterns)
         assert plan.kind == "scan"
         assert plan.estimate == len(patterns) * (len(patterns) - 1) // 2
 
     def test_scan_for_degenerate_inputs(self):
         rows = [("only", "one")]
         _, fd, model, patterns = _setup(rows)
-        assert plan_blocker(fd, model, 0.3, patterns).kind == "scan"
+        plan, _ = _plan(fd, model, 0.3, patterns)
+        assert plan.kind == "scan"
 
     def test_weight_zero_attribute_never_blocks(self):
         rows = [(f"key-{i:03d}", "same") for i in range(20)]
         _, fd, model, patterns = _setup(rows, weights=Weights(0.0, 1.0))
-        plan = plan_blocker(fd, model, 0.1, patterns)
+        plan, _ = _plan(fd, model, 0.1, patterns)
         # only V carries weight, and V is constant: intra-partition only
         for blocker in plan.blockers:
             assert blocker.attribute == "V"
 
-    def test_candidate_pairs_rejects_scan_plan(self):
-        rows = [("a", "b"), ("c", "d")]
-        _, fd, model, patterns = _setup(rows)
-        with pytest.raises(ValueError):
-            candidate_pairs(BlockPlan(kind="scan"), patterns, model)
-
 
 class TestSoundness:
-    """A block plan's candidates must cover every true violation."""
+    """The blocker union must keep every true violation."""
 
     def _assert_covers(self, rows, tau, numeric=(), weights=None):
         _, fd, model, patterns = _setup(rows, numeric=numeric,
                                         weights=weights)
-        plan = plan_blocker(fd, model, tau, patterns)
         truth = _violating_index_pairs(patterns, fd, model, tau)
-        if plan.kind == "scan":
-            return  # the scan trivially covers everything
-        emitted = set(candidate_pairs(plan, patterns, model))
-        missing = truth - emitted
-        assert not missing, f"plan {plan.describe()} dropped {missing}"
+        join = SimilarityJoin(fd, model, tau, strategy="vectorized")
+        by_values = {p.values: i for i, p in enumerate(patterns)}
+        emitted = {
+            (by_values[v.left.values], by_values[v.right.values])
+            for v in join.join(patterns)
+        }
+        assert emitted == truth, (
+            f"plan {join.plan.describe()} dropped {truth - emitted}"
+        )
 
     def test_string_typos_covered(self):
         rows = [(f"silver-key-{i:03d}", f"name-{i:03d}") for i in range(30)]
@@ -124,35 +131,30 @@ class TestSoundness:
     def test_estimate_matches_emission_for_union(self):
         rows = [(f"maple-key-{i:03d}", f"leaf-{i:03d}") for i in range(40)]
         _, fd, model, patterns = _setup(rows)
-        plan = plan_blocker(fd, model, 0.15, patterns)
-        if plan.kind != "block":
-            pytest.skip("planner chose scan at this scale")
-        emitted = candidate_pairs(plan, patterns, model)
-        # per-blocker estimates are exact, the union deduplicates, so
-        # the emitted count never exceeds the estimate
-        assert len(emitted) <= plan.estimate
+        plan, join = _plan(fd, model, 0.15, patterns)
+        assert plan.kind == "block"
+        # the estimate is the deduplicated candidate count of the union
+        assert plan.estimate == join.candidates_generated
+        assert join.candidates_generated <= join.possible_pairs
 
 
-class TestQGramPrefixIndex:
+class TestVectorizedQGramPairs:
     def test_emits_all_pairs_within_budget(self):
         values = ["kitten", "sitten", "sitting", "mitten", "banana",
                   "bananas", "cabana"]
         ratio = 0.34  # ~2 edits on 6-7 char values
-        index = QGramPrefixIndex(values, ratio, q=2)
-        raw = index.candidate_value_pairs()
+        kept = _qgram_pairs(values, ratio)
         for i, a in enumerate(values):
             for j in range(i + 1, len(values)):
                 b = values[j]
-                k = index.budget(len(a), len(b))
+                k = int(ratio * max(len(a), len(b)) + _BUDGET_EPS)
                 if levenshtein(a, b) <= k:
-                    assert (i, j) in raw, (a, b)
+                    assert kept.get((i, j)) == k, (a, b)
 
     def test_budget_uses_longer_length(self):
-        index = QGramPrefixIndex(["abcd", "abcdefgh"], 0.25, q=2)
-        assert index.budget(4, 8) == 2
-        assert index.budget(4, 4) == 1
+        # floor(0.25 * 8) = 2 edits; the shorter length would give 1
+        assert _qgram_pairs(["abcdefg", "abcdefgh"], 0.25) == {(0, 1): 2}
 
     def test_length_gap_pruning(self):
         # lengths 3 and 9 at ratio 0.34: budget floor(0.34*9)=3 < gap 6
-        index = QGramPrefixIndex(["abc", "abcdefghi"], 0.34, q=2)
-        assert (0, 1) not in index.candidate_value_pairs()
+        assert (0, 1) not in _qgram_pairs(["abc", "abcdefghi"], 0.34)

@@ -119,13 +119,11 @@ class TestRun:
         )
         assert code == 0
 
-    @pytest.mark.parametrize(
-        "strategy", ["naive", "filtered", "qgram", "indexed"]
-    )
+    @pytest.mark.parametrize("strategy", ["naive", "vectorized"])
     def test_simjoin_strategy_flag(self, csv_path, capsys, strategy):
         code = main(
             [str(csv_path), "--fd", "sku -> product", "--tau", "0.3",
-             "--simjoin-strategy", strategy, "--report", "--dry-run"]
+             "--join-strategy", strategy, "--report", "--dry-run"]
         )
         assert code == 0
         # every strategy detects the same typo and proposes the same fix
@@ -133,9 +131,13 @@ class TestRun:
         assert "espresso-oen" in out and "espresso-one" in out
 
     def test_unknown_simjoin_strategy_exits(self, csv_path):
-        with pytest.raises(SystemExit):
-            main([str(csv_path), "--fd", "sku -> product",
-                  "--simjoin-strategy", "hash-blocking"])
+        # the removed strategies and the removed flag alias are usage errors
+        for flag, strategy in (("--join-strategy", "indexed"),
+                               ("--join-strategy", "hash-blocking"),
+                               ("--simjoin-strategy", "naive")):
+            with pytest.raises(SystemExit) as exc:
+                main([str(csv_path), "--fd", "sku -> product", flag, strategy])
+            assert exc.value.code == 2
 
     def test_stats_prints_detection_counters(self, csv_path, capsys):
         code = main(
@@ -144,7 +146,7 @@ class TestRun:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "detection (indexed):" in out
+        assert "detection (vectorized):" in out
         assert "pairs_examined" in out
 
 

@@ -183,14 +183,13 @@ class TestEndToEnd:
 
 
 class TestJoinStrategyThroughEngine:
-    @pytest.mark.parametrize("strategy", ["naive", "filtered", "qgram",
-                                          "indexed"])
+    @pytest.mark.parametrize("strategy", ["naive", "vectorized"])
     def test_strategies_produce_identical_repairs(
         self, strategy, citizens, citizens_fds, citizens_thresholds
     ):
         reference = Repairer(
             citizens_fds, algorithm="greedy-m",
-            thresholds=citizens_thresholds, join_strategy="filtered",
+            thresholds=citizens_thresholds, join_strategy="naive",
         ).repair(citizens)
         other = Repairer(
             citizens_fds, algorithm="greedy-m",
@@ -205,7 +204,7 @@ class TestJoinStrategyThroughEngine:
     ):
         """Not just the same edit set: identical rows, costs and order."""
         outputs = []
-        for strategy in ("naive", "filtered", "qgram", "indexed"):
+        for strategy in ("naive", "vectorized"):
             result = Repairer(
                 citizens_fds, algorithm="greedy-m",
                 thresholds=citizens_thresholds, join_strategy=strategy,
@@ -220,26 +219,21 @@ class TestJoinStrategyThroughEngine:
             )
         assert all(output == outputs[0] for output in outputs[1:])
 
-    def test_simjoin_strategy_alias_accepted(self, citizens, citizens_fds,
-                                             citizens_thresholds):
-        repairer = Repairer(
-            citizens_fds, thresholds=citizens_thresholds,
-            simjoin_strategy="naive",
-        )
-        assert repairer.join_strategy == "naive"
-        assert repairer.simjoin_strategy == "naive"
+    def test_simjoin_strategy_alias_removed(self, citizens_fds):
+        with pytest.raises(TypeError, match="simjoin_strategy"):
+            Repairer(citizens_fds, simjoin_strategy="naive")
+        assert not hasattr(Repairer(citizens_fds), "simjoin_strategy")
 
-    def test_default_strategy_is_indexed(self, citizens_fds):
-        assert Repairer(citizens_fds).join_strategy == "indexed"
+    def test_default_strategy_is_vectorized(self, citizens_fds):
+        assert Repairer(citizens_fds).join_strategy == "vectorized"
 
-    def test_unknown_strategy_raises_at_repair(self, citizens, citizens_fds,
-                                               citizens_thresholds):
-        repairer = Repairer(
-            citizens_fds, thresholds=citizens_thresholds,
-            join_strategy="hash-blocking",
-        )
-        with pytest.raises(ValueError):
-            repairer.repair(citizens)
+    def test_unknown_strategy_raises_at_construction(self, citizens_fds,
+                                                     citizens_thresholds):
+        with pytest.raises(ValueError, match="naive"):
+            Repairer(
+                citizens_fds, thresholds=citizens_thresholds,
+                join_strategy="hash-blocking",
+            )
 
 
 class TestSquashEdits:

@@ -1,87 +1,53 @@
-"""Tests for the q-gram filter machinery."""
+"""Tests for the q-gram filter machinery of the vectorized join."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.distances import levenshtein
-from repro.index.qgram import QGramIndex, passes_count_filter, qgram_overlap
+from repro.index.blocking import vectorized_qgram_pairs
+from repro.index.qgram import packed_overlap
+from repro.index.registry import _StringIndex
 
 words = st.text(alphabet="abcde", max_size=10)
 
 
+def _overlap(a, b, q=2):
+    """Distinct-gram overlap of *a* and *b* through the packed matrix."""
+    _, _, packed, _, _ = _StringIndex([a, b], q).gram_arrays()
+    return int(packed_overlap(packed, [0], [1])[0])
+
+
+def _survives(a, b, ratio, q=2):
+    """Whether the length-band + count filter keeps the pair ``(a, b)``."""
+    _, _, packed, sizes, lengths = _StringIndex([a, b], q).gram_arrays()
+    u, _, _, _ = vectorized_qgram_pairs(packed, sizes, lengths, ratio, q)
+    return u.size == 1
+
+
 class TestOverlap:
     def test_identical(self):
-        assert qgram_overlap("abc", "abc") == 4  # #a ab bc c$
+        assert _overlap("abc", "abc") == 4  # #a ab bc c$
 
     def test_disjoint(self):
-        assert qgram_overlap("aaa", "zzz") == 0
+        assert _overlap("aaa", "zzz") == 0
 
-    def test_multiset_semantics(self):
-        # 'aaaa' has gram 'aa' three times, 'aa' has it once
-        assert qgram_overlap("aaaa", "aa") >= 3
+    def test_repeated_grams_count_once(self):
+        # 'aaaa' has gram 'aa' three times, 'aa' once; both profiles are
+        # the same distinct set {#a, aa, a$}
+        assert _overlap("aaaa", "aa") == 3
 
 
 class TestCountFilter:
     def test_never_rejects_true_match(self):
-        assert passes_count_filter("Boston", "Boton", 1)
+        assert _survives("Boston", "Boton", 0.17)  # 1 edit allowed
 
     def test_rejects_distant_pair(self):
-        assert not passes_count_filter("aaaaaaaa", "zzzzzzzz", 1)
+        assert not _survives("aaaaaaaa", "zzzzzzzz", 0.125)  # 1 edit allowed
 
-    def test_negative_edits_means_equality(self):
-        assert passes_count_filter("x", "x", -1)
-        assert not passes_count_filter("x", "y", -1)
+    def test_zero_budget_rejects_any_difference(self):
+        assert not _survives("x", "y", 0.0)
 
     @given(words, words, st.integers(0, 5))
     def test_soundness(self, a, b, k):
         """The filter may only reject pairs whose distance exceeds k."""
-        if levenshtein(a, b) <= k:
-            assert passes_count_filter(a, b, k)
-
-
-class TestQGramIndex:
-    @pytest.fixture
-    def index(self):
-        idx = QGramIndex()
-        idx.extend(["boston", "boton", "austin", "dallas", "houston"])
-        return idx
-
-    def test_len_and_lookup(self, index):
-        assert len(index) == 5
-        assert index.string(0) == "boston"
-
-    def test_rejects_bad_q(self):
-        with pytest.raises(ValueError):
-            QGramIndex(q=0)
-
-    def test_search_finds_close_strings(self, index):
-        hits = index.search("boston", 1)
-        found = {index.string(sid) for sid, _ in hits}
-        assert found == {"boston", "boton"}
-
-    def test_search_distances_are_exact(self, index):
-        for sid, dist in index.search("bostan", 2):
-            assert dist == levenshtein("bostan", index.string(sid))
-
-    def test_search_sorted_by_distance(self, index):
-        hits = index.search("boston", 3)
-        dists = [d for _, d in hits]
-        assert dists == sorted(dists)
-
-    def test_candidates_superset_of_matches(self, index):
-        candidates = set(index.candidates("botson", 2))
-        for sid in range(len(index)):
-            if levenshtein("botson", index.string(sid)) <= 2:
-                assert sid in candidates
-
-    @given(st.lists(words, min_size=1, max_size=15), words, st.integers(0, 4))
-    def test_search_equals_brute_force(self, corpus, query, k):
-        index = QGramIndex()
-        index.extend(corpus)
-        expected = sorted(
-            (sid, levenshtein(query, s))
-            for sid, s in enumerate(corpus)
-            if levenshtein(query, s) <= k
-        )
-        got = sorted(index.search(query, k))
-        assert {sid for sid, _ in got} == {sid for sid, _ in expected}
+        if a != b and levenshtein(a, b) <= k:
+            assert _survives(a, b, k / max(len(a), len(b)))

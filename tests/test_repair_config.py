@@ -30,6 +30,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown algorithm"):
             RepairConfig(algorithm="magic")
 
+    def test_default_join_strategy_is_vectorized(self):
+        assert RepairConfig().join_strategy == "vectorized"
+
+    def test_removed_join_strategy_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="join_strategy") as exc:
+            RepairConfig(join_strategy="indexed")
+        # the message names the remaining choices
+        assert "'naive'" in str(exc.value) and "'vectorized'" in str(exc.value)
+
     def test_bad_fallback_rejected(self):
         with pytest.raises(ValueError, match="fallback"):
             RepairConfig(fallback="ignore")
@@ -121,7 +130,7 @@ class TestRepairerShim:
                 weights,
                 params["thresholds"],
                 params["use_tree"],
-                "filtered",
+                "naive",
                 params["fallback"],
                 params["max_nodes"],
                 params["max_combinations"],
@@ -134,7 +143,7 @@ class TestRepairerShim:
             weights=weights,
             thresholds=params["thresholds"],
             use_tree=params["use_tree"],
-            join_strategy="filtered",
+            join_strategy="naive",
             fallback=params["fallback"],
             max_nodes=params["max_nodes"],
             max_combinations=params["max_combinations"],

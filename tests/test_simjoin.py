@@ -1,4 +1,4 @@
-"""Tests for the similarity self-join strategies."""
+"""Tests for the similarity self-join: ``vectorized`` against ``naive``."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,18 +46,26 @@ class TestStrategies:
             pairs, _ = _join(citizens, citizens_model, fd, 0.55, strategy)
             assert pairs == reference
 
-    def test_filter_counters(self, citizens, citizens_model, fd):
-        _, join = _join(citizens, citizens_model, fd, 0.55, "qgram")
+    def test_filter_counters(self, citizens, fd):
+        # a distance override forces the length-filtered scan fallback
+        model = DistanceModel(citizens, overrides={"State": _flat_distance})
+        _, join = _join(citizens, model, fd, 0.55, "vectorized")
+        assert join.plan.kind == "scan"
         assert join.pairs_examined == 10  # 5 distinct patterns -> C(5,2)
         assert 0 <= join.pairs_filtered <= join.pairs_examined
 
     def test_tau_zero_yields_nothing(self, citizens, citizens_model, fd):
-        pairs, _ = _join(citizens, citizens_model, fd, 0.0, "filtered")
+        pairs, _ = _join(citizens, citizens_model, fd, 0.0, "vectorized")
         assert pairs == set()
 
     def test_large_tau_yields_all_pairs(self, citizens, citizens_model, fd):
-        pairs, join = _join(citizens, citizens_model, fd, 10.0, "filtered")
+        pairs, join = _join(citizens, citizens_model, fd, 10.0, "vectorized")
         assert len(pairs) == join.pairs_examined
+
+
+def _flat_distance(a, b):
+    """A custom distance: the vectorized join cannot block on it."""
+    return 0.0 if a == b else 0.25
 
 
 def _exact_violation_list(relation, fd, model, tau, strategy):
@@ -100,8 +108,9 @@ def test_property_strategies_identical_on_random_relations(rows, tau):
 
 
 class TestIndexedEquivalence:
-    """The indexed strategy must match naive exactly: pairs, distances,
-    and emission order — including every degenerate regime."""
+    """Index-driven detection — the vectorized blocker union and its scan
+    fallback — must match naive exactly: pairs, distances, and emission
+    order, including every degenerate regime."""
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -115,16 +124,21 @@ class TestIndexedEquivalence:
         ),
         tau=st.floats(0.0, 1.1),
         w_lhs=st.sampled_from([0.0, 0.3, 0.5, 1.0]),  # weight-0 attrs in
+        override=st.booleans(),  # forces the scan fallback
     )
-    def test_random_string_relations(self, rows, tau, w_lhs):
+    def test_random_string_relations(self, rows, tau, w_lhs, override):
         relation = Relation(Schema.of("City", "State"), rows)
         fd = FD.parse("City -> State")
         model = DistanceModel(
-            relation, weights=Weights(w_lhs, round(1.0 - w_lhs, 12))
+            relation,
+            weights=Weights(w_lhs, round(1.0 - w_lhs, 12)),
+            overrides={"State": _flat_distance} if override else None,
         )
         reference = _exact_violation_list(relation, fd, model, tau, "naive")
-        indexed = _exact_violation_list(relation, fd, model, tau, "indexed")
-        assert indexed == reference
+        vectorized = _exact_violation_list(
+            relation, fd, model, tau, "vectorized"
+        )
+        assert vectorized == reference
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -144,8 +158,10 @@ class TestIndexedEquivalence:
         fd = FD.parse("A -> B")
         model = DistanceModel(relation)
         reference = _exact_violation_list(relation, fd, model, tau, "naive")
-        indexed = _exact_violation_list(relation, fd, model, tau, "indexed")
-        assert indexed == reference
+        vectorized = _exact_violation_list(
+            relation, fd, model, tau, "vectorized"
+        )
+        assert vectorized == reference
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -165,17 +181,19 @@ class TestIndexedEquivalence:
         fd = FD.parse("Name -> Score")
         model = DistanceModel(relation)
         reference = _exact_violation_list(relation, fd, model, tau, "naive")
-        indexed = _exact_violation_list(relation, fd, model, tau, "indexed")
-        assert indexed == reference
+        vectorized = _exact_violation_list(
+            relation, fd, model, tau, "vectorized"
+        )
+        assert vectorized == reference
 
     def test_tau_zero(self, citizens, citizens_model, fd):
         assert _exact_violation_list(
-            citizens, fd, citizens_model, 0.0, "indexed"
+            citizens, fd, citizens_model, 0.0, "vectorized"
         ) == _exact_violation_list(citizens, fd, citizens_model, 0.0, "naive")
 
     def test_indexed_counters_are_consistent(self, citizens, citizens_model,
                                              fd):
-        join = SimilarityJoin(fd, citizens_model, 0.55, strategy="indexed")
+        join = SimilarityJoin(fd, citizens_model, 0.55, strategy="vectorized")
         join.join(group_patterns(citizens, fd))
         assert join.candidates_generated == join.pairs_examined
         assert join.pairs_examined == join.pairs_filtered + join.pairs_verified

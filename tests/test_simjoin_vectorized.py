@@ -1,15 +1,13 @@
 """Equivalence and fallback tests for the vectorized join strategy.
 
 The ``vectorized`` strategy must be observationally identical to
-``indexed`` (and hence ``naive``): the same violations, the same
-distances, the same emission order — while examining candidate pairs at
-distinct-dictionary-id granularity and fanning matches back out to
-tuple pairs through the dictionary frequency lists.
+``naive``: the same violations, the same distances, the same emission
+order — while examining candidate pairs at distinct-dictionary-id
+granularity and fanning matches back out to tuple pairs through the
+dictionary frequency lists. Where it cannot block soundly it falls back
+to the length-filtered pair scan, with the same guarantee.
 """
 
-import warnings
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import FD
@@ -17,21 +15,7 @@ from repro.core.distances import DistanceModel, Weights
 from repro.core.engine import Repairer
 from repro.core.violation import group_patterns
 from repro.dataset.relation import Relation, Schema
-from repro.index import simjoin
-from repro.index.simjoin import (
-    STRATEGIES,
-    DegradedJoinWarning,
-    SimilarityJoin,
-)
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the numpy-absent CI job
-    _np = None
-
-requires_numpy = pytest.mark.skipif(
-    _np is None, reason="exercises the numpy fast path"
-)
+from repro.index.simjoin import STRATEGIES, SimilarityJoin
 
 
 def _violations(relation, fd, model, tau, strategy):
@@ -45,17 +29,21 @@ def _violations(relation, fd, model, tau, strategy):
 
 def _assert_all_equal(relation, fd, model, tau):
     reference, _ = _violations(relation, fd, model, tau, "naive")
-    indexed, _ = _violations(relation, fd, model, tau, "indexed")
-    vectorized, _ = _violations(relation, fd, model, tau, "vectorized")
-    assert indexed == reference
+    vectorized, join = _violations(relation, fd, model, tau, "vectorized")
     assert vectorized == reference
+    return join
+
+
+def _squared_gap(a, b):
+    """A custom numeric distance the blocker union cannot reason about."""
+    return min(1.0, (float(a) - float(b)) ** 2 / 100.0)
 
 
 class TestVectorizedEquivalence:
-    """vectorized == indexed == naive, distances and order included."""
+    """vectorized == naive, distances and order included."""
 
     def test_registered_strategy(self):
-        assert "vectorized" in STRATEGIES
+        assert STRATEGIES == ("naive", "vectorized")
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -89,12 +77,16 @@ class TestVectorizedEquivalence:
             max_size=14,
         ),
         tau=st.floats(0.0, 1.1),
+        override=st.booleans(),  # forces the scan fallback
     )
-    def test_random_all_numeric_relations(self, rows, tau):
+    def test_random_all_numeric_relations(self, rows, tau, override):
         schema = Schema.of("A", "B", numeric=("A", "B"))
         relation = Relation(schema, rows)
         fd = FD.parse("A -> B")
-        _assert_all_equal(relation, fd, DistanceModel(relation), tau)
+        model = DistanceModel(
+            relation, overrides={"B": _squared_gap} if override else None
+        )
+        _assert_all_equal(relation, fd, model, tau)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -150,7 +142,51 @@ class TestDegenerateRegimes:
         assert out == reference == []
 
 
-@requires_numpy
+class TestScanFallback:
+    """Each trigger of the scan fallback, against the naive oracle."""
+
+    ROWS = [("alpha", "x"), ("alpah", "x"), ("beta", "y"), ("alpha", "xy"),
+            ("gamma", "x"), ("alpha", "x")]
+
+    def test_distance_override_on_fd_attribute(self):
+        relation = Relation(Schema.of("City", "State"), self.ROWS)
+        fd = FD.parse("City -> State")
+        model = DistanceModel(
+            relation, overrides={"State": lambda a, b: 0.0 if a == b else 0.2}
+        )
+        for tau in (0.0, 0.15, 0.3, 0.6):
+            join = _assert_all_equal(relation, fd, model, tau)
+            assert join.plan.kind == "scan"
+
+    def test_non_numeric_value_in_numeric_column(self):
+        # the model treats Score as numeric; this relation stores it as
+        # text, so "n/a" refuses the float coercion the blockers need
+        numeric = Relation(
+            Schema.of("Name", "Score", numeric=("Score",)),
+            [("a", 1.0), ("b", 3.0)],
+        )
+        model = DistanceModel(numeric)
+        relation = Relation(
+            Schema.of("Name", "Score"),
+            [(name, "n/a") for name, _ in self.ROWS],
+        )
+        fd = FD.parse("Name -> Score")
+        for tau in (0.0, 0.2, 0.45):
+            join = _assert_all_equal(relation, fd, model, tau)
+            assert join.plan.kind == "scan"
+
+    def test_tau_no_budget_split_covers(self):
+        relation = Relation(Schema.of("City", "State"), self.ROWS)
+        fd = FD.parse("City -> State")
+        model = DistanceModel(relation)
+        # the weights sum to 1 and every blocker goes vacuous near ratio
+        # 1, so no sound budget split covers these taus
+        for tau in (0.995, 1.0, 1.5):
+            join = _assert_all_equal(relation, fd, model, tau)
+            assert join.plan.kind == "scan"
+            assert join.pairs_examined == join.possible_pairs
+
+
 class TestCounters:
     def test_distinct_counters_populate(self, citizens, citizens_model):
         fd = FD.parse("City -> State")
@@ -165,10 +201,12 @@ class TestCounters:
 
     def test_scalar_strategies_report_zero(self, citizens, citizens_model):
         fd = FD.parse("City -> State")
-        for strategy in ("naive", "indexed"):
-            _, join = _violations(
-                citizens, fd, citizens_model, 0.55, strategy
-            )
+        scan_model = DistanceModel(
+            citizens, overrides={"State": lambda a, b: float(a != b)}
+        )
+        for strategy, model in (("naive", citizens_model),
+                                ("vectorized", scan_model)):
+            _, join = _violations(citizens, fd, model, 0.55, strategy)
             assert join.distinct_pairs_examined == 0
             assert join.tuple_fanout == 0
             assert join.vector_filter_passes == 0
@@ -198,30 +236,3 @@ class TestCounters:
         # human-readable describe() line
         assert "distinct_pairs_examined" in serial.pruning
         assert "distinct pair(s)" in serial.describe()
-
-
-class TestNumpyAbsentFallback:
-    def test_degrades_to_indexed_with_warning(
-        self, citizens, citizens_model, monkeypatch
-    ):
-        fd = FD.parse("City -> State")
-        reference, _ = _violations(
-            citizens, fd, citizens_model, 0.55, "indexed"
-        )
-        monkeypatch.setattr(simjoin, "_np", None)
-        join = SimilarityJoin(fd, citizens_model, 0.55, strategy="vectorized")
-        with pytest.warns(DegradedJoinWarning):
-            out = [
-                (v.left.values, v.right.values, v.distance)
-                for v in join.join(group_patterns(citizens, fd))
-            ]
-        assert out == reference
-        assert join.distinct_pairs_examined == 0  # scalar path took over
-
-    @requires_numpy
-    def test_no_warning_when_numpy_present(self, citizens, citizens_model):
-        fd = FD.parse("City -> State")
-        join = SimilarityJoin(fd, citizens_model, 0.55, strategy="vectorized")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DegradedJoinWarning)
-            join.join(group_patterns(citizens, fd))

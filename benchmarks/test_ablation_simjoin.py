@@ -23,7 +23,7 @@ import pytest
 
 from _harness import SCALE, record_custom
 from repro.core.constraints import FD
-from repro.core.distances import KERNELS, DistanceModel, Weights, use_kernel
+from repro.core.distances import DistanceModel, Weights
 from repro.core.violation import group_patterns
 from repro.dataset.relation import Relation, Schema
 from repro.eval.metrics import RepairQuality
@@ -165,30 +165,13 @@ def test_hosp_slice_trajectory(benchmark):
         violations = {}
         for strategy in STRATEGIES:
             runs[strategy], violations[strategy] = detect_all_fds(strategy)
-        # kernel sweep: the vectorized strategy under every kernel must
-        # produce the identical violation list
-        kernels = {}
-        kernel_violations = {}
-        for kernel in KERNELS:
-            with use_kernel(kernel):
-                counters, out = detect_all_fds("vectorized")
-            kernels[kernel] = {
-                "seconds": counters["seconds"],
-                "kernel_calls": counters["kernel_calls"],
-            }
-            kernel_violations[kernel] = out
-        return runs, violations, kernels, kernel_violations
+        return runs, violations
 
-    runs, violations, kernels, kernel_violations = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
+    runs, violations = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     # both strategies return the identical violation list, distances and
-    # order included — and so does every kernel
-    reference = violations["naive"]
-    assert violations["vectorized"] == reference
-    for kernel, out in kernel_violations.items():
-        assert out == reference, kernel
+    # order included
+    assert violations["vectorized"] == violations["naive"]
 
     # the shared registry must actually reuse its per-attribute indexes
     assert runs["vectorized"]["index_reuses"] > 0
@@ -204,10 +187,8 @@ def test_hosp_slice_trajectory(benchmark):
         "scale": SCALE,
         "n_tuples": HOSP_SLICE_N,
         "n_fds": len(HOSP_FDS),
-        "kernel": "myers",
         "possible_pairs": runs["naive"]["possible_pairs"],
         "strategies": runs,
-        "kernels": kernels,
         "vectorized_verified_fraction": round(
             runs["vectorized"]["pairs_verified"]
             / max(1, runs["naive"]["possible_pairs"]),

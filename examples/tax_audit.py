@@ -35,7 +35,7 @@ def main() -> None:
     truth = error_cells(errors)
 
     # Auto mode: no thresholds given, derived from the dirty data.
-    auto_repairer = Repairer(TAX_FDS, algorithm="greedy-m", rng=5)
+    auto_repairer = Repairer(TAX_FDS, algorithm="greedy-m", seed=5)
     derived = auto_repairer.resolve_thresholds(dirty)
     analytic = tax_thresholds()
     print("Per-constraint thresholds (derived by the gap rule vs the")

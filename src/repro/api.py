@@ -1,10 +1,9 @@
 """The stable public API of the repro library, in one import.
 
-``repro.api`` is the supported surface for downstream code: everything
-re-exported here follows the deprecation policy (one minor release of
-``DeprecationWarning`` before removal, messages tagged with the release
-that deprecated them — see :mod:`repro._compat`). Internals reached by
-deep imports (``repro.core.single.mis`` etc.) carry no such guarantee.
+``repro.api`` is the supported surface for downstream code; internals
+reached by deep imports (``repro.core.single.mis`` etc.) carry no
+stability guarantee. Removals are listed in the migration notes of
+``docs/api.md``.
 
 Typical use::
 
@@ -26,7 +25,6 @@ config field          CLI flag                 meaning
 ``thresholds``        ``--tau``                similarity threshold(s)
 ``weights``           ``--lhs-weight``         projection-distance weights
 ``join_strategy``     ``--join-strategy``      detection strategy
-``kernel``            ``--kernel``             Levenshtein kernel
 ``n_jobs``            ``--n-jobs``             executor worker processes
 ``component_budget``  ``--component-budget``   exact-search degradation budget
 ``trace``             ``--trace``              observability recording
@@ -50,13 +48,12 @@ Dataset substrate
 :class:`Relation` is columnar and dictionary-encoded (one
 :class:`ValueDictionary` per attribute, rows as interned value ids —
 ``docs/dataset.md``). The typed accessors (``column``, ``value_id``,
-``decode``, ``dictionary``) are part of this API; the pre-1.2 row-dict
-accessors (``record``, ``from_dicts``) are deprecated since 1.2.
+``decode``, ``dictionary``) are part of this API, with ``as_record`` /
+``from_records`` for attribute-name-keyed dicts.
 """
 
 from __future__ import annotations
 
-from repro._compat import CURRENT_RELEASE, NEXT_RELEASE, deprecated
 from repro.core import (
     ALGORITHMS,
     CFD,
@@ -148,8 +145,4 @@ __all__ = [
     "IndexedRepairer",
     "ModelCache",
     "ServiceOverloadedError",
-    # deprecation policy helpers
-    "deprecated",
-    "CURRENT_RELEASE",
-    "NEXT_RELEASE",
 ]

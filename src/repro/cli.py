@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.constraints import FD
 from repro.core.engine import ALGORITHMS, Repairer
-from repro.core.distances import KERNELS, Weights
+from repro.core.distances import Weights
 from repro.dataset.csvio import read_csv, write_csv
 from repro.exec import RepairConfig
 from repro.index.simjoin import DEFAULT_JOIN, STRATEGIES
@@ -101,15 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"RepairConfig.join_strategy (default: {DEFAULT_JOIN} — "
             "numpy-batched blocking; naive is the unfiltered reference "
             "scan and returns identical violations)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="myers",
-        help=(
-            "Levenshtein kernel; sets RepairConfig.kernel (default: "
-            "myers — bit-parallel; all kernels return identical repairs)"
         ),
     )
     parser.add_argument(
@@ -393,7 +384,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ),
             thresholds=args.tau,
             join_strategy=args.join_strategy,
-            kernel=args.kernel,
             fallback="greedy",
             n_jobs=args.n_jobs,
             component_budget=args.component_budget,

@@ -31,12 +31,11 @@ value (see ``docs/parallelism.md``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro._compat import deprecated
 from repro.core.constraints import FD, validate_constraints
 from repro.core.distances import DistanceModel, Weights
-from repro.core.repair import RepairResult, squash_edits
+from repro.core.repair import RepairResult
 from repro.core.thresholds import suggest_thresholds
 from repro.dataset.relation import Relation
 from repro.exec.config import RepairConfig
@@ -81,26 +80,6 @@ ALGORITHMS: Dict[str, Dict[str, str]] = {
     },
 }
 
-ThresholdsLike = Union[None, float, Mapping[FD, float]]
-
-#: the pre-RepairConfig positional parameter order, oldest API first
-_LEGACY_POSITIONAL: Tuple[str, ...] = (
-    "algorithm",
-    "weights",
-    "thresholds",
-    "use_tree",
-    "join_strategy",
-    "fallback",
-    "max_nodes",
-    "max_combinations",
-    "distance_overrides",
-    "threshold_ceiling",
-    "rng",
-)
-
-# Kept under its historic name for callers of the private helper.
-_squash_edits = squash_edits
-
 
 class Repairer:
     """End-to-end fault-tolerant repair of a relation against FDs.
@@ -112,9 +91,9 @@ class Repairer:
         Repairer(fds, algorithm="exact-m", n_jobs=4)
         Repairer(fds, config=base_config, thresholds=0.4)   # override one field
 
-    Positional arguments beyond *fds* follow the pre-1.1 signature and
-    still work, but emit a :class:`DeprecationWarning` (as does the old
-    ``rng=`` spelling of ``seed``).
+    Every argument after *fds* is keyword-only, and an override that is
+    not a :class:`~repro.exec.RepairConfig` field raises
+    :class:`TypeError`.
 
     Parameters
     ----------
@@ -164,53 +143,18 @@ class Repairer:
         is pre-emptively degraded to its greedy counterpart on any
         component larger than this (``None`` = never).
     seed:
-        Seed for threshold sampling (previously ``rng``).
+        Seed for threshold sampling.
     """
 
     def __init__(
         self,
         fds: Sequence[FD],
-        *legacy_args: object,
+        *,
         config: Optional[RepairConfig] = None,
         **overrides: object,
     ) -> None:
         if not fds:
             raise ValueError("at least one FD is required")
-        if legacy_args:
-            if config is not None:
-                raise TypeError(
-                    "pass either config=RepairConfig(...) or positional "
-                    "arguments, not both"
-                )
-            if len(legacy_args) > len(_LEGACY_POSITIONAL):
-                raise TypeError(
-                    f"Repairer takes at most {len(_LEGACY_POSITIONAL)} "
-                    f"positional arguments beyond fds "
-                    f"({len(legacy_args)} given)"
-                )
-            deprecated(
-                "positional Repairer arguments beyond `fds` are deprecated; "
-                "pass config=RepairConfig(...) or keyword overrides "
-                "(e.g. Repairer(fds, algorithm='exact-m'))",
-                since="1.1",
-            )
-            for name, value in zip(_LEGACY_POSITIONAL, legacy_args):
-                if name in overrides:
-                    raise TypeError(
-                        f"Repairer got multiple values for argument {name!r}"
-                    )
-                overrides[name] = value
-        if "rng" in overrides:
-            if "seed" in overrides:
-                raise TypeError(
-                    "pass seed=... (rng= is its deprecated alias), not both"
-                )
-            if not legacy_args:  # positional use already warned once
-                deprecated(
-                    "Repairer(rng=...) is deprecated; use seed=...",
-                    since="1.1",
-                )
-            overrides["seed"] = overrides.pop("rng")
         base = config if config is not None else RepairConfig()
         self.config: RepairConfig = base.merged(**overrides)
         self.fds: List[FD] = list(fds)
@@ -255,22 +199,6 @@ class Repairer:
 
     @property
     def seed(self) -> SeedLike:
-        return self.config.seed
-
-    @property
-    def _thresholds_spec(self) -> ThresholdsLike:
-        return self.config.thresholds
-
-    @property
-    def _distance_overrides(self):
-        return self.config.distance_overrides
-
-    @property
-    def _threshold_ceiling(self) -> object:
-        return self.config.threshold_ceiling
-
-    @property
-    def _rng(self) -> SeedLike:
         return self.config.seed
 
     # ------------------------------------------------------------------

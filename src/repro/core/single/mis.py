@@ -42,11 +42,11 @@ tasks (:mod:`repro.core.single.subtree`, ``docs/parallelism.md``):
 Every decision the serial engine takes — emission order, duplicate
 merging, pruning, the node count that trips
 :class:`ExpansionLimitError` — is bit-for-bit identical to the set-based
-reference implementation, which is kept as
-:func:`enumerate_maximal_independent_sets_setbased` and cross-checked by
-the Hypothesis differential suite (``tests/test_search_bitset.py``), the
-same oracle discipline the ``two_row``/``banded`` distance kernels
-follow. When a subtree dispatcher is installed, the split exploration
+reference implementation (the *oracle*). The oracle, and a brute-force
+subset enumerator, live in the test helpers (``tests/oracles.py``),
+next to the two-row Levenshtein DP that checks the Myers kernel; the
+Hypothesis differential suites (``tests/test_search_bitset.py``,
+``tests/test_mis.py``) cross-check the engine against them. When a subtree dispatcher is installed, the split exploration
 reproduces the same *output* (the enumerate-mode merge is exact; the
 best-mode winner is bound-independent) while counters reflect the extra
 duplicated exploration across chunks.
@@ -54,7 +54,7 @@ duplicated exploration across chunks.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import FrozenSet, List, Optional, Sequence
 
 from repro.core.graph import ViolationGraph, mask_bits
 from repro.core.single.frontier import (
@@ -62,7 +62,6 @@ from repro.core.single.frontier import (
     ExpansionStats,
     SearchKernel,
     better_candidate,
-    min_outgoing_costs,
     select_best_mask,
 )
 from repro.core.single.subtree import (
@@ -78,47 +77,8 @@ __all__ = [
     "ExpansionLimitError",
     "ExpansionStats",
     "enumerate_maximal_independent_sets",
-    "enumerate_maximal_independent_sets_setbased",
     "best_maximal_independent_set",
-    "brute_force_maximal_independent_sets",
 ]
-
-
-def _min_outgoing_cost(
-    graph: ViolationGraph, vertices: Sequence[int]
-) -> Dict[int, float]:
-    """Back-compat alias of :func:`~repro.core.single.frontier.min_outgoing_costs`."""
-    return min_outgoing_costs(graph, vertices)
-
-
-def _lower_bound(
-    prefix: Sequence[int],
-    independent: FrozenSet[int],
-    min_out: Dict[int, float],
-) -> float:
-    """Eq. (5): vertices already excluded must pay their cheapest repair."""
-    return sum(min_out[v] for v in prefix if v not in independent)
-
-
-def _upper_bound(
-    graph: ViolationGraph,
-    vertices: Sequence[int],
-    independent: FrozenSet[int],
-) -> float:
-    """Eq. (6): repair *every* outside vertex into the set right now.
-
-    This is the cost of a concrete feasible repair, hence an upper bound
-    on the optimum reachable from any superset of ``independent``.
-    """
-    total = 0.0
-    members = list(independent)
-    for v in vertices:
-        if v in independent:
-            continue
-        total += graph.multiplicity(v) * min(
-            graph.pair_cost(v, u) for u in members
-        )
-    return total
 
 
 def _advance_to_split(
@@ -160,8 +120,8 @@ def enumerate_maximal_independent_sets(
     can fall back to the greedy algorithm.
 
     This is the bitset engine (module docstring); results, statistics,
-    and the budget-trip point are identical to
-    :func:`enumerate_maximal_independent_sets_setbased`. When a subtree
+    and the budget-trip point are identical to the set-based oracle in
+    ``tests/oracles.py``. When a subtree
     dispatcher is installed (``repro.core.single.subtree``) and the
     component crosses its threshold, the un-pruned enumeration is split
     into subtree tasks whose merged output is the same list in the same
@@ -210,115 +170,6 @@ def enumerate_maximal_independent_sets(
         frozenset(order_tuple[i] for i in mask_bits(mask))
         for mask in final_masks
     ]
-
-
-def enumerate_maximal_independent_sets_setbased(
-    graph: ViolationGraph,
-    vertices: Optional[Sequence[int]] = None,
-    prune: bool = False,
-    max_nodes: Optional[int] = None,
-    stats: Optional[ExpansionStats] = None,
-) -> List[FrozenSet[int]]:
-    """Reference set-based expansion (differential-test oracle).
-
-    The pre-bitset implementation, kept verbatim (modulo the richer
-    :class:`ExpansionLimitError`) so the Hypothesis suite can assert the
-    production engine reproduces its results, emission order, node
-    accounting, and budget-trip point exactly.
-    """
-    order = list(vertices) if vertices is not None else list(range(len(graph)))
-    if stats is None:
-        stats = ExpansionStats()
-    if not order:
-        return []
-    min_out = _min_outgoing_cost(graph, order) if prune else {}
-
-    current: List[FrozenSet[int]] = [frozenset({order[0]})]
-    stats.nodes_generated += 1
-    best_upper = float("inf")
-
-    for level in range(1, len(order)):
-        stats.levels = level
-        vertex = order[level]
-        # Vertices decided so far (D_i of Eq. 5). `vertex` itself is NOT
-        # part of the bound's prefix: it may still join the set at zero
-        # cost, so charging its min-out repair would overestimate the
-        # bound and prune optimal branches.
-        decided = order[:level]
-        prefix = order[: level + 1]
-        if prune:
-            for node in current:
-                best_upper = min(best_upper, _upper_bound(graph, order, node))
-        next_level: Dict[FrozenSet[int], None] = {}
-
-        def emit(candidate: FrozenSet[int]) -> None:
-            if candidate in next_level:
-                stats.duplicates_removed += 1
-                return
-            next_level[candidate] = None
-            stats.nodes_generated += 1
-            if max_nodes is not None and stats.nodes_generated > max_nodes:
-                raise ExpansionLimitError(
-                    max_nodes, stats.nodes_generated, level
-                )
-
-        for node in current:
-            if prune and _lower_bound(decided, node, min_out) > best_upper:
-                stats.nodes_pruned += 1
-                continue
-            adjacency = graph.neighbors(vertex)
-            if not any(member in adjacency for member in node):
-                emit(node | {vertex})
-            else:
-                emit(node)  # still maximal in the larger prefix
-                candidate = graph.consistent_subset(vertex, node) | {vertex}
-                if _is_maximal_in_prefix(graph, candidate, prefix):
-                    emit(frozenset(candidate))
-                else:
-                    stats.non_maximal_discarded += 1
-        current = list(next_level)
-    stats.sets_enumerated = len(current)
-    return current
-
-
-def _is_maximal_in_prefix(
-    graph: ViolationGraph, candidate: Set[int], prefix: Sequence[int]
-) -> bool:
-    """Maximality of *candidate* within the induced prefix subgraph."""
-    for v in prefix:
-        if v in candidate:
-            continue
-        adjacency = graph.neighbors(v)
-        if not any(member in adjacency for member in candidate):
-            return False
-    return True
-
-
-def brute_force_maximal_independent_sets(
-    graph: ViolationGraph, vertices: Optional[Sequence[int]] = None
-) -> List[FrozenSet[int]]:
-    """Reference enumerator by subset expansion (test oracle only).
-
-    Exponential in the vertex count; used to cross-check the expansion
-    algorithm on small graphs.
-    """
-    order = list(vertices) if vertices is not None else list(range(len(graph)))
-    results: Set[FrozenSet[int]] = set()
-
-    def extend(candidate: Set[int], remaining: List[int]) -> None:
-        if not remaining:
-            if _is_maximal_in_prefix(graph, candidate, order):
-                results.add(frozenset(candidate))
-            return
-        vertex, rest = remaining[0], remaining[1:]
-        adjacency = graph.neighbors(vertex)
-        if not any(member in adjacency for member in candidate):
-            extend(candidate | {vertex}, rest)
-        extend(candidate, rest)
-
-    if order:
-        extend(set(), order)
-    return sorted(results, key=lambda s: sorted(s))
 
 
 def _best_via_split(
@@ -413,19 +264,3 @@ def best_maximal_independent_set(
             best, best_cost, best_members = candidate, cost, members
     assert best is not None
     return best
-
-
-def _assignment_cost(
-    graph: ViolationGraph, vertices: Sequence[int], independent: FrozenSet[int]
-) -> float:
-    """Grouped repair cost of fixing all of *vertices* with *independent*."""
-    total = 0.0
-    members = list(independent)
-    for v in vertices:
-        if v in independent:
-            continue
-        adjacency = graph.neighbors(v)
-        neighbor_members = [u for u in members if u in adjacency]
-        pool = neighbor_members if neighbor_members else members
-        total += graph.multiplicity(v) * min(graph.pair_cost(v, u) for u in pool)
-    return total

@@ -32,9 +32,8 @@ get/set, active domains in first-occurrence order, numeric ranges,
 projection helpers, and value-based equality all behave identically.
 Typed accessors (:meth:`Relation.column`, :meth:`Relation.value_id`,
 :meth:`Relation.decode`, :meth:`Relation.project_ids`) expose the
-encoding; the dict-row accessors (``record``, ``from_dicts``) are
-deprecated in favour of :meth:`Relation.as_record` /
-:meth:`Relation.from_records` and will be removed one release later.
+encoding; :meth:`Relation.as_record` / :meth:`Relation.from_records`
+convert to and from attribute-name-keyed dicts.
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from typing import (
 )
 
 import numpy as np
-
-from repro._compat import deprecated
 
 #: Attribute kinds understood by the distance model.
 STRING = "string"
@@ -272,18 +269,6 @@ class Relation:
         names = schema.names
         return cls(schema, ([record[name] for name in names] for record in records))
 
-    @classmethod
-    def from_dicts(
-        cls, schema: Schema, records: Iterable[Mapping[str, Any]]
-    ) -> "Relation":
-        """Deprecated spelling of :meth:`from_records`."""
-        deprecated(
-            "Relation.from_dicts() is deprecated; use Relation.from_records()",
-            since="1.2",
-            remove_in="1.3",
-        )
-        return cls.from_records(schema, records)
-
     def append(self, row: Sequence[Any]) -> int:
         """Append *row* (schema order) and return its tuple id."""
         if len(row) != len(self.schema):
@@ -386,15 +371,6 @@ class Relation:
     def as_record(self, tid: int) -> Dict[str, Any]:
         """The tuple with id *tid* as an attribute-name-keyed dict."""
         return dict(zip(self.schema.names, self.row(tid)))
-
-    def record(self, tid: int) -> Dict[str, Any]:
-        """Deprecated spelling of :meth:`as_record`."""
-        deprecated(
-            "Relation.record() is deprecated; use Relation.as_record()",
-            since="1.2",
-            remove_in="1.3",
-        )
-        return self.as_record(tid)
 
     def project(self, tid: int, attributes: Sequence[str]) -> Tuple[Any, ...]:
         """Projection of tuple *tid* on *attributes* (given order)."""

@@ -16,8 +16,7 @@ The execution-layer knobs are new in this layer:
   algorithm is pre-emptively degraded to its greedy counterpart on that
   component (formalizing the anytime fallback per component instead of
   discovering the blow-up mid-search).
-* ``seed`` — RNG seed for threshold sampling (the old ``rng``
-  parameter).
+* ``seed`` — RNG seed for threshold sampling.
 * ``trace`` — record the run through the observability layer
   (:mod:`repro.obs`): hierarchical phase spans, unified counters, and a
   structured JSON run report via ``Repairer.report()`` / the CLI
@@ -37,7 +36,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Union
 
-from repro.core.distances import KERNELS, DistanceFn, Weights
+from repro.core.distances import DistanceFn, Weights
 from repro.index.simjoin import DEFAULT_JOIN, STRATEGIES
 
 #: per-FD tau mapping, one scalar for every FD, or None (derive from data)
@@ -60,7 +59,6 @@ class RepairConfig:
     thresholds: ThresholdsLike = None
     use_tree: bool = True
     join_strategy: str = DEFAULT_JOIN
-    kernel: str = "myers"
     fallback: str = "error"
     max_nodes: Optional[int] = 200_000
     max_combinations: int = 1_000_000
@@ -85,8 +83,6 @@ class RepairConfig:
         # Deferred import: the engine imports this module at load time.
         from repro.core.engine import ALGORITHMS
 
-        if self.weights is None:  # legacy callers pass None for "default"
-            object.__setattr__(self, "weights", Weights())
         if self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; expected one of "
@@ -98,11 +94,6 @@ class RepairConfig:
             raise ValueError(
                 f"unknown join_strategy {self.join_strategy!r}; expected "
                 f"one of {list(STRATEGIES)}"
-            )
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected one of "
-                f"{sorted(KERNELS)}"
             )
         if self.n_jobs == 0 or not isinstance(self.n_jobs, int):
             raise ValueError(

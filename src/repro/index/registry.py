@@ -36,12 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.distances import (
-    PreparedKernel,
-    default_kernel,
-    levenshtein,
-    qgrams,
-)
+from repro.core.distances import PreparedKernel, qgrams
 from repro.index.blocking import _BUDGET_EPS
 from repro.index.qgram import batched_myers, char_arrays, gram_matrix
 
@@ -285,14 +280,15 @@ class AttributeIndexRegistry:
         """Batched bounded edit distances between canonical value pairs.
 
         Each result honours the kernel contract: exact iff it does not
-        exceed its budget. Under the Myers kernel misses run through
+        exceed its budget. Misses run through
         :func:`repro.index.qgram.batched_myers` — the bit-parallel column
         update as elementwise ``uint64`` ops over the whole batch; pairs
         the one-word bitvector cannot hold (both sides over 63
-        characters) and other kernels are grouped by left value and settled through one prepared
-        :meth:`PreparedKernel.compare_many` per group. Exact results are
-        cached in ``entry.exact_edits`` so the blocker settle and the
-        verify pass never re-run a kernel on the same distinct pair.
+        characters) are grouped by left value and settled through one
+        prepared :meth:`PreparedKernel.compare_many` per group. Exact
+        results are cached in ``entry.exact_edits`` so the blocker settle
+        and the verify pass never re-run a kernel on the same distinct
+        pair.
         """
         values = entry.values
         edits_cache = entry.exact_edits
@@ -308,45 +304,34 @@ class AttributeIndexRegistry:
                 miss.append(pos)
         if not miss:
             return out
-        use_myers = default_kernel() == "myers"
-        if use_myers:
-            codes, lengths, peq = entry.char_arrays()
-            batch = batched_myers(
-                codes,
-                lengths,
-                peq,
-                np.fromiter((lefts[p] for p in miss), np.int64, count=len(miss)),
-                np.fromiter((rights[p] for p in miss), np.int64, count=len(miss)),
-            )
-            remaining: List[int] = []
-            for pos, edits in zip(miss, batch.tolist()):
-                if edits < 0:  # too wide for one word; scalar below
-                    remaining.append(pos)
-                    continue
-                out[pos] = edits
-                u, v, k = lefts[pos], rights[pos], budgets[pos]
-                settled[(u, v, k)] = edits <= k
-                # batched distances are unconditionally exact
-                edits_cache[(u, v) if u < v else (v, u)] = edits
-            self.kernel_calls += len(miss) - len(remaining)
-            miss = remaining
+        codes, lengths, peq = entry.char_arrays()
+        batch = batched_myers(
+            codes,
+            lengths,
+            peq,
+            np.fromiter((lefts[p] for p in miss), np.int64, count=len(miss)),
+            np.fromiter((rights[p] for p in miss), np.int64, count=len(miss)),
+        )
+        remaining: List[int] = []
+        for pos, edits in zip(miss, batch.tolist()):
+            if edits < 0:  # too wide for one word; scalar below
+                remaining.append(pos)
+                continue
+            out[pos] = edits
+            u, v, k = lefts[pos], rights[pos], budgets[pos]
+            settled[(u, v, k)] = edits <= k
+            # batched distances are unconditionally exact
+            edits_cache[(u, v) if u < v else (v, u)] = edits
+        self.kernel_calls += len(miss) - len(remaining)
         pending: Dict[int, List[int]] = {}
-        for pos in miss:
+        for pos in remaining:
             pending.setdefault(lefts[pos], []).append(pos)
         for u, positions in pending.items():
             self.kernel_calls += len(positions)
-            if use_myers:
-                results = self.prepared_kernel(values[u]).compare_many(
-                    [values[rights[p]] for p in positions],
-                    [budgets[p] for p in positions],
-                )
-            else:
-                results = [
-                    levenshtein(
-                        values[u], values[rights[p]], upper_bound=budgets[p]
-                    )
-                    for p in positions
-                ]
+            results = self.prepared_kernel(values[u]).compare_many(
+                [values[rights[p]] for p in positions],
+                [budgets[p] for p in positions],
+            )
             for p, edits in zip(positions, results):
                 out[p] = edits
                 v, k = rights[p], budgets[p]

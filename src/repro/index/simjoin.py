@@ -362,7 +362,7 @@ class SimilarityJoin:
                 canon_v = codes_arr[vv]
                 lengths = np.asarray(entry.lengths, dtype=np.int64)
                 longest = np.maximum(lengths[canon_u], lengths[canon_v])
-                # the loosest budget the scalar banded loop could use;
+                # the loosest budget a scalar bounded check could use;
                 # pairs rejected here provably exceed tau (margin
                 # weight / longest, far above float noise)
                 budgets = ((tau / info.weight) * longest).astype(np.int64) + 1

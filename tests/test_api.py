@@ -1,14 +1,14 @@
-"""The ``repro.api`` facade and the shared deprecation policy."""
+"""The ``repro.api`` facade, and the removed spellings failing loudly."""
 
+import re
 import subprocess
 import sys
-import warnings
+from pathlib import Path
 
 import pytest
 
 import repro
 import repro.api as api
-from repro._compat import CURRENT_RELEASE, NEXT_RELEASE, deprecated
 
 
 class TestFacade:
@@ -41,7 +41,12 @@ class TestFacade:
         assert api.RepairConfig is repro.RepairConfig
 
     def test_version_matches_release_tag(self):
-        assert repro.__version__.startswith(CURRENT_RELEASE)
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        tag = re.search(
+            r'^version = "([^"]+)"', pyproject.read_text(), re.MULTILINE
+        )
+        assert tag is not None
+        assert repro.__version__ == tag.group(1)
 
     def test_end_to_end_through_the_facade(self):
         fd = api.FD.parse("K -> V")
@@ -65,26 +70,29 @@ class TestFacade:
 
 
 class TestDeprecationPolicy:
-    def test_message_format(self):
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"use new\(\) \[deprecated since 2\.0, "
-            r"scheduled for removal in 2\.1\]",
-        ):
-            deprecated("use new()", stacklevel=2)
+    """Spellings removed in 2.1 raise instead of warning."""
 
-    def test_release_override(self):
-        with pytest.warns(DeprecationWarning, match=r"since 1\.1"):
-            deprecated("old thing", since="1.1", stacklevel=2)
-
-    def test_releases_are_consecutive(self):
-        major, minor = CURRENT_RELEASE.split(".")
-        assert NEXT_RELEASE == f"{major}.{int(minor) + 1}"
-
-    def test_repairer_legacy_spellings_route_through_compat(self):
+    @pytest.mark.parametrize(
+        "build,argument",
+        [
+            (lambda fds: repro.RepairConfig(kernel="myers"), "kernel"),
+            (lambda fds: repro.Repairer(fds, kernel="myers"), "kernel"),
+            (lambda fds: repro.Repairer(fds, rng=3), "rng"),
+            (lambda fds: repro.Repairer(fds, "exact-m"), "positional"),
+        ],
+        ids=["config-kernel", "repairer-kernel", "repairer-rng",
+             "repairer-positional"],
+    )
+    def test_removed_arguments_raise(self, build, argument):
         fds = [repro.FD.parse("K -> V")]
-        with pytest.warns(DeprecationWarning, match=r"deprecated since 1\.1"):
-            repro.Repairer(fds, rng=3)
+        with pytest.raises(TypeError, match=argument):
+            build(fds)
+
+    def test_removed_relation_accessors(self):
+        relation = repro.Relation(repro.Schema.of("A"), [("x",)])
+        assert not hasattr(relation, "record")
+        assert not hasattr(repro.Relation, "from_dicts")
+        assert relation.as_record(0) == {"A": "x"}
 
     def test_config_simjoin_alias_removed(self):
         with pytest.raises(TypeError, match="simjoin_strategy"):
@@ -105,29 +113,3 @@ class TestCliConfigNamespace:
             parser.parse_args(
                 ["in.csv", "--fd", "A -> B", "--simjoin-strategy", "naive"]
             )
-
-    def test_kernel_flag_maps_to_config_field(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["in.csv", "--fd", "A -> B", "--kernel", "banded"]
-        )
-        config = repro.RepairConfig(kernel=args.kernel)
-        assert config.kernel == "banded"
-
-    def test_no_global_kernel_mutation(self):
-        # the CLI used to call set_default_kernel(); the kernel must now
-        # travel through RepairConfig only
-        import repro.cli as cli
-
-        assert not hasattr(cli, "set_default_kernel")
-
-
-def test_deprecated_accessors_survive_one_release():
-    relation = repro.Relation(repro.Schema.of("A"), [("x",)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        with pytest.raises(DeprecationWarning):
-            relation.record(0)
-        with pytest.raises(DeprecationWarning):
-            repro.Relation.from_dicts(repro.Schema.of("A"), [{"A": "x"}])

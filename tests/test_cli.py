@@ -39,6 +39,12 @@ class TestParser:
             main([str(csv_path), "--fd", "sku -> product",
                   "--algorithm", "magic"])
 
+    def test_removed_kernel_flag_exits(self, csv_path):
+        # Myers is the only edit distance; --kernel is gone in 2.1
+        with pytest.raises(SystemExit) as exc:
+            main([str(csv_path), "--fd", "sku -> product", "--kernel", "myers"])
+        assert exc.value.code == 2
+
 
 class TestRun:
     def test_repairs_and_writes_default_output(self, csv_path, capsys):

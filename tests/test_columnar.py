@@ -240,24 +240,3 @@ class TestEncodedApi:
         assert clone.values() == vd.values()
         assert clone.id_of("b") == vd.id_of("b")
         assert (clone.probes, clone.hits) == (vd.probes, vd.hits)
-
-
-class TestDeprecatedAccessors:
-    def test_record_warns_and_delegates(self):
-        relation = Relation(SCHEMA, [("x", "red", 1.0)])
-        with pytest.warns(DeprecationWarning, match="as_record"):
-            assert relation.record(0) == relation.as_record(0)
-
-    def test_from_dicts_warns_and_delegates(self):
-        records = [{"A": "x", "B": "red", "N": 1.0}]
-        with pytest.warns(DeprecationWarning, match="from_records"):
-            via_deprecated = Relation.from_dicts(SCHEMA, records)
-        assert via_deprecated == Relation.from_records(SCHEMA, records)
-
-    def test_deprecation_messages_carry_release_tags(self):
-        relation = Relation(SCHEMA, [("x", "red", 1.0)])
-        with pytest.warns(
-            DeprecationWarning,
-            match=r"deprecated since 1\.2, scheduled for removal in 1\.3",
-        ):
-            relation.record(0)

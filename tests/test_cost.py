@@ -69,7 +69,7 @@ class TestValidity:
 
     def test_paper_validity_example(self, citizens, citizens_fds):
         """Repairing t6 to (Masters, 4) is valid; (Bachelors, 4) is not."""
-        record = citizens.record(5)
+        record = citizens.as_record(5)
         record["Education"] = "Masters"
         assert is_valid_tuple_repair(citizens, [citizens_fds[0]], record)
         record["Education"] = "Bachelors"

@@ -8,13 +8,11 @@ from repro.core.distances import (
     Weights,
     jaccard_distance,
     levenshtein,
-    levenshtein_banded,
-    levenshtein_two_row,
     normalized_edit_distance,
     normalized_euclidean,
     qgrams,
 )
-from repro.dataset.relation import Relation, Schema
+from tests.oracles import levenshtein_banded, levenshtein_two_row
 
 words = st.text(alphabet="abcdefgh", max_size=12)
 
@@ -112,12 +110,12 @@ class TestLevenshteinBanded:
 
 @pytest.mark.slow
 class TestBandedKernelMicrobench:
-    """pytest-benchmark: banded kernel vs the full two-row DP.
+    """pytest-benchmark: the banded oracle vs the full two-row DP.
 
-    Long near-identical strings with a tight budget is the indexed
-    verify step's regime: the band materializes O(k*n) cells instead of
-    O(n^2), so the kernel should win clearly while returning identical
-    results under the early-abort contract.
+    Long near-identical strings with a tight budget: the band
+    materializes O(k*n) cells instead of O(n^2), so it should win
+    clearly while returning identical results under the early-abort
+    contract.
     """
 
     A = ("the-hospital-measure-code-" * 8)[:200]

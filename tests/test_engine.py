@@ -238,36 +238,33 @@ class TestJoinStrategyThroughEngine:
 
 class TestSquashEdits:
     def test_reverted_cell_disappears(self):
-        from repro.core.engine import _squash_edits
-        from repro.core.repair import CellEdit
+        from repro.core.repair import CellEdit, squash_edits
 
         edits = [
             CellEdit(0, "A", "x", "y"),
             CellEdit(0, "A", "y", "x"),  # reverted
             CellEdit(1, "B", "p", "q"),
         ]
-        squashed = _squash_edits(edits)
+        squashed = squash_edits(edits)
         assert len(squashed) == 1
         assert squashed[0].cell == (1, "B")
 
     def test_chained_edits_collapse(self):
-        from repro.core.engine import _squash_edits
-        from repro.core.repair import CellEdit
+        from repro.core.repair import CellEdit, squash_edits
 
         edits = [
             CellEdit(0, "A", "x", "y"),
             CellEdit(0, "A", "y", "z"),
         ]
-        squashed = _squash_edits(edits)
+        squashed = squash_edits(edits)
         assert squashed == [CellEdit(0, "A", "x", "z")]
 
     def test_order_preserved(self):
-        from repro.core.engine import _squash_edits
-        from repro.core.repair import CellEdit
+        from repro.core.repair import CellEdit, squash_edits
 
         edits = [
             CellEdit(1, "B", "p", "q"),
             CellEdit(0, "A", "x", "y"),
         ]
-        squashed = _squash_edits(edits)
+        squashed = squash_edits(edits)
         assert [e.cell for e in squashed] == [(1, "B"), (0, "A")]

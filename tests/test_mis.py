@@ -7,7 +7,6 @@ the running example and on random graphs.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
@@ -16,11 +15,11 @@ from repro.core.single.mis import (
     ExpansionLimitError,
     ExpansionStats,
     best_maximal_independent_set,
-    brute_force_maximal_independent_sets,
     enumerate_maximal_independent_sets,
 )
 from repro.core.violation import Pattern
 from repro.dataset.relation import Relation, Schema
+from tests.oracles import brute_force_maximal_independent_sets
 
 
 def _random_graph(seed: int, n_max: int = 9) -> ViolationGraph:

@@ -1,4 +1,4 @@
-"""RepairConfig: validation, merging, and the legacy Repairer shim."""
+"""RepairConfig: validation, merging, and the Repairer constructor."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.constraints import FD
-from repro.core.distances import Weights
 from repro.core.engine import ALGORITHMS, Repairer
 from repro.exec import RepairConfig
 
@@ -101,9 +100,9 @@ class TestEffectiveJobs:
 
 
 class TestRepairerShim:
-    """The pre-1.1 Repairer signatures must map losslessly onto configs."""
+    """Keyword overrides map losslessly onto configs; positional
+    arguments after ``fds`` and the removed ``rng=`` spelling raise."""
 
-    # the positional order of the deprecated signature
     config_strategy = st.fixed_dictionaries(
         {
             "algorithm": st.sampled_from(sorted(ALGORITHMS)),
@@ -120,40 +119,6 @@ class TestRepairerShim:
 
     @given(params=config_strategy)
     @settings(max_examples=50, deadline=None)
-    def test_legacy_positional_round_trips(self, params):
-        """Repairer(fds, *legacy) == Repairer(fds, config=equivalent)."""
-        weights = Weights()
-        with pytest.warns(DeprecationWarning):
-            repairer = Repairer(
-                FDS,
-                params["algorithm"],
-                weights,
-                params["thresholds"],
-                params["use_tree"],
-                "naive",
-                params["fallback"],
-                params["max_nodes"],
-                params["max_combinations"],
-                None,  # distance_overrides
-                "median",  # threshold_ceiling
-                params["seed"],  # rng -> seed
-            )
-        assert repairer.config == RepairConfig(
-            algorithm=params["algorithm"],
-            weights=weights,
-            thresholds=params["thresholds"],
-            use_tree=params["use_tree"],
-            join_strategy="naive",
-            fallback=params["fallback"],
-            max_nodes=params["max_nodes"],
-            max_combinations=params["max_combinations"],
-            distance_overrides=None,
-            threshold_ceiling="median",
-            seed=params["seed"],
-        )
-
-    @given(params=config_strategy)
-    @settings(max_examples=50, deadline=None)
     def test_keyword_overrides_round_trip(self, params):
         """Keyword overrides build the same config as a direct one."""
         with warnings.catch_warnings():
@@ -161,29 +126,20 @@ class TestRepairerShim:
             repairer = Repairer(FDS, **params)
         assert repairer.config == RepairConfig(**params)
 
-    def test_rng_keyword_maps_to_seed(self):
-        with pytest.warns(DeprecationWarning, match="rng"):
-            repairer = Repairer(FDS, rng=11)
-        assert repairer.config.seed == 11
-
     def test_rng_and_seed_together_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="rng"):
             Repairer(FDS, rng=1, seed=2)
 
     def test_positional_and_config_together_rejected(self):
-        with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                Repairer(FDS, "greedy-m", config=RepairConfig())
+        with pytest.raises(TypeError, match="positional"):
+            Repairer(FDS, "greedy-m", config=RepairConfig())
 
     def test_positional_and_keyword_duplicate_rejected(self):
-        with pytest.raises(TypeError, match="multiple values"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                Repairer(FDS, "greedy-m", algorithm="exact-m")
+        with pytest.raises(TypeError, match="positional"):
+            Repairer(FDS, "greedy-m", algorithm="exact-m")
 
     def test_too_many_positionals_rejected(self):
-        with pytest.raises(TypeError, match="at most"):
+        with pytest.raises(TypeError, match="positional"):
             Repairer(FDS, *([None] * 12))
 
     def test_empty_fds_rejected(self):
@@ -204,7 +160,6 @@ class TestRepairerShim:
         assert repairer.seed == 5
         assert repairer.fallback == "error"
         assert repairer.max_combinations == RepairConfig().max_combinations
-        assert repairer._rng == 5  # the historic private alias
 
     def test_reexported_from_package_root(self):
         import repro

@@ -41,17 +41,15 @@ for, and a five-algorithm repair-hash sweep at serial and ``n_jobs=2``
 under ``join_strategy="vectorized"`` — the equalities
 ``benchmarks/check_simjoin_gate.py`` gates.
 
-``--sched`` appends a ``skew_sched`` entry: the adaptive skew-aware
-scheduler (``docs/parallelism.md``) measured on the skewed generator's
+``--sched`` appends a ``skew_sched`` entry: the exact-s winner-search
+split (``docs/parallelism.md``) measured on the skewed generator's
 one-giant-component workload. It repairs the same relation three ways —
-serial, statically scheduled at ``n_jobs=4``, and adaptively split into
-subtree tasks — and records the measured per-unit CPU seconds plus the
-*modeled* list-schedule speedups ``benchmarks/check_sched_gate.py``
-gates (modeled, because CPU-time replay is meaningful on any runner,
-including single-core containers where wall clocks cannot show a
-speedup). A five-algorithm hash sweep across serial and split settings
-pins the determinism contract: splitting may only re-order work, never
-change the repair.
+serial, statically scheduled at ``n_jobs=2``, and split into subtree
+tasks at ``n_jobs=2`` — in three interleaved rounds, and records the
+median, min and max wall clock of each setting; these measured medians
+are what ``benchmarks/check_sched_gate.py`` gates. A five-algorithm
+hash sweep across serial and split settings pins the determinism
+contract: splitting may only re-order work, never change the repair.
 
 Usage::
 
@@ -477,40 +475,26 @@ def run_simjoin_entry() -> dict:
 
 
 # ----------------------------------------------------------------------
-# --sched: adaptive skew-aware scheduling (subtree splitting)
+# --sched: exact-s winner-search splitting, measured wall clock
 # ----------------------------------------------------------------------
 #: the skewed workload: one giant path component of SCHED_CHAIN patterns.
-#: exact-s is the headline algorithm because its whole-component search
-#: is the splittable part wholesale — the MODE_BEST merge is a winner
-#: comparison, so there is no serial composition tail diluting the
-#: schedule (exact-m keeps its candidate evaluation in the parent and
-#: tops out near 2.5x on this shape).
+#: exact-s is the only algorithm whose search splits (its winner search);
+#: every other algorithm runs unsplit at any n_jobs.
 SCHED_CHAIN = 40
 SCHED_N = 600
 SCHED_DOMINANCE = 0.9
 SCHED_ALGORITHM = "exact-s"
-SCHED_JOBS = 4
+SCHED_JOBS = 2
 SCHED_SPLIT_THRESHOLD = 16
+#: interleaved runs per setting (serial, static, split, serial, ...)
+SCHED_RUNS = 3
 
 #: the smaller slice every algorithm's split determinism is hashed on
+#: (exact-s splits it into 16 subtree tasks at both split settings)
 SCHED_HASH_CHAIN = 14
 SCHED_HASH_N = 400
 #: (n_jobs, split_threshold) settings of the hash sweep
 SCHED_HASH_SETTINGS = ((1, None), (2, 8), (4, 8))
-
-
-def _lpt_makespan(durations, workers: int) -> float:
-    """Longest-processing-time list-schedule makespan of *durations*.
-
-    The model the sched gate compares schedules under: sort the measured
-    per-unit CPU times descending, always hand the next unit to the
-    least-loaded of *workers* — the same greedy choice an idle pool
-    worker makes when it picks up the largest pending task.
-    """
-    loads = [0.0] * max(1, workers)
-    for duration in sorted(durations, reverse=True):
-        loads[loads.index(min(loads))] += duration
-    return max(loads)
 
 
 def _sched_workload(n: int, chain: int):
@@ -566,7 +550,6 @@ def _sched_hash_sweep() -> dict:
                 max_nodes=None,
                 n_jobs=n_jobs,
                 split_threshold=split,
-                max_subtasks=4,
             )
             result = repairer.repair(relation)
             per_setting.append(
@@ -579,46 +562,46 @@ def _sched_hash_sweep() -> dict:
 def run_sched_entry() -> dict:
     """The ``skew_sched`` trajectory entry (see module docstring).
 
-    Speedups are *modeled*: the measured per-unit CPU seconds (process
-    time — whole component tasks for the static schedule; coordinated
-    parents, subtree tasks, and unsplit tasks for the adaptive one)
-    list-scheduled onto ``SCHED_JOBS`` workers. CPU time is immune to
-    the machine's actual core count and load, so the entry is
-    comparable across the 1-core containers and shared CI runners this
-    bench runs on; wall clocks are recorded for context only, which is
-    also why this entry carries no top-level ``wall_seconds`` for the
-    perf gate to trip over.
+    Every number is a measured wall clock: ``SCHED_RUNS`` interleaved
+    rounds of serial, static (``n_jobs=SCHED_JOBS``, no split) and
+    split runs, reported as median, min and max per setting. The
+    wall clocks only show a speedup on a host with ``SCHED_JOBS`` free
+    cores; ``cpu_count`` records what the host exposed.
     """
     import os
+    import statistics
 
-    serial_result, serial_wall, serial_hash = _sched_run(1, None)
-    static_result, static_wall, static_hash = _sched_run(SCHED_JOBS, None)
-    adaptive_result, adaptive_wall, adaptive_hash = _sched_run(
-        SCHED_JOBS, SCHED_SPLIT_THRESHOLD
-    )
+    settings = {
+        "serial": (1, None),
+        "static": (SCHED_JOBS, None),
+        "split": (SCHED_JOBS, SCHED_SPLIT_THRESHOLD),
+    }
+    walls: dict = {mode: [] for mode in settings}
+    hashes: dict = {mode: set() for mode in settings}
+    last = {}
+    for _ in range(SCHED_RUNS):
+        for mode, (n_jobs, split) in settings.items():
+            result, wall, digest = _sched_run(n_jobs, split)
+            walls[mode].append(wall)
+            hashes[mode].add(digest)
+            last[mode] = result
 
-    serial_units = [
-        comp["cpu_seconds"] for comp in serial_result.stats.components
-    ]
-    static_units = [
-        comp["cpu_seconds"] for comp in static_result.stats.components
-    ]
-    adaptive_stats = adaptive_result.stats
-    adaptive_units = [
-        comp["cpu_seconds"] for comp in adaptive_stats.components
-    ] + [float(s) for s in adaptive_stats.get("subtree_cpu_seconds", ())]
+    def summary(mode: str) -> dict:
+        values = walls[mode]
+        return {
+            "wall_median": round(statistics.median(values), 4),
+            "wall_min": round(min(values), 4),
+            "wall_max": round(max(values), 4),
+            "walls": [round(v, 4) for v in values],
+            "output_hash": "/".join(sorted(hashes[mode])),
+        }
 
-    serial_total = sum(serial_units)
-    modeled_static = serial_total / _lpt_makespan(static_units, SCHED_JOBS)
-    modeled_adaptive = serial_total / _lpt_makespan(
-        adaptive_units, SCHED_JOBS
-    )
-
+    split_stats = last["split"].stats
     sweep = _sched_hash_sweep()
     return {
         "workload": "skew_sched",
         "scale": SCALE,
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": len(os.sched_getaffinity(0)),
         "calibration_seconds": round(calibration_seconds(), 4),
         "config": {
             "algorithm": SCHED_ALGORITHM,
@@ -627,31 +610,19 @@ def run_sched_entry() -> dict:
             "dominance": SCHED_DOMINANCE,
             "n_jobs": SCHED_JOBS,
             "split_threshold": SCHED_SPLIT_THRESHOLD,
+            "runs": SCHED_RUNS,
         },
-        "serial": {
-            "wall": round(serial_wall, 4),
-            "unit_cpu_seconds": [round(u, 4) for u in serial_units],
-            "total_cpu_seconds": round(serial_total, 4),
-            "output_hash": serial_hash,
+        "serial": summary("serial"),
+        "static": summary("static"),
+        "split": {
+            **summary("split"),
+            "tasks_split": split_stats.tasks_split,
+            "subtree_tasks": split_stats.subtree_tasks,
+            "steals": split_stats.steals,
+            "incumbent_publishes": split_stats.incumbent_publishes,
+            "bound_exchange_hits": split_stats.bound_exchange_hits,
+            "busy_skew_ratio": round(split_stats.busy_skew_ratio, 3),
         },
-        "static": {
-            "wall": round(static_wall, 4),
-            "unit_cpu_seconds": [round(u, 4) for u in static_units],
-            "output_hash": static_hash,
-        },
-        "adaptive": {
-            "wall": round(adaptive_wall, 4),
-            "unit_cpu_seconds": [round(u, 4) for u in adaptive_units],
-            "output_hash": adaptive_hash,
-            "tasks_split": adaptive_stats.tasks_split,
-            "subtree_tasks": adaptive_stats.subtree_tasks,
-            "steals": adaptive_stats.steals,
-            "incumbent_publishes": adaptive_stats.incumbent_publishes,
-            "bound_exchange_hits": adaptive_stats.bound_exchange_hits,
-            "busy_skew_ratio": round(adaptive_stats.busy_skew_ratio, 3),
-        },
-        "modeled_speedup_static": round(modeled_static, 3),
-        "modeled_speedup_adaptive": round(modeled_adaptive, 3),
         "hash_slice": {
             "n_tuples": SCHED_HASH_N,
             "chain": SCHED_HASH_CHAIN,
@@ -724,15 +695,16 @@ def main(argv: list) -> int:
             trajectory = json.loads(path.read_text())
         trajectory.append(entry)
         path.write_text(json.dumps(trajectory, indent=2) + "\n")
-        adaptive = entry["adaptive"]
+        serial = entry["serial"]["wall_median"]
+        split = entry["split"]
         print(
             f"sched: {entry['config']['algorithm']} on a "
-            f"{entry['config']['chain']}-pattern giant component — modeled "
-            f"speedup {entry['modeled_speedup_adaptive']}x adaptive vs "
-            f"{entry['modeled_speedup_static']}x static at "
-            f"n_jobs={entry['config']['n_jobs']}; "
-            f"{adaptive['subtree_tasks']} subtree task(s), "
-            f"{adaptive['steals']} steal(s), hashes "
+            f"{entry['config']['chain']}-pattern giant component at "
+            f"n_jobs={entry['config']['n_jobs']} — median wall serial "
+            f"{serial}s, static {entry['static']['wall_median']}s, split "
+            f"{split['wall_median']}s over {entry['config']['runs']} "
+            f"interleaved run(s); {split['subtree_tasks']} subtree "
+            f"task(s), {split['steals']} steal(s), hashes "
             f"{'consistent' if entry['hash_slice']['hashes_consistent'] else 'INCONSISTENT'}; "
             f"{len(trajectory)} entr{'y' if len(trajectory) == 1 else 'ies'} "
             f"in {path}"

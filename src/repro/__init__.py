@@ -53,7 +53,7 @@ from repro.exec import (
     RepairExecutor,
 )
 
-__version__ = "2.1.0"
+__version__ = "2.2.0"
 
 __all__ = [
     "FD",

@@ -130,28 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATTERNS",
         help=(
-            "split the branch-and-bound search of dominant components "
-            "with at least PATTERNS violation-graph patterns into "
-            "subtree tasks shared across the pool (requires n-jobs > 1; "
-            "default: never split; output is identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--max-subtasks",
-        type=int,
-        default=16,
-        metavar="N",
-        help=(
-            "target number of subtree tasks a split search is cut into "
-            "(default 16)"
-        ),
-    )
-    parser.add_argument(
-        "--no-bound-exchange",
-        action="store_true",
-        help=(
-            "disable the shared incumbent-bound exchange between split "
-            "subtree tasks (pruning falls back to chunk-local bounds)"
+            "split the exact-s search of dominant components with at "
+            "least PATTERNS violation-graph patterns into subtree tasks "
+            "shared across the pool (requires n-jobs > 1; default: never "
+            "split; output is identical either way)"
         ),
     )
     parser.add_argument(
@@ -388,8 +370,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             n_jobs=args.n_jobs,
             component_budget=args.component_budget,
             split_threshold=args.split_threshold,
-            max_subtasks=args.max_subtasks,
-            bound_exchange=not args.no_bound_exchange,
             trace=trace,
             detectors=detectors or None,
         )

@@ -20,8 +20,9 @@ The production engine (:func:`enumerate_maximal_independent_sets`) runs
 the level-synchronous schedule as an explicit work-list branch-and-bound
 over the :class:`~repro.core.graph.ComponentMasks` bitset view; the
 loop itself lives in the resumable
-:class:`~repro.core.single.frontier.SearchKernel` so giant components
-can be cut at a level boundary into independently explorable subtree
+:class:`~repro.core.single.frontier.SearchKernel`, so the Exact-S
+winner search (:func:`best_maximal_independent_set`) can cut a giant
+component at a level boundary into independently explorable subtree
 tasks (:mod:`repro.core.single.subtree`, ``docs/parallelism.md``):
 
 * each frontier node is one prefix-mask; FT-conflict, ``FTC``, and
@@ -46,10 +47,10 @@ reference implementation (the *oracle*). The oracle, and a brute-force
 subset enumerator, live in the test helpers (``tests/oracles.py``),
 next to the two-row Levenshtein DP that checks the Myers kernel; the
 Hypothesis differential suites (``tests/test_search_bitset.py``,
-``tests/test_mis.py``) cross-check the engine against them. When a subtree dispatcher is installed, the split exploration
-reproduces the same *output* (the enumerate-mode merge is exact; the
-best-mode winner is bound-independent) while counters reflect the extra
-duplicated exploration across chunks.
+``tests/test_mis.py``) cross-check the engine against them. When a
+subtree dispatcher splits the winner search, the selected set is the
+serial one (the winner is bound-independent) while counters reflect
+the extra duplicated exploration across chunks.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ from repro.core.single.frontier import (
     select_best_mask,
 )
 from repro.core.single.subtree import (
-    MODE_BEST,
-    MODE_ENUMERATE,
     SplitRequest,
     SubtreeDispatcher,
     current_dispatcher,
@@ -79,29 +78,6 @@ __all__ = [
     "enumerate_maximal_independent_sets",
     "best_maximal_independent_set",
 ]
-
-
-def _advance_to_split(
-    kernel: SearchKernel,
-    state,
-    stats: ExpansionStats,
-    dispatcher: SubtreeDispatcher,
-    max_nodes: Optional[int],
-) -> bool:
-    """Serial prefix: widen the frontier until it can feed the fanout.
-
-    Returns True when the enumeration *finished* during the prefix (the
-    tree was too small to split — the caller completes locally, which is
-    exactly the serial path).
-    """
-    target = max(2, dispatcher.fanout())
-    while True:
-        if kernel.advance(
-            state, stats, max_nodes=max_nodes, stop_level=state.level + 1
-        ):
-            return True
-        if len(state.masks) >= target:
-            return False
 
 
 def enumerate_maximal_independent_sets(
@@ -121,54 +97,27 @@ def enumerate_maximal_independent_sets(
 
     This is the bitset engine (module docstring); results, statistics,
     and the budget-trip point are identical to the set-based oracle in
-    ``tests/oracles.py``. When a subtree
-    dispatcher is installed (``repro.core.single.subtree``) and the
-    component crosses its threshold, the un-pruned enumeration is split
-    into subtree tasks whose merged output is the same list in the same
-    order (pruned enumerations never split here — only the winner search
-    in :func:`best_maximal_independent_set` does).
+    ``tests/oracles.py``. It never splits: only the winner search in
+    :func:`best_maximal_independent_set` does.
     """
     order = list(vertices) if vertices is not None else list(range(len(graph)))
     if stats is None:
         stats = ExpansionStats()
     if not order:
         return []
-    dispatcher = current_dispatcher()
-    split_wanted = (
-        dispatcher is not None
-        and not prune  # the exact-merge theorem needs an unpruned tree
-        and dispatcher.wants(len(order), prune=False, mode=MODE_ENUMERATE)
-    )
     with span(
         "mis/expand", fd=graph.fd.name, vertices=len(order), prune=prune
     ) as expand_span:
         masks = graph.subgraph_masks(order)
         kernel = SearchKernel.for_graph(graph, order, prune=prune)
         state = kernel.seed(stats)
-        final_masks: Optional[List[int]] = None
-        if split_wanted:
-            assert dispatcher is not None
-            if not _advance_to_split(kernel, state, stats, dispatcher, max_nodes):
-                final_masks = dispatcher.explore(
-                    SplitRequest(
-                        kernel=kernel,
-                        state=state,
-                        stats=stats,
-                        mode=MODE_ENUMERATE,
-                        max_nodes=max_nodes,
-                        fd_name=graph.fd.name,
-                        order=list(order),
-                    )
-                )
-        if final_masks is None:
-            kernel.advance(state, stats, max_nodes=max_nodes)
-            final_masks = state.masks
-        stats.sets_enumerated = len(final_masks)
+        kernel.advance(state, stats, max_nodes=max_nodes)
+        stats.sets_enumerated = len(state.masks)
         expand_span.set(**stats.as_dict())
     order_tuple = masks.order
     return [
         frozenset(order_tuple[i] for i in mask_bits(mask))
-        for mask in final_masks
+        for mask in state.masks
     ]
 
 
@@ -198,10 +147,17 @@ def _best_via_split(
             graph, order, prune=prune, with_costs=True
         )
         state = kernel.seed(stats)
-        winner = None
-        if _advance_to_split(kernel, state, stats, dispatcher, max_nodes):
-            # Finished during the serial prefix: score locally — the
-            # same scan, comparator and floats as the unsplit path.
+        # Serial prefix: widen the frontier until it can feed the fanout.
+        target = dispatcher.fanout()
+        while True:
+            finished = kernel.advance(
+                state, stats, max_nodes=max_nodes, stop_level=state.level + 1
+            )
+            if finished or len(state.masks) >= target:
+                break
+        if finished:
+            # Too small to split: score locally — the same scan,
+            # comparator and floats as the unsplit path.
             stats.sets_enumerated = len(state.masks)
             winner = select_best_mask(kernel, state.masks, order)
         else:
@@ -210,7 +166,6 @@ def _best_via_split(
                     kernel=kernel,
                     state=state,
                     stats=stats,
-                    mode=MODE_BEST,
                     max_nodes=max_nodes,
                     fd_name=graph.fd.name,
                     order=list(order),
@@ -235,11 +190,7 @@ def best_maximal_independent_set(
     if stats is None:
         stats = ExpansionStats()
     dispatcher = current_dispatcher()
-    if (
-        order
-        and dispatcher is not None
-        and dispatcher.wants(len(order), prune=prune, mode=MODE_BEST)
-    ):
+    if order and dispatcher is not None and dispatcher.wants(len(order)):
         return _best_via_split(
             graph, order, prune, max_nodes, stats, dispatcher
         )

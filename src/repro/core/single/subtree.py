@@ -1,26 +1,20 @@
 """The subtree-dispatch hook: how core search reaches the executor.
 
-The branch-and-bound enumeration (:mod:`repro.core.single.mis`) can
-decompose a giant component's exploration into independently explorable
-subtree tasks — but the *core* layer must not know about process pools.
-This module inverts the dependency: the executor installs a
-:class:`SubtreeDispatcher` through a :func:`use_dispatcher` context, and
-the search kernels consult :func:`current_dispatcher` when a component
-crosses the configured split threshold. With no dispatcher installed
-(serial runs, worker processes, every existing caller) nothing changes.
+The Exact-S winner search
+(:func:`~repro.core.single.mis.best_maximal_independent_set`) can
+decompose a giant component's exploration into independently
+explorable subtree tasks — but the *core* layer must not know about
+process pools. This module inverts the dependency: the executor
+installs a :class:`SubtreeDispatcher` through a :func:`use_dispatcher`
+context, and the winner search consults :func:`current_dispatcher` when
+a component crosses the configured split threshold. With no dispatcher
+installed (serial runs, worker processes, every existing caller)
+nothing changes.
 
-Two dispatch modes exist, chosen by the determinism argument that holds
-for each (``docs/parallelism.md``):
-
-* ``"enumerate"`` — only for ``prune=False`` (the Exact-M candidate
-  enumeration): chunked exploration merged by concatenation in chunk
-  order with first-occurrence dedup reproduces the serial output list
-  *exactly*, order included.
-* ``"best"`` — for the pruned Exact-S winner search: chunks score their
-  own candidates and return chunk winners; the parent reduces them in
-  segment order with the serial comparator. Pruning under the shared
-  incumbent bound may only discard provably-beaten sets, so the winner
-  is unchanged.
+Chunks score their own candidates and return chunk winners; the parent
+reduces them in segment order with the serial comparator. Pruning
+under the shared incumbent bound may only discard provably-beaten
+sets, so the winner is unchanged (``docs/parallelism.md``).
 
 The context variable is process-local by construction, but a ``fork``
 started mid-dispatch would inherit it — dispatcher implementations must
@@ -33,7 +27,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.single.frontier import (
     ExpansionStats,
@@ -41,14 +35,10 @@ from repro.core.single.frontier import (
     SearchKernel,
 )
 
-#: dispatch modes and the pruning regime each is sound for
-MODE_ENUMERATE = "enumerate"  #: exact list merge; requires prune=False
-MODE_BEST = "best"  #: winner reduction; the pruned optimal-repair search
-
 
 @dataclass
 class SplitRequest:
-    """Everything a dispatcher needs to explore a cut enumeration.
+    """Everything a dispatcher needs to explore a cut winner search.
 
     The *state* is cut at a level boundary with ``pending_upper``
     already folded; *stats* is the caller's live counter object — the
@@ -59,7 +49,6 @@ class SplitRequest:
     kernel: SearchKernel
     state: FrontierState
     stats: ExpansionStats
-    mode: str
     max_nodes: Optional[int]
     fd_name: str
     order: List[int]  #: original vertex ids, for tie-breaks and labels
@@ -68,7 +57,7 @@ class SplitRequest:
 class SubtreeDispatcher:
     """Strategy interface for exploring a split frontier."""
 
-    def wants(self, n_vertices: int, prune: bool, mode: str) -> bool:
+    def wants(self, n_vertices: int) -> bool:
         """Should a component of this size be split at all?"""
         raise NotImplementedError
 
@@ -76,12 +65,13 @@ class SubtreeDispatcher:
         """Desired number of subtree chunks (the frontier-width target)."""
         raise NotImplementedError
 
-    def explore(self, request: SplitRequest) -> Any:
+    def explore(
+        self, request: SplitRequest
+    ) -> Optional[Tuple[int, float, List[int]]]:
         """Explore the request's frontier to completion.
 
-        Returns the merged final mask list for ``mode="enumerate"``, or
-        the winning ``(mask, cost, sorted_members)`` triple (``None``
-        when no candidate survives) for ``mode="best"``.
+        Returns the winning ``(mask, cost, sorted_members)`` triple, or
+        ``None`` when no candidate survives.
         """
         raise NotImplementedError
 

@@ -14,7 +14,9 @@ is the cost of a concrete feasible repair, hence an upper bound on the
 optimum, and the kernel prunes strictly (``lower > best_upper``) — a
 lost update or a stale read only loosens a bound, never drops an
 optimal set. Bound exchange may only *prune*; it cannot change which
-set the search selects.
+set the search selects. The one exception is :meth:`BoundExchange.abandon`,
+written only once a search has tripped its budget and its result will
+never be read.
 
 Transport: a ``multiprocessing.RawArray`` of C doubles allocated in the
 parent **before** the worker pool starts. Under the ``fork`` start
@@ -65,6 +67,17 @@ class BoundExchange:
         self._next += 1
         self.array[slot] = seed
         return slot
+
+    def abandon(self, slot: Optional[int]) -> None:
+        """Stop the in-flight chunks of an abandoned search early.
+
+        Writes ``-inf``, which every chunk reading the slot adopts at
+        its next level boundary, pruning its whole frontier. Only for a
+        search whose result is never read (after a budget trip): the
+        marker is not the cost of any repair.
+        """
+        if slot is not None:
+            self.array[slot] = -_INF
 
 
 class SlotBound(IncumbentBound):

@@ -17,6 +17,10 @@ The execution-layer knobs are new in this layer:
   component (formalizing the anytime fallback per component instead of
   discovering the blow-up mid-search).
 * ``seed`` — RNG seed for threshold sampling.
+* ``split_threshold`` — with ``n_jobs > 1``, split the Exact-S winner
+  search of a dominant component with at least this many patterns into
+  subtree tasks shared across the pool (``None``, the default: never).
+  The output is identical either way.
 * ``trace`` — record the run through the observability layer
   (:mod:`repro.obs`): hierarchical phase spans, unified counters, and a
   structured JSON run report via ``Repairer.report()`` / the CLI
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.distances import DistanceFn, Weights
 from repro.index.simjoin import DEFAULT_JOIN, STRATEGIES
@@ -69,8 +73,6 @@ class RepairConfig:
     seed: object = None
     trace: bool = False
     split_threshold: Optional[int] = None
-    max_subtasks: int = 16
-    bound_exchange: bool = True
     #: error detectors to run ahead of repair/detection
     #: (``docs/scenarios.md``): names from the detector registry, e.g.
     #: ``("fd", "null", "outlier")``. ``"fd"`` denotes the built-in
@@ -108,8 +110,6 @@ class RepairConfig:
                 "split_threshold must be >= 2 vertices (or None to disable "
                 "component splitting)"
             )
-        if self.max_subtasks < 2:
-            raise ValueError("max_subtasks must be >= 2")
         if self.detectors is not None:
             # Registry import is deferred (repro.detect registers its
             # built-ins on package import); tuple coercion keeps the

@@ -87,7 +87,11 @@ from repro.exec import bounds, shipping
 from repro.exec.bounds import BoundExchange
 from repro.exec.cache import shared_model
 from repro.exec.config import RepairConfig
-from repro.exec.planner import SchedulePlan, plan_schedule
+from repro.exec.planner import (
+    SPLITTABLE_ALGORITHMS,
+    SchedulePlan,
+    plan_schedule,
+)
 from repro.exec.shipping import RelationRef
 from repro.exec.subtrees import PoolSubtreeDispatcher
 from repro.exec.stats import DegradedRepairWarning, ExecutionStats
@@ -769,6 +773,7 @@ class RepairExecutor:
             runner is _run_component_task
             and raw > 1
             and self.config.split_threshold is not None
+            and self.config.algorithm in SPLITTABLE_ALGORITHMS
         )
         plan: Optional[SchedulePlan] = None
         if raw > 1 and (len(tasks) > 1 or splittable):
@@ -794,7 +799,6 @@ class RepairExecutor:
             "bound_exchange_hits": 0,
             "subtree_bytes_total": 0,
             "subtree_bytes_max": 0,
-            "subtree_cpu_seconds": [],
             "busy_skew_ratio": 1.0,
         }
         start = time.perf_counter()
@@ -841,12 +845,12 @@ class RepairExecutor:
 
         Plain tasks are submitted largest-estimated-first so the long
         pole starts immediately instead of wherever discovery order put
-        it. Coordinated tasks (a dominant, splittable component) run in
-        the parent under a :class:`PoolSubtreeDispatcher` — their
-        branch-and-bound frontiers are cut into subtree tasks that
-        interleave with the plain queue on the same pool. The shared
-        incumbent array must be allocated and installed *before* the
-        pool exists so forked workers inherit it.
+        it. Coordinated tasks (a dominant Exact-S component) run in the
+        parent under a :class:`PoolSubtreeDispatcher` — their winner
+        searches are cut into subtree tasks that interleave with the
+        plain queue on the same pool. The shared incumbent array must
+        be allocated and installed *before* the pool exists so forked
+        workers inherit it.
         """
         payload = shipping.pack([task.relation_ref for task in tasks])
         sizes = [len(pickle.dumps(task, protocol=5)) for task in tasks]
@@ -860,7 +864,7 @@ class RepairExecutor:
         )
         lean = _LEAN_RUNNERS.get(runner, runner)
         exchange: Optional[BoundExchange] = None
-        if coordinated and self.config.bound_exchange:
+        if coordinated:
             exchange = BoundExchange()
             bounds.install(exchange.array)
         dispatcher: Optional[PoolSubtreeDispatcher] = None

@@ -1,9 +1,9 @@
 """Cost-model-driven schedule planning for the executor.
 
 Component tasks vary by orders of magnitude: the violation graph of one
-FD can hold two patterns or two thousand. Before PR 7 the executor
-submitted tasks in discovery order, so a dominant component discovered
-late serialized the tail of the run. This module plans the dispatch:
+FD can hold two patterns or two thousand. Submitted in discovery
+order, a dominant component discovered late would serialize the tail
+of the run. This module plans the dispatch:
 
 * :func:`estimate_task` — per-task work from pattern counts, the same
   one-linear-scan signal ``component_size`` uses for budget decisions.
@@ -15,11 +15,12 @@ late serialized the tail of the run. This module plans the dispatch:
   (largest-estimated-first, stable on index), plus the *coordinated*
   subset: tasks whose estimate exceeds ``total / workers`` — one
   component's share of a perfectly balanced run — are executed in the
-  parent under a subtree dispatcher so their branch-and-bound frontier
-  can be split across the same pool (``docs/parallelism.md``).
+  parent under a subtree dispatcher so their winner search can be
+  split across the same pool (``docs/parallelism.md``).
 
-Coordination additionally requires the task's largest per-FD graph to
-reach ``split_threshold``: below it nothing would split, and the task
+Coordination requires a splittable search (the run's algorithm is in
+:data:`SPLITTABLE_ALGORITHMS`) and the task's largest per-FD graph to
+reach ``split_threshold``: otherwise nothing would split, and the task
 is better off in a worker.
 """
 
@@ -29,6 +30,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.violation import group_patterns
+
+#: algorithms with a splittable search: only Exact-S's winner search
+#: measured a wall-clock win from splitting (``docs/parallelism.md``)
+SPLITTABLE_ALGORITHMS = frozenset({"exact-s"})
 
 
 @dataclass(frozen=True)

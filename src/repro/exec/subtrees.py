@@ -1,9 +1,10 @@
-"""Subtree tasks: splitting one component's search across the pool.
+"""Subtree tasks: splitting one component's winner search across the pool.
 
 The executor's unit of scheduling is the connected component — until
 one component dominates the run. This module implements the
-sub-component unit: a :class:`SubtreeSpec` is one contiguous chunk of a
-branch-and-bound frontier cut at a level boundary
+sub-component unit for the Exact-S winner search: a
+:class:`SubtreeSpec` is one contiguous chunk of a branch-and-bound
+frontier cut at a level boundary
 (:class:`~repro.core.single.frontier.FrontierState`), shipped to a pool
 worker and explored there by the exact same kernel loop
 (:func:`explore_subtree` is a pure function of its spec).
@@ -13,33 +14,30 @@ multiplicities, Eq. (5) min-out terms and Eq. (6) cost rows travel as
 plain floats, so workers never rebuild a distance model — both sides of
 the split compute with bit-identical numbers, which is half of the
 determinism argument. The other half is the merge
-(:class:`PoolSubtreeDispatcher.explore`):
+(:class:`PoolSubtreeDispatcher.explore`): chunks score their own
+candidates and return chunk winners; the parent reduces them in
+segment-lineage order with the serial comparator
+(:func:`~repro.core.single.frontier.better_candidate`). The shared
+incumbent bound (:mod:`repro.exec.bounds`) may only prune
+provably-beaten sets, so the winner is unchanged.
 
-* ``enumerate`` mode (un-pruned, Exact-M): chunk results concatenate in
-  segment-lineage order with first-occurrence dedup — exactly the
-  serial output list, order included, because ``lower``/``coverage``
-  are pure functions of ``(mask, level)``.
-* ``best`` mode (pruned, Exact-S): chunks score their own candidates
-  and return chunk winners; the parent reduces them in segment order
-  with the serial comparator
-  (:func:`~repro.core.single.frontier.better_candidate`). The shared
-  incumbent bound (:mod:`repro.exec.bounds`) may only prune
-  provably-beaten sets, so the winner is unchanged.
-
-Work stealing is cooperative: every spec carries a ``yield_nodes``
+Work stealing is cooperative: every spec carries the ``yield_nodes``
 checkpoint; a subtree that outgrows it returns its (folded) frontier
 state instead of a result, and the dispatcher re-splits that state into
 fresh chunks — the straggler's work is redistributed without ever
 interrupting a worker. Lineage segments (``(3,)`` → ``(3, 0)``,
 ``(3, 1)``, …) keep the merge order deterministic across any stealing
-schedule.
+schedule. Past ``MAX_RESPLIT_DEPTH`` a straggler is resubmitted whole,
+still under the quantum.
 
-Budget semantics under splitting: each subtree checks ``max_nodes``
-against the shared prefix count plus its own nodes, and the dispatcher
-additionally re-checks the summed total after the merge. A split run
-can therefore trip on searches whose serial node count would just fit
-(chunks re-explore nodes the serial dedup would have merged) — the
-conservative direction; see ``docs/parallelism.md``.
+Budget: ``max_nodes`` bounds the *merged* node count. Each chunk starts
+counting from the merged total at its cut, and the dispatcher re-checks
+the total after every chunk result or yield; once it passes
+``max_nodes`` the pending chunks are cancelled and
+:class:`~repro.core.single.frontier.ExpansionLimitError` carries the
+lineage of the chunk that crossed it. Because no chunk runs past the
+quantum without reporting back, a trip costs at most about one quantum
+of extra nodes — never a hang (``docs/parallelism.md``).
 """
 
 from __future__ import annotations
@@ -59,11 +57,7 @@ from repro.core.single.frontier import (
     better_candidate,
     select_best_mask,
 )
-from repro.core.single.subtree import (
-    MODE_BEST,
-    SplitRequest,
-    SubtreeDispatcher,
-)
+from repro.core.single.subtree import SplitRequest, SubtreeDispatcher
 from repro.exec import bounds
 from repro.obs import span
 
@@ -71,8 +65,15 @@ from repro.obs import span
 #: re-splitting after generating this many nodes (the steal quantum)
 SUBTREE_YIELD_NODES = 75_000
 
-#: lineage depth past which a straggler runs to completion un-split
+#: chunks a split frontier is cut into; on the 600-row, chain-40 skew
+#: workload at n_jobs=2, fanouts 2/4/16/64 took 3.12/2.18/1.21/1.24 s
+SUBTREE_FANOUT = 16
+
+#: lineage depth past which a straggler is resubmitted whole, not re-split
 MAX_RESPLIT_DEPTH = 3
+
+#: a chunk's winner: (mask, cost, sorted original members)
+Winner = Tuple[int, float, List[int]]
 
 
 @dataclass(frozen=True)
@@ -80,22 +81,21 @@ class SubtreeSpec:
     """One independently explorable chunk of a cut frontier."""
 
     segment: Tuple[int, ...]  #: lineage path; the deterministic merge key
-    mode: str  #: "enumerate" | "best"
     prune: bool
     fd_name: str
     order: Tuple[int, ...]  #: original vertex ids (winner tie-breaks)
     adjacency: Tuple[int, ...]
     multiplicities: Tuple[int, ...]
     min_out: Optional[Tuple[float, ...]]
-    cost_rows: Optional[Tuple[Tuple[float, ...], ...]]
+    cost_rows: Tuple[Tuple[float, ...], ...]
     level: int
     masks: Tuple[int, ...]
     lower: Tuple[float, ...]
     coverage: Tuple[int, ...]
     best_upper: float
-    nodes_so_far: int  #: shared serial-prefix node count at the cut
+    nodes_so_far: int  #: merged node count at the cut
     max_nodes: Optional[int]
-    yield_nodes: Optional[int]
+    yield_nodes: int
     bound_slot: Optional[int]
 
 
@@ -105,17 +105,14 @@ class SubtreeResult:
 
     segment: Tuple[int, ...]
     finished: bool
-    #: finished, mode="enumerate": the chunk's final frontier masks
-    masks: Optional[List[int]]
-    #: finished, mode="best": (mask, cost, sorted members) or None
-    winner: Optional[Tuple[int, float, List[int]]]
+    #: finished: the chunk winner, or None when no candidate survived
+    winner: Optional[Winner]
     #: not finished: the resumable state for re-splitting
     state: Optional[Dict[str, Any]]
     candidates: int  #: final-frontier size (sets this chunk enumerated)
     stats: Dict[str, int]  #: worker ExpansionStats snapshot
     nodes_generated: int  #: absolute count (includes nodes_so_far)
     seconds: float
-    cpu_seconds: float  #: worker process_time — contention-immune
     pid: int
     bound_hits: int
     bound_publishes: int
@@ -127,10 +124,9 @@ def explore_subtree(spec: SubtreeSpec) -> SubtreeResult:
     Pure bitset search over the shipped floats — no relation, no
     distance model, no index state. Raises
     :class:`~repro.core.single.frontier.ExpansionLimitError` when the
-    chunk (on top of the shared prefix) exceeds ``max_nodes``.
+    chunk (on top of the merged count at its cut) exceeds ``max_nodes``.
     """
     start = time.perf_counter()
-    cpu0 = time.process_time()
     stats = ExpansionStats()
     stats.nodes_generated = spec.nodes_so_far
     kernel = SearchKernel(
@@ -156,10 +152,12 @@ def explore_subtree(spec: SubtreeSpec) -> SubtreeResult:
         bound=bound,
     )
     winner = None
-    masks: Optional[List[int]] = None
     shipped_state: Optional[Dict[str, Any]] = None
     candidates = 0
-    if not finished:
+    if finished:
+        candidates = len(state.masks)
+        winner = select_best_mask(kernel, state.masks, spec.order)
+    else:
         # advance() folds pending uppers before yielding, so the state
         # ships without them and re-splits cleanly at the boundary.
         shipped_state = {
@@ -169,23 +167,15 @@ def explore_subtree(spec: SubtreeSpec) -> SubtreeResult:
             "coverage": state.coverage,
             "best_upper": state.best_upper,
         }
-    elif spec.mode == MODE_BEST:
-        candidates = len(state.masks)
-        winner = select_best_mask(kernel, state.masks, spec.order)
-    else:
-        candidates = len(state.masks)
-        masks = state.masks
     return SubtreeResult(
         segment=spec.segment,
         finished=finished,
-        masks=masks,
         winner=winner,
         state=shipped_state,
         candidates=candidates,
         stats=stats.as_dict(),
         nodes_generated=stats.nodes_generated,
         seconds=time.perf_counter() - start,
-        cpu_seconds=time.process_time() - cpu0,
         pid=os.getpid(),
         bound_hits=bound.hits if bound is not None else 0,
         bound_publishes=bound.publishes if bound is not None else 0,
@@ -221,93 +211,76 @@ class PoolSubtreeDispatcher(SubtreeDispatcher):
         self.busy: Dict[int, float] = {}  #: pid -> subtree busy seconds
         self.wait_seconds = 0.0
         self._pid = os.getpid()
-        #: read at construction so tests can shrink the steal quantum
+        #: read at construction so tests can shrink the quantum / fanout
         self._yield_nodes = SUBTREE_YIELD_NODES
+        self._fanout = SUBTREE_FANOUT
 
     # -- SubtreeDispatcher ------------------------------------------------
-    def wants(self, n_vertices: int, prune: bool, mode: str) -> bool:
+    def wants(self, n_vertices: int) -> bool:
         if os.getpid() != self._pid:
             return False
         threshold = self._config.split_threshold
         return threshold is not None and n_vertices >= threshold
 
     def fanout(self) -> int:
-        return max(2, int(self._config.max_subtasks))
+        return self._fanout
 
-    def explore(self, request: SplitRequest) -> Any:
-        state, kernel, stats = request.state, request.kernel, request.stats
+    def explore(self, request: SplitRequest) -> Optional[Winner]:
+        state, kernel = request.state, request.kernel
         slot = None
         if kernel.prune and self._exchange is not None:
             slot = self._exchange.acquire(state.best_upper)
-        specs = self._cut(
-            request, state, slot, base=(), yield_nodes=self._yield_nodes
-        )
+        specs = self._cut(request, state, slot, base=(), parts=self._fanout)
         with span(
             "mis/split",
             fd=request.fd_name,
-            mode=request.mode,
             chunks=len(specs),
             frontier=len(state.masks),
             level=state.level,
         ) as split_span:
             results, children = self._drive(request, specs)
-            merged = self._merge(request, specs, results, children)
+            winner = self._merge(request, specs, results, children)
             split_span.set(
                 subtree_tasks=self.counters["subtree_tasks"],
                 steals=self.counters["steals"],
             )
-        return merged
+        return winner
 
     # -- internals --------------------------------------------------------
     def _cut(
         self,
         request: SplitRequest,
-        state,
+        state: FrontierState,
         slot: Optional[int],
         base: Tuple[int, ...],
-        yield_nodes: Optional[int],
-        nodes_so_far: Optional[int] = None,
+        parts: int,
     ) -> List[SubtreeSpec]:
         kernel = request.kernel
-        need_costs = kernel.prune or request.mode == MODE_BEST
-        cost_rows = (
-            tuple(tuple(row) for row in kernel.cost_rows)
-            if need_costs and kernel.cost_rows is not None
-            else None
-        )
+        assert kernel.cost_rows is not None  # the winner scan needs them
+        cost_rows = tuple(tuple(row) for row in kernel.cost_rows)
         min_out = tuple(kernel.min_out) if kernel.prune else None
-        prefix_nodes = (
-            request.stats.nodes_generated
-            if nodes_so_far is None
-            else nodes_so_far
-        )
-        specs = []
-        for k, (lo, hi) in enumerate(
-            _chunk_bounds(len(state.masks), self.fanout())
-        ):
-            specs.append(
-                SubtreeSpec(
-                    segment=base + (k,),
-                    mode=request.mode,
-                    prune=kernel.prune,
-                    fd_name=request.fd_name,
-                    order=tuple(request.order),
-                    adjacency=tuple(kernel.adjacency),
-                    multiplicities=tuple(kernel.multiplicities),
-                    min_out=min_out,
-                    cost_rows=cost_rows,
-                    level=state.level,
-                    masks=tuple(state.masks[lo:hi]),
-                    lower=tuple(state.lower[lo:hi]),
-                    coverage=tuple(state.coverage[lo:hi]),
-                    best_upper=state.best_upper,
-                    nodes_so_far=prefix_nodes,
-                    max_nodes=request.max_nodes,
-                    yield_nodes=yield_nodes,
-                    bound_slot=slot,
-                )
+        return [
+            SubtreeSpec(
+                segment=base + (k,),
+                prune=kernel.prune,
+                fd_name=request.fd_name,
+                order=tuple(request.order),
+                adjacency=tuple(kernel.adjacency),
+                multiplicities=tuple(kernel.multiplicities),
+                min_out=min_out,
+                cost_rows=cost_rows,
+                level=state.level,
+                masks=tuple(state.masks[lo:hi]),
+                lower=tuple(state.lower[lo:hi]),
+                coverage=tuple(state.coverage[lo:hi]),
+                best_upper=state.best_upper,
+                nodes_so_far=request.stats.nodes_generated,
+                max_nodes=request.max_nodes,
+                yield_nodes=self._yield_nodes,
+                bound_slot=slot,
             )
-        return specs
+            for k, (lo, hi) in enumerate(_chunk_bounds(len(state.masks), parts))
+        ]
 
     def _submit(self, specs: List[SubtreeSpec]) -> Dict[Any, SubtreeSpec]:
         self.counters["subtree_tasks"] += len(specs)
@@ -319,7 +292,12 @@ class PoolSubtreeDispatcher(SubtreeDispatcher):
         return {self._pool.submit(explore_subtree, spec): spec for spec in specs}
 
     def _drive(self, request: SplitRequest, specs: List[SubtreeSpec]):
-        """Run specs to completion, re-splitting cooperative yields."""
+        """Run specs to completion, re-splitting cooperative yields.
+
+        The merged node total is checked after every result or yield,
+        so a budget trip cancels the pending chunks instead of letting
+        each of them spend its own allowance.
+        """
         self.counters["tasks_split"] += 1
         pending = self._submit(specs)
         results: Dict[Tuple[int, ...], SubtreeResult] = {}
@@ -337,46 +315,54 @@ class PoolSubtreeDispatcher(SubtreeDispatcher):
                     except ExpansionLimitError as exc:
                         exc.subtree = spec.segment
                         raise
-                    worker_stats = ExpansionStats(**result.stats)
-                    stats.merge_delta(worker_stats, spec.nodes_so_far)
+                    stats.merge_delta(
+                        ExpansionStats(**result.stats), spec.nodes_so_far
+                    )
                     self.busy[result.pid] = (
                         self.busy.get(result.pid, 0.0) + result.seconds
                     )
-                    self.counters.setdefault(
-                        "subtree_cpu_seconds", []
-                    ).append(round(result.cpu_seconds, 6))
                     self.counters["bound_exchange_hits"] += result.bound_hits
                     self.counters["incumbent_publishes"] += (
                         result.bound_publishes
                     )
+                    if (
+                        request.max_nodes is not None
+                        and stats.nodes_generated > request.max_nodes
+                    ):
+                        exc = ExpansionLimitError(
+                            request.max_nodes,
+                            stats.nodes_generated,
+                            stats.levels,
+                        )
+                        exc.subtree = spec.segment
+                        raise exc
                     if result.finished:
                         results[spec.segment] = result
                         continue
-                    # Straggler: re-split its returned frontier state.
-                    self.counters["steals"] += 1
-                    resumed = FrontierState(
-                        level=result.state["level"],
-                        masks=list(result.state["masks"]),
-                        lower=list(result.state["lower"]),
-                        coverage=list(result.state["coverage"]),
-                        best_upper=result.state["best_upper"],
-                    )
+                    # Straggler: re-split its returned frontier state, or
+                    # past the depth cap resubmit it whole (one child).
                     deep = len(spec.segment) >= MAX_RESPLIT_DEPTH
+                    if not deep:
+                        self.counters["steals"] += 1
+                    assert result.state is not None
                     replacements = self._cut(
                         request,
-                        resumed,
+                        FrontierState(**result.state),
                         spec.bound_slot,
                         base=spec.segment,
-                        yield_nodes=None if deep else spec.yield_nodes,
-                        nodes_so_far=spec.nodes_so_far,
+                        parts=1 if deep else self._fanout,
                     )
                     children[spec.segment] = [
                         s.segment for s in replacements
                     ]
                     pending.update(self._submit(replacements))
         except BaseException:
+            # Queued chunks are cancelled; running ones (which the pool
+            # would otherwise wait for) prune out at their next level.
             for future in pending:
                 future.cancel()
+            if self._exchange is not None:
+                self._exchange.abandon(specs[0].bound_slot)
             raise
         return results, children
 
@@ -386,8 +372,8 @@ class PoolSubtreeDispatcher(SubtreeDispatcher):
         specs: List[SubtreeSpec],
         results: Dict[Tuple[int, ...], SubtreeResult],
         children: Dict[Tuple[int, ...], List[Tuple[int, ...]]],
-    ) -> Any:
-        stats = request.stats
+    ) -> Optional[Winner]:
+        """Reduce chunk winners in lineage order with the serial comparator."""
         ordered: List[SubtreeResult] = []
 
         def visit(segment: Tuple[int, ...]) -> None:
@@ -400,43 +386,15 @@ class PoolSubtreeDispatcher(SubtreeDispatcher):
         for spec in specs:
             visit(spec.segment)
 
-        # Conservative combined budget: the summed split total is >= the
-        # serial node count (chunks re-explore what serial dedup merged),
-        # so any serial trip is reproduced; see module docstring.
-        if (
-            request.max_nodes is not None
-            and stats.nodes_generated > request.max_nodes
-        ):
-            raise ExpansionLimitError(
-                request.max_nodes, stats.nodes_generated, stats.levels
-            )
-
-        if request.mode == MODE_BEST:
-            stats.sets_enumerated = sum(r.candidates for r in ordered)
-            best = None
-            best_cost = float("inf")
-            best_members: Optional[List[int]] = None
-            for result in ordered:
-                if result.winner is None:
-                    continue
-                mask, cost, members = result.winner
-                if better_candidate(cost, members, best_cost, best_members):
-                    best = result.winner
-                    best_cost, best_members = cost, members
-            return best
-
-        # enumerate: concatenate in lineage order, keep first occurrences
-        # — exactly the serial output list (the cross-chunk duplicates
-        # are the nodes serial dominance-dedup merged earlier).
-        seen = set()
-        merged: List[int] = []
+        request.stats.sets_enumerated = sum(r.candidates for r in ordered)
+        best: Optional[Winner] = None
+        best_cost = float("inf")
+        best_members: Optional[List[int]] = None
         for result in ordered:
-            assert result.masks is not None
-            for mask in result.masks:
-                if mask in seen:
-                    stats.duplicates_removed += 1
-                    stats.search_dominance_prunes += 1
-                    continue
-                seen.add(mask)
-                merged.append(mask)
-        return merged
+            if result.winner is None:
+                continue
+            _, cost, members = result.winner
+            if better_candidate(cost, members, best_cost, best_members):
+                best = result.winner
+                best_cost, best_members = cost, members
+        return best

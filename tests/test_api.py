@@ -70,7 +70,7 @@ class TestFacade:
 
 
 class TestDeprecationPolicy:
-    """Spellings removed in 2.1 raise instead of warning."""
+    """Spellings removed in 2.1 and 2.2 raise instead of warning."""
 
     @pytest.mark.parametrize(
         "build,argument",
@@ -79,9 +79,15 @@ class TestDeprecationPolicy:
             (lambda fds: repro.Repairer(fds, kernel="myers"), "kernel"),
             (lambda fds: repro.Repairer(fds, rng=3), "rng"),
             (lambda fds: repro.Repairer(fds, "exact-m"), "positional"),
+            (lambda fds: repro.RepairConfig(max_subtasks=4), "max_subtasks"),
+            (
+                lambda fds: repro.RepairConfig(bound_exchange=False),
+                "bound_exchange",
+            ),
         ],
         ids=["config-kernel", "repairer-kernel", "repairer-rng",
-             "repairer-positional"],
+             "repairer-positional", "config-max-subtasks",
+             "config-bound-exchange"],
     )
     def test_removed_arguments_raise(self, build, argument):
         fds = [repro.FD.parse("K -> V")]

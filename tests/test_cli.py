@@ -45,6 +45,15 @@ class TestParser:
             main([str(csv_path), "--fd", "sku -> product", "--kernel", "myers"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--max-subtasks", "4"], ["--no-bound-exchange"]]
+    )
+    def test_removed_scheduler_flags_exit(self, csv_path, flags):
+        # the split fanout is a constant and bound exchange always on in 2.2
+        with pytest.raises(SystemExit) as exc:
+            main([str(csv_path), "--fd", "sku -> product", *flags])
+        assert exc.value.code == 2
+
 
 class TestRun:
     def test_repairs_and_writes_default_output(self, csv_path, capsys):

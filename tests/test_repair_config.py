@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import typing
 import warnings
 
 import pytest
@@ -50,6 +51,12 @@ class TestValidation:
     def test_bad_component_budget_rejected(self):
         with pytest.raises(ValueError, match="component_budget"):
             RepairConfig(component_budget=0)
+
+    def test_type_hints_resolve(self):
+        # every annotation must name an imported type (`detectors` once
+        # named an unimported `Tuple`)
+        hints = typing.get_type_hints(RepairConfig)
+        assert hints["detectors"] == typing.Optional[typing.Tuple[str, ...]]
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

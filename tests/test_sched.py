@@ -5,7 +5,8 @@ The determinism contract under splitting is the load-bearing property:
 byte-identical repairs for every ``n_jobs`` x ``split_threshold``
 combination. It is checked end-to-end over processes and, via an
 inline (process-free) dispatcher, property-tested on random graphs
-against the serial enumeration.
+against the serial winner search. The budget test pins that a split
+search honours ``max_nodes`` across its chunks.
 """
 
 import random
@@ -19,20 +20,20 @@ from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
 from repro.core.graph import ViolationGraph
 from repro.core.single.frontier import ExpansionStats, SearchKernel
-from repro.core.single.mis import (
-    best_maximal_independent_set,
-    enumerate_maximal_independent_sets,
-)
+from repro.core.single.mis import best_maximal_independent_set
 from repro.core.single.subtree import use_dispatcher
 from repro.core.violation import Pattern
 from repro.dataset.relation import Relation, Schema
 from repro.exec import (
+    BoundExchange,
     PoolSubtreeDispatcher,
     RepairConfig,
     RepairExecutor,
+    SlotBound,
     plan_schedule,
 )
 from repro.exec.planner import estimate_task
+from repro.exec import subtrees
 from repro.exec.stats import DegradedRepairWarning
 from repro.exec.subtrees import _chunk_bounds
 from repro.generator.skew import (
@@ -84,11 +85,9 @@ class _InlinePool:
 
 
 def _inline_dispatcher(
-    split_threshold=2, max_subtasks=3, yield_nodes=None
+    split_threshold=2, fanout=3, yield_nodes=None
 ) -> PoolSubtreeDispatcher:
-    config = RepairConfig(
-        split_threshold=split_threshold, max_subtasks=max_subtasks
-    )
+    config = RepairConfig(split_threshold=split_threshold)
     counters = {
         "tasks_split": 0,
         "subtree_tasks": 0,
@@ -99,9 +98,16 @@ def _inline_dispatcher(
         "subtree_bytes_max": 0,
     }
     dispatcher = PoolSubtreeDispatcher(_InlinePool(), config, None, counters)
+    dispatcher._fanout = fanout
     if yield_nodes is not None:
         dispatcher._yield_nodes = yield_nodes
     return dispatcher
+
+
+@pytest.fixture
+def small_fanout(monkeypatch):
+    """Cut split frontiers into 4 chunks, so small chains still split."""
+    monkeypatch.setattr(subtrees, "SUBTREE_FANOUT", 4)
 
 
 def _repair_signature(result):
@@ -235,21 +241,10 @@ class TestSkewGenerator:
 class TestSubtreeMergeTheorem:
     @given(seed=st.integers(0, 10_000), fanout=st.integers(2, 5))
     @settings(max_examples=60, deadline=None)
-    def test_split_enumeration_equals_serial(self, seed, fanout):
-        graph = _random_graph(seed)
-        serial = enumerate_maximal_independent_sets(graph)
-        dispatcher = _inline_dispatcher(max_subtasks=fanout)
-        with use_dispatcher(dispatcher):
-            split = enumerate_maximal_independent_sets(graph)
-        # exact list equality: same sets in the same order
-        assert split == serial
-
-    @given(seed=st.integers(0, 10_000), fanout=st.integers(2, 5))
-    @settings(max_examples=60, deadline=None)
     def test_split_best_equals_serial(self, seed, fanout):
         graph = _random_graph(seed)
         serial = best_maximal_independent_set(graph)
-        dispatcher = _inline_dispatcher(max_subtasks=fanout)
+        dispatcher = _inline_dispatcher(fanout=fanout)
         with use_dispatcher(dispatcher):
             split = best_maximal_independent_set(graph)
         assert split == serial
@@ -258,11 +253,12 @@ class TestSubtreeMergeTheorem:
     @settings(max_examples=30, deadline=None)
     def test_resplit_steals_preserve_enumeration(self, seed):
         graph = _random_graph(seed, n_max=11)
-        serial = enumerate_maximal_independent_sets(graph)
-        # a 3-node steal quantum forces cooperative yields + re-splits
-        dispatcher = _inline_dispatcher(max_subtasks=2, yield_nodes=3)
+        serial = best_maximal_independent_set(graph)
+        # a 3-node steal quantum forces cooperative yields, re-splits,
+        # and whole resubmissions past the re-split depth cap
+        dispatcher = _inline_dispatcher(fanout=2, yield_nodes=3)
         with use_dispatcher(dispatcher):
-            split = enumerate_maximal_independent_sets(graph)
+            split = best_maximal_independent_set(graph)
         assert split == serial
 
     def test_chunk_bounds_partition(self):
@@ -309,9 +305,31 @@ class TestSubtreeMergeTheorem:
         assert merged == serial_state.masks
 
 
+class TestBoundExchange:
+    def test_abandon_prunes_every_frontier_node(self):
+        # after a budget trip the parent abandons the slot, so chunks
+        # still running stop at their next level boundary
+        graph = _random_graph(3, n_max=10)
+        assert len(graph) >= 3
+        exchange = BoundExchange(slots=1)
+        slot = exchange.acquire(float("inf"))
+        exchange.abandon(slot)
+        kernel = SearchKernel.for_graph(
+            graph, list(range(len(graph))), prune=True
+        )
+        stats = ExpansionStats()
+        state = kernel.seed(stats)
+        bound = SlotBound(exchange.array, slot)
+        assert kernel.advance(state, stats, bound=bound)
+        assert state.masks == []
+        assert stats.nodes_generated == 1
+        assert bound.hits >= 1
+
+
 # ----------------------------------------------------------------------
 # End-to-end determinism over processes
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("small_fanout")
 class TestSplitDeterminism:
     @pytest.fixture(scope="class")
     def skew_job(self):
@@ -330,7 +348,6 @@ class TestSplitDeterminism:
             algorithm=algorithm,
             n_jobs=n_jobs,
             split_threshold=split_threshold,
-            max_subtasks=4,
         )
         return RepairExecutor(config).repair(relation, SKEW_FDS, thresholds)
 
@@ -350,7 +367,7 @@ class TestSplitDeterminism:
                 )
 
     def test_split_run_actually_splits(self, skew_job):
-        result = self._run(skew_job, "exact-m", n_jobs=2, split_threshold=6)
+        result = self._run(skew_job, "exact-s", n_jobs=2, split_threshold=6)
         assert result.stats.tasks_coordinated >= 1
         assert result.stats.tasks_split >= 1
         assert result.stats.subtree_tasks >= 2
@@ -360,24 +377,19 @@ class TestSplitDeterminism:
         result = self._run(skew_job, "exact-s", n_jobs=2, split_threshold=6)
         assert result.stats.incumbent_publishes > 0
 
-    def test_bound_exchange_can_be_disabled(self, skew_job):
-        relation, thresholds = skew_job
-        config = RepairConfig(
-            algorithm="exact-s",
-            n_jobs=2,
-            split_threshold=6,
-            max_subtasks=4,
-            bound_exchange=False,
-        )
-        result = RepairExecutor(config).repair(relation, SKEW_FDS, thresholds)
-        assert result.stats.incumbent_publishes == 0
-        baseline = self._run(skew_job, "exact-s", 1, None)
+    def test_exact_m_is_never_coordinated(self, skew_job):
+        # only exact-s has a splittable search; exact-m stays in the pool
+        result = self._run(skew_job, "exact-m", n_jobs=2, split_threshold=6)
+        assert result.stats.tasks_coordinated == 0
+        assert result.stats.tasks_split == 0
+        baseline = self._run(skew_job, "exact-m", 1, None)
         assert _repair_signature(result) == _repair_signature(baseline)
 
 
 # ----------------------------------------------------------------------
 # Degradation attribution (satellite: ExpansionLimitError context)
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("small_fanout")
 class TestDegradationAttribution:
     # exact-s is the algorithm whose ExpansionLimitError reaches the
     # executor's fallback (exact-m absorbs budget trips into its own
@@ -416,7 +428,6 @@ class TestDegradationAttribution:
             fallback="greedy",
             n_jobs=2,
             split_threshold=6,
-            max_subtasks=4,
             max_nodes=40,
         )
         with warnings.catch_warnings(record=True) as caught:
@@ -438,3 +449,38 @@ class TestDegradationAttribution:
             if w.category is DegradedRepairWarning
         ]
         assert any("split subtree" in message for message in messages)
+
+
+class TestSplitBudget:
+    def test_split_search_honours_max_nodes_across_chunks(self, monkeypatch):
+        # Every chunk used to get the whole remaining allowance and the
+        # summed total was only checked after the merge, so a split run
+        # could overshoot max_nodes by the fanout's multiple (or hang on
+        # a large search). The merged total is now checked after every
+        # chunk result or yield.
+        quantum = 20
+        max_nodes = 1_000
+        monkeypatch.setattr(subtrees, "SUBTREE_YIELD_NODES", quantum)
+        # the serial exact-s search of this 28-chain generates ~7400 nodes
+        relation = generate_skew(224, dominance=0.9, chain=28)
+        thresholds = skew_thresholds(dominance=0.9, chain=28)
+        config = RepairConfig(
+            algorithm="exact-s",
+            fallback="greedy",
+            n_jobs=2,
+            split_threshold=6,
+            max_nodes=max_nodes,
+        )
+        with pytest.warns(DegradedRepairWarning, match="exhausted"):
+            result = RepairExecutor(config).repair(
+                relation, SKEW_FDS, thresholds
+            )
+        records = [
+            r
+            for r in result.stats.degraded_components
+            if r["error"] == "ExpansionLimitError"
+        ]
+        assert records
+        for record in records:
+            assert max_nodes < record["nodes_generated"]
+            assert record["nodes_generated"] <= max_nodes + 16 * quantum

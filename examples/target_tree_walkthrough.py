@@ -26,19 +26,27 @@ PHI3_SET = [
 ]
 
 
-def render(node, depth: int) -> None:
-    indent = "  " * depth
-    if node.element is None:
-        print(f"{indent}<root>")
-    else:
-        extras = {
-            attr: sorted(values)
-            for attr, values in sorted(node.subtree_values.items())
-        }
-        extra_text = f"  subtree values: {extras}" if extras else ""
-        print(f"{indent}{node.element}{extra_text}")
-    for child in node.children:
-        render(child, depth + 1)
+def render(tree: TargetTree) -> None:
+    """Print the tree depth-first from its level arrays."""
+    levels = tree.levels()
+
+    def walk(depth: int, parent: int) -> None:
+        if depth == len(levels):
+            return
+        level = levels[depth]
+        for node, element in enumerate(level.elements):
+            if level.parents[node] != parent:
+                continue
+            extras = {
+                attr: sorted(values)
+                for attr, values in sorted(level.subtree_values[node].items())
+            }
+            extra_text = f"  subtree values: {extras}" if extras else ""
+            print(f"{'  ' * (depth + 1)}{element}{extra_text}")
+            walk(depth + 1, node)
+
+    print("<root>")
+    walk(0, -1)
 
 
 def main() -> None:
@@ -53,7 +61,7 @@ def main() -> None:
 
     tree = TargetTree(component, [PHI2_SET, PHI3_SET], model)
     print(f"=== Target tree (Fig. 4): {tree.node_count} nodes ===")
-    render(tree.root, 0)
+    render(tree)
     print()
 
     print("=== The four joined targets ===")

@@ -415,6 +415,19 @@ class DistanceModel:
                 self.cache_hits += 1
                 return hit
             self.cache_misses += 1
+        value = self.uncached_distance(attribute, v1, v2)
+        if self._cache is not None:
+            self._cache[key] = value
+        return value
+
+    def uncached_distance(self, attribute: str, v1: Any, v2: Any) -> float:
+        """:meth:`attribute_distance` without the memo: it neither reads
+        nor writes the cache, nor counts cache traffic. Callers that
+        keep their own store (the target tree's distance vectors) use it
+        so their queries do not grow the model's memo.
+        """
+        if v1 == v2:
+            return 0.0
         override = self._overrides.get(attribute)
         if override is not None:
             value = float(override(v1, v2))
@@ -427,8 +440,6 @@ class DistanceModel:
                 f"distance for {attribute!r} out of [0,1]: {value} "
                 f"({v1!r} vs {v2!r})"
             )
-        if self._cache is not None:
-            self._cache[key] = value
         return value
 
     def prepare_distance(self, attribute: str, value: Any) -> Callable[[Any], float]:

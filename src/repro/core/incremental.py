@@ -75,6 +75,15 @@ class _Component:
                 for fd, elements in zip(self.fds, self.elements_per_fd)
             ]
         self.tree = TargetTree(self.fds, self.elements_per_fd, model)
+        #: search counters of the trees absorb has replaced
+        self._retired_counters: Dict[str, int] = {}
+
+    def tree_counters(self) -> Dict[str, int]:
+        """Search counters summed over every tree this component built."""
+        out = dict(self._retired_counters)
+        for name, value in self.tree.counters().items():
+            out[name] = out.get(name, 0) + value
+        return out
 
     # -- dictionary-id keying ------------------------------------------
     def _encode(self, fd: FD, values: Tuple) -> Optional[Tuple[int, ...]]:
@@ -168,6 +177,7 @@ class _Component:
                         # must not grow them behind its back
                 changed = True
         if changed:
+            self._retired_counters = self.tree_counters()
             self.tree = TargetTree(self.fds, self.elements_per_fd, self._model)
 
 

@@ -149,14 +149,13 @@ def repair_with_sets(
             for tid in projections[projection]:
                 tid_to_values[tid] = target.values
         if tree is not None:
-            stats["target_tree_nodes_visited"] = tree.nodes_visited
-            stats["target_tree_nodes_pruned"] = tree.nodes_pruned
-            stats["target_tree_edist_hits"] = tree.edist_hits
+            stats.update(tree.counters())
             search_span.set(
                 searches=tree.searches,
                 nodes_visited=tree.nodes_visited,
                 nodes_pruned=tree.nodes_pruned,
                 edist_hits=tree.edist_hits,
+                vectors=tree.vectors,
                 f_trajectory=[round(f, 6) for f in tree.f_trajectory],
             )
     edits = edits_from_assignment(relation, attributes, tid_to_values)

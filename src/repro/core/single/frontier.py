@@ -30,7 +30,7 @@ the pre-refactor loop — the Hypothesis differential suite
 (``tests/test_search_bitset.py``) pins it against the set-based oracle.
 
 Determinism note: an incumbent bound may only *prune* — any exchanged
-value is the cost of a concrete feasible repair, hence ``>=`` the
+value is the cost of a concrete candidate set, hence ``>=`` the
 optimum, and pruning is strict (``lower > best_upper``), so no
 optimal-cost set is ever dropped. Bounds change how much of the tree is
 explored, never which set wins.
@@ -214,9 +214,15 @@ class SearchKernel:
         self.cost_rows: Optional[List[List[float]]] = (
             [list(row) for row in cost_rows] if cost_rows is not None else None
         )
-        self.cost_columns = None
+        #: cost_rows with every non-neighbour pair at +inf (Eq. 6 scoring)
+        self.neighbour_costs = None
         if prune and self.cost_rows is not None:
-            self.cost_columns = np.array(self.cost_rows, dtype=float)
+            adjacent = np.zeros((self.n, self.n), dtype=bool)
+            for index, row in enumerate(self.adjacency):
+                adjacent[index, mask_bits(row)] = True
+            self.neighbour_costs = np.where(
+                adjacent, np.array(self.cost_rows, dtype=float), np.inf
+            )
 
     @classmethod
     def for_graph(
@@ -255,26 +261,42 @@ class SearchKernel:
             coverage=[1 | self.adjacency[0]],
         )
         if self.prune:
-            state.pending_upper.append(self.upper_of(1))
+            state.pending_upper.append(self.upper_of(1, state.coverage[0]))
         return state
 
-    def upper_of(self, mask: int) -> float:
+    def upper_of(self, mask: int, coverage: int) -> float:
         """Eq. (6) for one prefix-mask, computed once at emission.
 
-        The member-column minimum is order-independent, so the
-        vectorized path returns the same doubles the oracle's ``min()``
-        produces; the outer accumulation walks outside vertices in dense
-        (= access) order, the oracle's sum order.
+        The cost of a concrete candidate: the set completed greedily in
+        access order (each still uncovered vertex joins, its neighbours
+        become covered), scored as :meth:`mask_assignment_cost` scores
+        a candidate.
+        The completion is a maximal independent set the expansion
+        enumerates, so the bound is never below the optimum the winner
+        scan can return. Repairing every outside vertex into the
+        prefix-set itself (the cheapest member, neighbour or not) is
+        not: the winner scan repairs a vertex only to a neighbouring
+        member, and that bound could fall below every candidate and
+        prune the optimum.
         """
-        assert self.cost_columns is not None, "upper_of needs prune costs"
-        column = self.cost_columns[:, mask_bits(mask)].min(axis=1).tolist()
+        assert self.neighbour_costs is not None, "upper_of needs prune costs"
+        adjacency = self.adjacency
+        uncovered = self.full_mask & ~coverage
+        while uncovered:
+            low = uncovered & -uncovered
+            mask |= low
+            uncovered &= ~(adjacency[low.bit_length() - 1] | low)
+        # The completion is maximal, so every outside row has a finite
+        # minimum: the same doubles mask_assignment_cost picks, summed in
+        # the same (dense, ascending) order.
+        cheapest = self.neighbour_costs[:, mask_bits(mask)].min(axis=1).tolist()
         total = 0.0
         multiplicities = self.multiplicities
         outside = self.full_mask & ~mask
         while outside:
             low = outside & -outside
             index = low.bit_length() - 1
-            total += multiplicities[index] * column[index]
+            total += multiplicities[index] * cheapest[index]
             outside ^= low
         return total
 
@@ -372,7 +394,7 @@ class SearchKernel:
                 next_lower.append(lower)
                 next_coverage.append(coverage)
                 if prune:
-                    pending_upper.append(self.upper_of(mask))
+                    pending_upper.append(self.upper_of(mask, coverage))
 
             for position in range(len(frontier_masks)):
                 mask = frontier_masks[position]

@@ -14,7 +14,9 @@ visiting vertices in order ``v_1 .. v_n`` and maintaining, per level
 For the *optimal repair* search, a node may be pruned when its repair
 lower bound (Eq. 5) exceeds the best known upper bound (Eq. 6): every
 repair reachable from the node is then provably beaten by an already
-known feasible repair.
+known candidate. The upper bound of a node is the cost of one maximal
+set that extends it (its greedy completion), scored as the winner scan
+scores candidates.
 
 The production engine (:func:`enumerate_maximal_independent_sets`) runs
 the level-synchronous schedule as an explicit work-list branch-and-bound

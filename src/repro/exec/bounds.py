@@ -10,7 +10,7 @@ lock-free at level boundaries and published on improvement
 :meth:`repro.core.single.frontier.SearchKernel.advance`).
 
 Soundness does not depend on synchronization: every value ever written
-is the cost of a concrete feasible repair, hence an upper bound on the
+is the cost of a concrete candidate set, hence an upper bound on the
 optimum, and the kernel prunes strictly (``lower > best_upper``) — a
 lost update or a stale read only loosens a bound, never drops an
 optimal set. Bound exchange may only *prune*; it cannot change which

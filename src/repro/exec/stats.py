@@ -184,9 +184,11 @@ class ExecutionStats(dict):
             "distinct_pairs_examined",
             "tuple_fanout",
             "vector_filter_passes",
+            "target_tree_searches",
             "target_tree_nodes_visited",
             "target_tree_nodes_pruned",
             "target_tree_edist_hits",
+            "target_tree_vectors",
             "nodes_expanded",
             "combinations_pruned",
             "search_nodes_expanded",

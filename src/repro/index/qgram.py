@@ -6,11 +6,13 @@ grams, because one edit destroys at most ``q`` distinct gram types.
 :func:`gram_matrix` and :func:`packed_overlap` evaluate that test for
 many value pairs at once; :func:`char_arrays` and :func:`batched_myers`
 settle the survivors with Myers' bit-parallel edit distance.
+:func:`batched_myers_query` scores one query against every encoded
+value — the target tree's one-vs-many shape.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -66,17 +68,20 @@ def gram_matrix(profiles: Sequence[Set[str]]) -> Tuple[Any, Any, Any, Any]:
     return indptr, gram_ids, packed, np.diff(indptr)
 
 
-def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any]:
+def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any, Dict[str, int]]:
     """Pad-encoded character matrix + per-value Myers PEQ tables.
 
-    Returns ``(codes, lengths, peq)`` over a shared character
-    vocabulary: ``codes`` is the ``int32`` value x position matrix
-    (zero-padded), ``lengths`` the ``int64`` value lengths, and ``peq``
-    the per-value Myers bitmask table — ``peq[v][c]`` has bit ``j`` set
-    when character ``c`` occurs at position ``j`` of value ``v``. Rows
-    of values longer than 63 characters stay zero: their bitvector does
-    not fit one machine word, so :func:`batched_myers` routes pairs
-    where *both* sides are that wide back to the scalar kernel.
+    Returns ``(codes, lengths, peq, vocabulary)`` over a shared character
+    vocabulary (character -> code): ``codes`` is the ``int32`` value x
+    position matrix (zero-padded), ``lengths`` the ``int64`` value
+    lengths, and ``peq`` the per-value Myers bitmask table —
+    ``peq[v][c]`` has bit ``j`` set when character ``c`` occurs at
+    position ``j`` of value ``v``. ``peq`` has one column beyond the
+    vocabulary, always zero: the code of a character no value contains
+    (see :func:`batched_myers_query`). Rows of values longer than 63
+    characters stay zero: their bitvector does not fit one machine word,
+    so the batched kernels route pairs where *both* sides are that wide
+    back to the scalar kernel.
     """
     vocabulary: Dict[str, int] = {}
     maxlen = max((len(value) for value in values), default=0)
@@ -86,7 +91,7 @@ def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any]:
         lengths[row] = len(value)
         for col, ch in enumerate(value):
             codes[row, col] = vocabulary.setdefault(ch, len(vocabulary))
-    peq = np.zeros((len(values), max(len(vocabulary), 1)), dtype=np.uint64)
+    peq = np.zeros((len(values), len(vocabulary) + 1), dtype=np.uint64)
     one = np.uint64(1)
     for row, value in enumerate(values):
         if len(value) > 63:
@@ -94,18 +99,58 @@ def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any]:
         target = peq[row]
         for col, ch in enumerate(value):
             target[vocabulary[ch]] |= one << np.uint64(col)
-    return codes, lengths, peq
+    return codes, lengths, peq, vocabulary
+
+
+def _myers_scan(m: Any, n: Any, eq_at: Callable[[int, int], Any]) -> Any:
+    """Myers' bit-parallel column update, elementwise over a batch.
+
+    The same recurrence as :class:`repro.core.distances.PreparedKernel`
+    as ``uint64`` operations: pair ``i`` has a pattern of ``m[i]``
+    characters (``1 <= m[i] <= 63``) and a text of ``n[i]``, with ``n``
+    sorted descending — at column ``j`` the still-active pairs are
+    exactly the prefix ``[0:active]``, so state updates are views and a
+    retired pair keeps its last column. ``eq_at(active, j)`` returns the
+    PEQ masks of each active pair's text character ``j``.
+
+    The distance is read once from that last column,
+    ``D[m][n] = n + #(+1 vertical deltas) - #(-1 vertical deltas)``,
+    instead of tracking row ``m`` column by column. No step masks the
+    words to ``m`` bits: additions carry and shifts move only upward,
+    so bits above ``m - 1`` never reach the bits that are counted.
+    """
+    one = np.uint64(1)
+    pv = np.full(len(m), ~np.uint64(0))
+    mv = np.zeros(len(m), dtype=np.uint64)
+    pv_s, mv_s = pv, mv
+    counts = np.bincount(n, minlength=int(n[0]) + 1).tolist()
+    active = len(m)
+    for col in range(int(n[0])):
+        if counts[col]:
+            # pairs whose text is exactly `col` characters long retire
+            active -= counts[col]
+            pv_s, mv_s = pv[:active], mv[:active]
+        eq = eq_at(active, col)
+        xv = eq | mv_s
+        xh = (((eq & pv_s) + pv_s) ^ pv_s) | eq
+        ph = mv_s | ~(xh | pv_s)
+        mh = pv_s & xh
+        ph = (ph << one) | one
+        np.bitwise_or(mh << one, ~(xv | ph), out=pv_s)
+        np.bitwise_and(ph, xv, out=mv_s)
+    full = (one << m.astype(np.uint64)) - one
+    words = np.stack([pv & full, mv & full])
+    bits = popcount_table()[words.view(np.uint8)].reshape(2, -1, 8)
+    plus, minus = bits.sum(axis=2, dtype=np.int64)
+    return n + plus - minus
 
 
 def batched_myers(codes: Any, lengths: Any, peq: Any, lefts: Any,
                   rights: Any) -> Any:
     """Exact Levenshtein distances for value-id pairs, batched.
 
-    Myers' bit-parallel column update (the same recurrence as
-    :class:`repro.core.distances.PreparedKernel`) run as elementwise
-    ``uint64`` operations across the whole batch: each pair's pattern is
-    its shorter value, the texts are scanned column-by-column with pairs
-    sorted by text length so the active set is always a prefix slice.
+    Each pair's pattern is its shorter value; :func:`_myers_scan` runs
+    the texts column-by-column with pairs sorted by text length.
     Returns exact distances; ``-1`` marks pairs whose shorter value
     exceeds 63 characters (one-word bitvectors cannot hold them — the
     caller settles those with the scalar kernel).
@@ -120,37 +165,60 @@ def batched_myers(codes: Any, lengths: Any, peq: Any, lefts: Any,
     run = np.nonzero((m > 0) & (m <= 63))[0]
     if not run.size:
         return out
-    # sort by text length descending: at column j the still-active pairs
-    # are exactly the prefix [0:count_j], so state updates are views
     order = run[np.argsort(-n[run], kind="stable")]
-    pattern, text, m, n = pattern[order], text[order], m[order], n[order]
-    m64 = m.astype(np.uint64)
-    one = np.uint64(1)
-    full = (one << m64) - one  # m <= 63 keeps every shift in-word
-    last_shift = (m64 - one).astype(np.uint64)
-    pv = full.copy()
-    mv = np.zeros(len(order), dtype=np.uint64)
-    score = m.copy()
-    longest = int(n[0])
-    counts = np.bincount(n, minlength=longest + 1)
-    active = len(order)
-    for col in range(longest):
-        # pairs whose text is exactly `col` characters long retire now
-        active -= int(counts[col])
-        sl = slice(0, active)
-        eq = peq[pattern[sl], codes[text[sl], col]]
-        pv_s, mv_s = pv[sl], mv[sl]
-        xv = eq | mv_s
-        xh = (((eq & pv_s) + pv_s) ^ pv_s) | eq
-        ph = mv_s | (~(xh | pv_s) & full[sl])
-        mh = pv_s & xh
-        score[sl] += ((ph >> last_shift[sl]) & one).astype(np.int64)
-        score[sl] -= ((mh >> last_shift[sl]) & one).astype(np.int64)
-        ph = ((ph << one) | one) & full[sl]
-        mh = (mh << one) & full[sl]
-        pv[sl] = mh | (~(xv | ph) & full[sl])
-        mv[sl] = ph & xv
-    out[order] = score
+    pattern, text = pattern[order], text[order]
+    out[order] = _myers_scan(
+        m[order],
+        n[order],
+        lambda active, col: peq[pattern[:active], codes[text[:active], col]],
+    )
+    return out
+
+
+def batched_myers_query(codes: Any, lengths: Any, peq: Any,
+                        vocabulary: Dict[str, int], query: str) -> Any:
+    """Exact Levenshtein distances from *query* to every encoded value.
+
+    The one-vs-many twin of :func:`batched_myers` over the arrays of
+    :func:`char_arrays`; *query* need not be one of the values. Up to 63
+    characters the query is the pattern of every pair (its PEQ row is
+    built here over the shared vocabulary) and the values are the texts,
+    whatever their length. A longer query is the common text instead,
+    with its characters outside the vocabulary reading the all-zero PEQ
+    column; ``-1`` then marks values that also exceed 63 characters.
+    """
+    size = len(query)
+    if size == 0:
+        return lengths.copy()
+    if size <= 63:
+        query_peq = np.zeros(peq.shape[1], dtype=np.uint64)
+        for col, ch in enumerate(query):
+            code = vocabulary.get(ch)
+            if code is not None:
+                query_peq[code] |= np.uint64(1 << col)
+        out = np.zeros(len(lengths), dtype=np.int64)
+        order = np.argsort(-lengths, kind="stable")
+        n = lengths[order]
+        texts = codes[order]
+        run = n > 0
+        if run.any():
+            out[order[run]] = _myers_scan(
+                np.full(int(run.sum()), size, dtype=np.int64),
+                n[run],
+                lambda active, col: query_peq[texts[:active, col]],
+            )
+        out[lengths == 0] = size
+        return out
+    out = np.full(len(lengths), -1, dtype=np.int64)
+    out[lengths == 0] = size
+    run = np.nonzero((lengths > 0) & (lengths <= 63))[0]
+    if run.size:
+        text = [vocabulary.get(ch, peq.shape[1] - 1) for ch in query]
+        out[run] = _myers_scan(
+            lengths[run],
+            np.full(len(run), size, dtype=np.int64),
+            lambda active, col: peq[run, text[col]],
+        )
     return out
 
 

@@ -76,7 +76,7 @@ class _StringIndex:
         #: bounded kernel call proved exact are ever stored here
         self.exact_edits: Dict[Tuple[int, int], int] = {}
         self._gram_arrays: Optional[Tuple[Any, Any, Any, Any, Any]] = None
-        self._char_arrays: Optional[Tuple[Any, Any, Any]] = None
+        self._char_arrays: Optional[Tuple[Any, Any, Any, Dict[str, int]]] = None
 
     def _ensure_grams(self) -> None:
         if self._profiles is not None:
@@ -146,10 +146,10 @@ class _StringIndex:
             self._gram_arrays = (indptr, gram_ids, packed, sizes, lengths)
         return self._gram_arrays
 
-    def char_arrays(self) -> Tuple[Any, Any, Any]:
+    def char_arrays(self) -> Tuple[Any, Any, Any, Dict[str, int]]:
         """Character codes + Myers PEQ tables for the batched kernel.
 
-        Lazily built ``(codes, lengths, peq)`` from
+        Lazily built ``(codes, lengths, peq, vocabulary)`` from
         :func:`repro.index.qgram.char_arrays` over the canonical values.
         """
         if self._char_arrays is None:
@@ -304,7 +304,7 @@ class AttributeIndexRegistry:
                 miss.append(pos)
         if not miss:
             return out
-        codes, lengths, peq = entry.char_arrays()
+        codes, lengths, peq, _ = entry.char_arrays()
         batch = batched_myers(
             codes,
             lengths,

@@ -32,7 +32,9 @@ Counters (merged into ``repro.obs`` by the service):
 
 * ``serve_elements_total`` — elements the linear scan would examine;
 * ``serve_elements_examined`` — elements the indexed path verified;
-* ``serve_index_probes`` / ``serve_index_rebuilds`` — probe traffic.
+* ``serve_index_probes`` / ``serve_index_rebuilds`` — probe traffic;
+* ``target_tree_*`` — the components' tree searches
+  (:meth:`IndexedRepairer.tree_counters`).
 """
 
 from __future__ import annotations
@@ -300,6 +302,15 @@ class IndexedRepairer:
     @property
     def records_absorbed(self) -> int:
         return self.repairer.records_absorbed
+
+    def tree_counters(self) -> Dict[str, int]:
+        """Target-tree search counters summed over the fitted components."""
+        out: Dict[str, int] = {}
+        assert self.repairer._components is not None
+        for component in self.repairer._components:
+            for name, value in component.tree_counters().items():
+                out[name] = out.get(name, 0) + value
+        return out
 
     def examined_fraction(self) -> float:
         """Elements verified / elements the linear scan would touch."""

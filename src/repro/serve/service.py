@@ -237,8 +237,9 @@ class RepairService:
         out.update(self.latency.snapshot())
         seen = repaired = absorbed = 0
         for model in self._models.values():
-            for name, value in model.counters.items():
-                out[name] = out.get(name, 0) + value
+            for counters in (model.counters, model.tree_counters()):
+                for name, value in counters.items():
+                    out[name] = out.get(name, 0) + value
             seen += model.records_seen
             repaired += model.records_repaired
             absorbed += model.records_absorbed

@@ -11,14 +11,24 @@ kept so differential suites can assert the fast path reproduces it:
   expansion of Section 3.1, against the bitset engine in
   :mod:`repro.core.single.mis` (``tests/test_search_bitset.py``);
 * :func:`brute_force_maximal_independent_sets` — subset enumeration,
-  against the expansion algorithm (``tests/test_mis.py``).
+  against the expansion algorithm (``tests/test_mis.py``);
+* :class:`ScalarTargetTree` — the node-object target tree searched one
+  scalar distance at a time, against the array-laid
+  :class:`repro.core.multi.target_tree.TargetTree`
+  (``tests/test_target_tree.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+import heapq
+import itertools
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.core.constraints import FD
+from repro.core.distances import DistanceModel
 from repro.core.graph import ViolationGraph
+from repro.core.multi.fdgraph import component_attributes
+from repro.core.multi.targets import Target, TargetJoinError
 from repro.core.single.frontier import (
     ExpansionLimitError,
     ExpansionStats,
@@ -157,18 +167,26 @@ def _upper_bound(
     vertices: Sequence[int],
     independent: FrozenSet[int],
 ) -> float:
-    """Eq. (6): repair *every* outside vertex into the set right now.
+    """Eq. (6): the cost of one maximal set that extends ``independent``.
 
-    This is the cost of a concrete feasible repair, hence an upper bound
-    on the optimum reachable from any superset of ``independent``.
+    The set is completed greedily in access order and every outside
+    vertex is repaired to its cheapest neighbouring member, as the
+    winner scan scores candidates; the completion is itself a
+    candidate, hence an upper bound on the optimum.
     """
-    total = 0.0
-    members = list(independent)
+    members = set(independent)
     for v in vertices:
-        if v in independent:
+        if v not in members and not any(
+            u in graph.neighbors(v) for u in members
+        ):
+            members.add(v)
+    total = 0.0
+    for v in vertices:
+        if v in members:
             continue
+        adjacency = graph.neighbors(v)
         total += graph.multiplicity(v) * min(
-            graph.pair_cost(v, u) for u in members
+            graph.pair_cost(v, u) for u in members if u in adjacency
         )
     return total
 
@@ -280,3 +298,152 @@ def brute_force_maximal_independent_sets(
     if order:
         extend(set(), order)
     return sorted(results, key=lambda s: sorted(s))
+
+
+# ----------------------------------------------------------------------
+# Target tree (Section 5)
+# ----------------------------------------------------------------------
+class _Node:
+    """One target-tree node: an independent-set element plus bookkeeping."""
+
+    __slots__ = ("fd", "element", "children", "assignment", "subtree_values")
+
+    def __init__(
+        self, fd: Optional[FD], element: Optional[Tuple], parent: Optional["_Node"]
+    ) -> None:
+        self.fd = fd
+        self.element = element
+        self.children: List["_Node"] = []
+        #: attributes fixed by the path from the root down to this node
+        self.assignment: Dict[str, object] = dict(parent.assignment) if parent else {}
+        if fd is not None and element is not None:
+            for attr, value in zip(fd.attributes, element):
+                self.assignment[attr] = value
+        #: per-attribute values appearing in full-depth descendants
+        self.subtree_values: Dict[str, Set] = {}
+
+
+class ScalarTargetTree:
+    """The target tree as node objects, searched with scalar distances.
+
+    Same construction (smallest set first, hash-join on shared
+    attributes, incomplete branches pruned) and the same best-first
+    search on ``f = RDIST + EDIST`` — heap, push-order tie-break and
+    float summation order — as the array tree, with one
+    :meth:`DistanceModel.prepare_distance` comparison per (attribute,
+    node value). ``nodes_visited`` / ``nodes_pruned`` count as the
+    array tree counts them.
+    """
+
+    def __init__(
+        self,
+        fds: Sequence[FD],
+        elements_per_fd: Sequence[Sequence[Tuple]],
+        model: DistanceModel,
+    ) -> None:
+        self.model = model
+        self.attributes: Tuple[str, ...] = tuple(component_attributes(fds))
+        order = sorted(range(len(fds)), key=lambda i: (len(elements_per_fd[i]), i))
+        self.fds = [fds[i] for i in order]
+        self.root = _Node(None, None, None)
+        self.nodes_visited = 0
+        self.nodes_pruned = 0
+        frontier = [self.root]
+        placed: Set[str] = set()
+        for fd, elements in zip(self.fds, [list(elements_per_fd[i]) for i in order]):
+            if not elements:
+                raise TargetJoinError(f"empty independent set for {fd.name}")
+            shared = [
+                (pos, attr) for pos, attr in enumerate(fd.attributes) if attr in placed
+            ]
+            buckets: Dict[Tuple, List[Tuple]] = {}
+            for element in elements:
+                key = tuple(element[pos] for pos, _ in shared)
+                buckets.setdefault(key, []).append(element)
+            next_frontier: List[_Node] = []
+            for parent in frontier:
+                key = tuple(parent.assignment[attr] for _, attr in shared)
+                for element in buckets.get(key, ()):
+                    child = _Node(fd, element, parent)
+                    parent.children.append(child)
+                    next_frontier.append(child)
+            if not next_frontier:
+                raise TargetJoinError(f"no target survives joining {fd.name}")
+            placed.update(fd.attributes)
+            frontier = next_frontier
+        self._prune(self.root, 0)
+        self.node_count = self._collect(self.root)
+
+    def _prune(self, node: _Node, depth: int) -> bool:
+        if depth == len(self.fds):
+            return True
+        node.children = [c for c in node.children if self._prune(c, depth + 1)]
+        return bool(node.children)
+
+    def _collect(self, node: _Node) -> int:
+        count = 1
+        values: Dict[str, Set] = {}
+        for child in node.children:
+            count += self._collect(child)
+            assert child.fd is not None and child.element is not None
+            for attr, value in zip(child.fd.attributes, child.element):
+                values.setdefault(attr, set()).add(value)
+            for attr, child_values in child.subtree_values.items():
+                values.setdefault(attr, set()).update(child_values)
+        node.subtree_values = values
+        return count
+
+    def targets(self) -> List[Target]:
+        out: List[Target] = []
+
+        def walk(node: _Node, depth: int) -> None:
+            if depth == len(self.fds):
+                values = tuple(node.assignment[a] for a in self.attributes)
+                out.append(Target(self.attributes, values))
+            for child in node.children:
+                walk(child, depth + 1)
+
+        walk(self.root, 0)
+        return out
+
+    def nearest_target(self, tuple_values: Sequence) -> Tuple[Target, float]:
+        query = dict(zip(self.attributes, tuple_values))
+        compare = {
+            attr: self.model.prepare_distance(attr, query[attr])
+            for attr in self.attributes
+        }
+
+        def f(node: _Node) -> float:
+            rdist = 0.0
+            for attr, value in node.assignment.items():
+                rdist += compare[attr](value)
+            edist = 0.0
+            for attr in self.attributes:
+                if attr in node.assignment or not node.subtree_values.get(attr):
+                    continue
+                edist += min(compare[attr](v) for v in node.subtree_values[attr])
+            return rdist + edist
+
+        counter = itertools.count()
+        heap: List[Tuple[float, int, int, _Node]] = [(0.0, next(counter), 0, self.root)]
+        c_min = float("inf")
+        best: Optional[_Node] = None
+        while heap:
+            f_value, _, depth, node = heapq.heappop(heap)
+            if f_value >= c_min:
+                break
+            self.nodes_visited += 1
+            if depth == len(self.fds):
+                c_min, best = f_value, node
+                continue
+            for child in node.children:
+                f_child = f(child)
+                if f_child < c_min:
+                    heapq.heappush(heap, (f_child, next(counter), depth + 1, child))
+                else:
+                    self.nodes_pruned += 1
+        assert best is not None
+        return (
+            Target(self.attributes, tuple(best.assignment[a] for a in self.attributes)),
+            c_min,
+        )

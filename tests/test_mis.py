@@ -121,6 +121,21 @@ class TestPruning:
 
         assert cost(best_pruned) == pytest.approx(cost(best_full))
 
+    @pytest.mark.parametrize("seed", [843, 1085, 1379, 3616])
+    def test_upper_bound_never_undercuts_every_candidate(self, seed):
+        """Eq. (6) must be the cost of a candidate the scan can return.
+
+        On these graphs the cheapest-member repair of a prefix set costs
+        less than every maximal set does, so a bound built from it
+        pruned each optimal branch and the search returned a costlier
+        set.
+        """
+        graph = _random_graph(seed, n_max=11)
+        order = list(range(len(graph)))
+        best_pruned = best_maximal_independent_set(graph, order, prune=True)
+        best_full = best_maximal_independent_set(graph, order, prune=False)
+        assert best_pruned == best_full
+
     def test_pruning_reduces_or_equals_nodes(self):
         totals = {}
         for prune in (False, True):

@@ -373,9 +373,36 @@ class TestSplitDeterminism:
         assert result.stats.subtree_tasks >= 2
         assert result.stats.busy_skew_ratio >= 1.0
 
-    def test_bound_exchange_runs_on_pruned_search(self, skew_job):
-        result = self._run(skew_job, "exact-s", n_jobs=2, split_threshold=6)
+    @pytest.fixture(scope="class")
+    def scattered_job(self):
+        # The Eq. (6) bound is the cost of a greedy completion, which is
+        # already optimal when the split frontier is cut on the skew
+        # chains, so no chunk there can improve the shared incumbent.
+        # On this relation a chunk finds a cheaper completion than the
+        # parent's and must publish it.
+        rng = random.Random(5)
+        rows = [
+            ("".join(rng.choice("ab") for _ in range(5)), rng.choice("xyz"))
+            for _ in range(24)
+        ]
+        fd = FD.parse("A -> B")
+        return Relation(Schema.of("A", "B"), rows), [fd], {fd: 0.15}
+
+    def test_bound_exchange_runs_on_pruned_search(self, scattered_job):
+        relation, fds, thresholds = scattered_job
+
+        def run(n_jobs, split_threshold):
+            config = RepairConfig(
+                algorithm="exact-s",
+                n_jobs=n_jobs,
+                split_threshold=split_threshold,
+            )
+            return RepairExecutor(config).repair(relation, fds, thresholds)
+
+        result = run(2, 6)
+        assert result.stats.tasks_split >= 1
         assert result.stats.incumbent_publishes > 0
+        assert _repair_signature(result) == _repair_signature(run(1, None))
 
     def test_exact_m_is_never_coordinated(self, skew_job):
         # only exact-s has a splittable search; exact-m stays in the pool

@@ -245,6 +245,31 @@ class TestIndexedRepairer:
         assert serving.records_seen == fitted.records_seen == 1
 
 
+def _typo_records(count):
+    """*count* records, each with a City typo no other record shares."""
+    base = citizens_clean().as_record(0)
+    return [dict(base, City=base["City"] + "x" * n) for n in range(1, count + 1)]
+
+
+class TestServingMemory:
+    def test_tree_search_leaves_the_model_memo_alone(self):
+        """Distinct typos must not grow the fitted model's distance memo;
+        the tree's own vector memo stays within its value tables."""
+        fitted = IncrementalRepairer(
+            CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS
+        ).fit(citizens_clean())
+        model = fitted._model
+        before = model.cache_size()
+        for record in _typo_records(40):
+            _, edits = fitted.repair_record(record)
+            assert edits  # each typo is repaired through a tree search
+        assert model.cache_size() == before
+        trees = [component.tree for component in fitted._components]
+        assert sum(tree.searches for tree in trees) == 40
+        for tree in trees:
+            assert tree.memo_size <= tree.memo_capacity
+
+
 # ----------------------------------------------------------------------
 # service core
 # ----------------------------------------------------------------------
@@ -307,6 +332,21 @@ class TestRepairService:
         assert counters["serve_requests"] == 1
         assert counters["latency_count"] == 1
         assert counters["serve_records_seen"] == 1
+
+    def test_counters_report_tree_search(self):
+        service = RepairService()
+        service.fit(
+            citizens_clean(), CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS
+        )
+        counters = service.counters()
+        assert counters["target_tree_searches"] == 0
+        served = service.repair_sync(_typo_records(1)[0])
+        assert served["repaired"] is True
+        counters = service.counters()
+        assert counters["target_tree_searches"] == 1
+        assert counters["target_tree_nodes_visited"] > 0
+        assert counters["target_tree_vectors"] > 0
+        assert "target_tree_edist_hits" in counters
 
     def test_snapshot_shape(self):
         service = RepairService()

@@ -84,21 +84,21 @@ def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any, Dict[str, int]]:
     back to the scalar kernel.
     """
     vocabulary: Dict[str, int] = {}
-    maxlen = max((len(value) for value in values), default=0)
-    codes = np.zeros((len(values), max(maxlen, 1)), dtype=np.int32)
-    lengths = np.zeros(len(values), dtype=np.int64)
+    lengths = np.array([len(value) for value in values], dtype=np.int64)
+    codes = np.zeros((len(values), max(int(lengths.max(initial=0)), 1)), dtype=np.int32)
     for row, value in enumerate(values):
-        lengths[row] = len(value)
-        for col, ch in enumerate(value):
-            codes[row, col] = vocabulary.setdefault(ch, len(vocabulary))
+        codes[row, : len(value)] = [
+            vocabulary.setdefault(ch, len(vocabulary)) for ch in value
+        ]
     peq = np.zeros((len(values), len(vocabulary) + 1), dtype=np.uint64)
-    one = np.uint64(1)
-    for row, value in enumerate(values):
-        if len(value) > 63:
-            continue
-        target = peq[row]
-        for col, ch in enumerate(value):
-            target[vocabulary[ch]] |= one << np.uint64(col)
+    rows, cols = np.nonzero(
+        (np.arange(codes.shape[1]) < lengths[:, None]) & (lengths[:, None] <= 63)
+    )
+    np.bitwise_or.at(
+        peq,
+        (rows, codes[rows, cols]),
+        np.left_shift(np.uint64(1), cols.astype(np.uint64)),
+    )
     return codes, lengths, peq, vocabulary
 
 

@@ -85,7 +85,6 @@ def test_ablation_targettree(benchmark, variant):
         extra = {
             "nodes": structure.node_count,
             "visited": structure.nodes_visited,
-            "pruned": structure.nodes_pruned,
         }
     else:
         extra = {"targets_materialized": len(structure)}

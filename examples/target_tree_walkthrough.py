@@ -76,8 +76,8 @@ def main() -> None:
     print(f"  nearest target:   {target.as_mapping()}")
     print(f"  repair cost:      {cost:.3f}")
     print(
-        f"  nodes visited: {tree.nodes_visited} / pruned: "
-        f"{tree.nodes_pruned} (of {tree.node_count} total)"
+        f"  nodes visited: {tree.nodes_visited} "
+        f"(of {tree.node_count} total)"
     )
 
 

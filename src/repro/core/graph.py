@@ -460,38 +460,3 @@ class ViolationGraph:
             assignment[u] = target
             total += self.repair_cost(u, target)
         return assignment, total
-
-
-#: the detection counters every strategy reports (see SimilarityJoin);
-#: kernel_calls / index_builds / index_reuses are per-join deltas of the
-#: shared model and attribute-index registry, so they sum cleanly here
-JOIN_COUNTER_KEYS = (
-    "possible_pairs",
-    "candidates_generated",
-    "pairs_examined",
-    "pairs_filtered",
-    "pairs_verified",
-    "kernel_calls",
-    "index_builds",
-    "index_reuses",
-    "distinct_pairs_examined",
-    "tuple_fanout",
-    "vector_filter_passes",
-)
-
-
-def accumulate_join_counters(
-    stats: Dict[str, object], graphs: Iterable["ViolationGraph"]
-) -> None:
-    """Sum the graphs' detection counters into *stats*, in place.
-
-    Called by every repair algorithm after building its violation
-    graphs, so ``result.stats`` (and the CLI ``--stats`` output) report
-    how much of the ``P * (P - 1) / 2`` cross product detection
-    actually examined. Graphs without counters contribute nothing.
-    """
-    for graph in graphs:
-        for key in JOIN_COUNTER_KEYS:
-            value = graph.join_counters.get(key)
-            if value is not None:
-                stats[key] = int(stats.get(key, 0)) + int(value)

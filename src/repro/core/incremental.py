@@ -204,6 +204,8 @@ class IncrementalRepairer:
         self._components: Optional[List[_Component]] = None
         self._model: Optional[DistanceModel] = None
         self._thresholds: Optional[Dict[FD, float]] = None
+        #: the model's memo (hits, misses) when fit() returned
+        self._memo_at_fit = (0, 0)
         self.records_seen = 0
         self.records_repaired = 0
         self.records_absorbed = 0
@@ -235,7 +237,18 @@ class IncrementalRepairer:
         self._components = components
         self._model = model
         self._thresholds = thresholds
+        self._memo_at_fit = (model.cache_hits, model.cache_misses)
         return self
+
+    def memo_counters(self) -> Dict[str, int]:
+        """The model's distance-memo probes since :meth:`fit`."""
+        if self._model is None:
+            return {}
+        hits, misses = self._memo_at_fit
+        return {
+            "cache_hits": self._model.cache_hits - hits,
+            "cache_misses": self._model.cache_misses - misses,
+        }
 
     @property
     def is_fitted(self) -> bool:

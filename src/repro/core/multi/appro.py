@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
-from repro.core.graph import ViolationGraph, accumulate_join_counters
+from repro.core.graph import ViolationGraph
 from repro.core.multi.base import repair_with_sets
 from repro.core.multi.targets import TargetJoinError
 from repro.core.repair import RepairResult, apply_edits
@@ -25,6 +25,7 @@ from repro.core.single.greedy import greedy_independent_set
 from repro.dataset.relation import Relation
 from repro.index.registry import AttributeIndexRegistry
 from repro.index.simjoin import DEFAULT_JOIN
+from repro.obs.counters import sum_layers
 
 
 def greedy_sets_per_fd(
@@ -93,7 +94,7 @@ def repair_multi_fd_appro(
     stats: Dict[str, object] = {
         "algorithm": "appro-m", **search_counters, **repair_stats
     }
-    accumulate_join_counters(stats, graphs)
+    sum_layers(stats, (graph.join_counters for graph in graphs), "index")
     return RepairResult(repaired, edits, cost, stats)
 
 

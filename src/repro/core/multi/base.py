@@ -151,11 +151,7 @@ def repair_with_sets(
         if tree is not None:
             stats.update(tree.counters())
             search_span.set(
-                searches=tree.searches,
-                nodes_visited=tree.nodes_visited,
-                nodes_pruned=tree.nodes_pruned,
-                edist_hits=tree.edist_hits,
-                vectors=tree.vectors,
+                **tree.counters(),
                 f_trajectory=[round(f, 6) for f in tree.f_trajectory],
             )
     edits = edits_from_assignment(relation, attributes, tid_to_values)

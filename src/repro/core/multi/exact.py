@@ -28,7 +28,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
-from repro.core.graph import ViolationGraph, accumulate_join_counters
+from repro.core.graph import ViolationGraph
 from repro.core.multi.base import evaluate_sets, repair_with_sets
 from repro.core.multi.targets import TargetJoinError
 from repro.core.repair import RepairResult, apply_edits
@@ -41,6 +41,7 @@ from repro.dataset.relation import Relation
 from repro.index.registry import AttributeIndexRegistry
 from repro.index.simjoin import DEFAULT_JOIN
 from repro.obs import span
+from repro.obs.counters import sum_layers
 
 
 class CombinationLimitError(RuntimeError):
@@ -335,5 +336,5 @@ def repair_multi_fd_exact(
         **expansion_stats.as_dict(),
         **repair_stats,
     }
-    accumulate_join_counters(stats, graphs)
+    sum_layers(stats, (graph.join_counters for graph in graphs), "index")
     return RepairResult(repaired, edits, cost, stats)

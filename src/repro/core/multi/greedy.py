@@ -38,7 +38,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
-from repro.core.graph import ViolationGraph, accumulate_join_counters
+from repro.core.graph import ViolationGraph
 from repro.core.multi.base import repair_with_sets
 from repro.core.multi.targets import TargetJoinError
 from repro.core.repair import RepairResult, apply_edits
@@ -47,6 +47,7 @@ from repro.dataset.relation import Relation
 from repro.index.registry import AttributeIndexRegistry
 from repro.index.simjoin import DEFAULT_JOIN
 from repro.obs import span
+from repro.obs.counters import sum_layers
 
 
 class _FDState:
@@ -348,5 +349,5 @@ def repair_multi_fd_greedy(
         "search_heap_revalidations": revalidations,
         **repair_stats,
     }
-    accumulate_join_counters(stats, [state.graph for state in states])
+    sum_layers(stats, (state.graph.join_counters for state in states), "index")
     return RepairResult(repaired, edits, cost, stats)

@@ -15,8 +15,8 @@ exponential; the target tree shares prefixes instead:
 Search (Algorithm 5) is best-first with
 ``f(v) = RDIST(v) + EDIST(v)``: the exact cost over attributes fixed by
 the path so far, plus a per-attribute lower bound over the values still
-reachable below. ``f`` never overestimates, so the first fully expanded
-leaf kept as ``C_min`` prunes the rest of the queue.
+reachable below. ``f`` never overestimates, so the first leaf popped
+is ``C_min`` and ends the search.
 
 Layout: each attribute's distinct element values are interned once into a
 value table, and each level is a set of flat arrays — the value ids its
@@ -254,7 +254,6 @@ class TargetTree:
         self._memo: Dict[Tuple[str, object], np.ndarray] = {}
         self.searches = 0
         self.nodes_visited = 0
-        self.nodes_pruned = 0
         #: distance vectors reused from the memo
         self.edist_hits = 0
         #: distance vectors computed
@@ -414,7 +413,6 @@ class TargetTree:
         return {
             "target_tree_searches": self.searches,
             "target_tree_nodes_visited": self.nodes_visited,
-            "target_tree_nodes_pruned": self.nodes_pruned,
             "target_tree_edist_hits": self.edist_hits,
             "target_tree_vectors": self.vectors,
         }
@@ -469,35 +467,24 @@ class TargetTree:
         last = len(levels) - 1
         counter = itertools.count()
         heap: List[Tuple[float, int, int, int]] = [(0.0, next(counter), 0, 0)]
-        c_min = float("inf")
-        best = -1
         record = self._record_trajectory and self.searches == 1
         trajectory = self.f_trajectory
         while heap:
             f_value, _, depth, node = heapq.heappop(heap)
             if record and len(trajectory) < _TRAJECTORY_CAP:
                 trajectory.append(f_value)
-            if f_value >= c_min:
-                # Everything left in the queue is at least as bad.
-                break
             self.nodes_visited += 1
             if depth == last:
-                c_min = f_value  # leaf f is the exact cost
-                best = node
-                continue
+                # A leaf's f is its exact cost, and nothing left in the
+                # queue is cheaper: it is C_min.
+                return self._target(node), f_value
             indptr = levels[depth].children
             assert indptr is not None
             lo, hi = int(indptr[node]), int(indptr[node + 1])
-            child = lo
-            for f_child in self._f(levels[depth + 1], vectors, lo, hi):
-                if f_child < c_min:
-                    heapq.heappush(heap, (f_child, next(counter), depth + 1, child))
-                else:
-                    self.nodes_pruned += 1
-                child += 1
-        if best < 0:
-            raise TargetJoinError("target tree is empty")
-        return self._target(best), c_min
+            f_children = self._f(levels[depth + 1], vectors, lo, hi)
+            for child, f_child in enumerate(f_children, lo):
+                heapq.heappush(heap, (f_child, next(counter), depth + 1, child))
+        raise TargetJoinError("target tree is empty")
 
     @staticmethod
     def _f(level: _Level, vectors: np.ndarray, lo: int, hi: int) -> List[float]:

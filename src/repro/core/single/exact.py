@@ -18,11 +18,12 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
-from repro.core.graph import ViolationGraph, accumulate_join_counters
+from repro.core.graph import ViolationGraph
 from repro.core.repair import RepairResult, apply_edits, edits_from_assignment
 from repro.core.single.mis import ExpansionStats, best_maximal_independent_set
 from repro.dataset.relation import Relation
 from repro.index.simjoin import DEFAULT_JOIN
+from repro.obs.counters import sum_layers
 
 
 def repair_single_fd_exact(
@@ -62,7 +63,7 @@ def repair_single_fd_exact(
             "graph_edges": graph.edge_count,
         }
     )
-    accumulate_join_counters(stats, [graph])
+    sum_layers(stats, [graph.join_counters], "index")
     return RepairResult(repaired, edits, cost, stats)
 
 

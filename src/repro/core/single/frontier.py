@@ -38,7 +38,7 @@ explored, never which set wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,7 +86,11 @@ class ExpansionLimitError(RuntimeError):
 
 @dataclass
 class ExpansionStats:
-    """Counters from one enumeration run."""
+    """Counters from one enumeration run.
+
+    Each field is a ``single``-layer counter of the schema in
+    :mod:`repro.obs.counters`, which defines it.
+    """
 
     levels: int = 0
     nodes_generated: int = 0
@@ -94,44 +98,28 @@ class ExpansionStats:
     duplicates_removed: int = 0
     non_maximal_discarded: int = 0
     sets_enumerated: int = 0
-    #: frontier nodes processed by the work-list loop
     search_nodes_expanded: int = 0
-    #: big-int mask operations on the hot path (conflict / FTC / coverage)
     search_bitset_ops: int = 0
-    #: prune checks served by a memoized (carried) bound
     search_bound_hits: int = 0
-    #: expansion paths merged into an already-frontier prefix-mask
     search_dominance_prunes: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "levels": self.levels,
-            "nodes_generated": self.nodes_generated,
-            "nodes_pruned": self.nodes_pruned,
-            "duplicates_removed": self.duplicates_removed,
-            "non_maximal_discarded": self.non_maximal_discarded,
-            "sets_enumerated": self.sets_enumerated,
-            "search_nodes_expanded": self.search_nodes_expanded,
-            "search_bitset_ops": self.search_bitset_ops,
-            "search_bound_hits": self.search_bound_hits,
-            "search_dominance_prunes": self.search_dominance_prunes,
-        }
+        return asdict(self)
 
     def merge_delta(self, other: "ExpansionStats", nodes_base: int) -> None:
         """Fold a subtree run's counters into this (caller's) stats.
 
         *other* started its node count at *nodes_base* (the shared
-        serial-prefix count), so only the delta is added.
+        serial-prefix count), so only the delta is added; ``levels`` is
+        the deeper of the two, and every other counter adds up.
         """
-        self.levels = max(self.levels, other.levels)
-        self.nodes_generated += other.nodes_generated - nodes_base
-        self.nodes_pruned += other.nodes_pruned
-        self.duplicates_removed += other.duplicates_removed
-        self.non_maximal_discarded += other.non_maximal_discarded
-        self.search_nodes_expanded += other.search_nodes_expanded
-        self.search_bitset_ops += other.search_bitset_ops
-        self.search_bound_hits += other.search_bound_hits
-        self.search_dominance_prunes += other.search_dominance_prunes
+        for name, theirs in asdict(other).items():
+            mine = getattr(self, name)
+            if name == "levels":
+                setattr(self, name, max(mine, theirs))
+            else:
+                base = nodes_base if name == "nodes_generated" else 0
+                setattr(self, name, mine + theirs - base)
 
 
 class IncumbentBound:

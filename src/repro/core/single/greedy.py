@@ -22,12 +22,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
-from repro.core.graph import ViolationGraph, accumulate_join_counters
+from repro.core.graph import ViolationGraph
 from repro.core.repair import RepairResult, apply_edits
 from repro.core.single.exact import materialize_pattern_assignment
 from repro.dataset.relation import Relation
 from repro.index.simjoin import DEFAULT_JOIN
 from repro.obs import span
+from repro.obs.counters import sum_layers
 
 
 def greedy_independent_set(
@@ -231,5 +232,5 @@ def repair_single_fd_greedy(
         "independent_set_size": len(independent),
         **search_counters,
     }
-    accumulate_join_counters(stats, [graph])
+    sum_layers(stats, [graph.join_counters], "index")
     return RepairResult(repaired, edits, cost, stats)

@@ -98,6 +98,7 @@ from repro.exec.stats import DegradedRepairWarning, ExecutionStats
 from repro.index.registry import AttributeIndexRegistry
 from repro.index.simjoin import SimilarityJoin
 from repro.obs import CounterRegistry, Tracer, activate, current_tracer, span
+from repro.obs.counters import sum_layers
 
 #: exact algorithm -> the greedy algorithm it degrades to
 GREEDY_COUNTERPART = {"exact-m": "greedy-m", "exact-s": "greedy-s"}
@@ -156,8 +157,6 @@ class ComponentOutcome:
     fd_names: List[str]  #: the component's FDs, in order
     patterns: int  #: largest per-FD violation-graph size of the component
     degraded: Optional[Dict[str, Any]]
-    cache_hits: int
-    cache_misses: int
     #: executing process and its CPU time — ``time.process_time`` is
     #: immune to time-sharing, so the scheduler's busy-skew accounting
     #: stays meaningful even on oversubscribed machines
@@ -192,21 +191,8 @@ class DetectionOutcome:
     fd_name: str
     violations: List[FTViolation]
     seconds: float
-    possible_pairs: int
-    candidates_generated: int
-    pairs_examined: int
-    pairs_filtered: int
-    pairs_verified: int
-    kernel_calls: int
-    index_builds: int
-    index_reuses: int
-    blocker: Optional[str]
-    cache_hits: int
-    cache_misses: int
-    #: distinct-dictionary-id counters; nonzero only for ``vectorized``
-    distinct_pairs_examined: int = 0
-    tuple_fanout: int = 0
-    vector_filter_passes: int = 0
+    #: ``SimilarityJoin.counters()`` plus the task's distance-memo probes
+    counters: Dict[str, Any]
     #: executing process and CPU time (see ComponentOutcome)
     pid: int = 0
     cpu_seconds: float = 0.0
@@ -367,10 +353,14 @@ def _repair_sequential(
     algorithm: str,
     config: RepairConfig,
 ) -> RepairResult:
-    """Apply the single-FD algorithm FD by FD on the evolving data."""
+    """Apply the single-FD algorithm FD by FD on the evolving data.
+
+    The steps' counters are summed into the result's stats.
+    """
     current = relation
     edits: List = []
     total = 0.0
+    counters = CounterRegistry()
     # One registry across the FD loop: attributes untouched by earlier
     # repairs reuse their indexes, changed ones fail validation and
     # rebuild (the registry checks its value set per call).
@@ -400,7 +390,8 @@ def _repair_sequential(
         current = step.relation
         edits.extend(step.edits)
         total += step.cost
-    return RepairResult(current, squash_edits(edits), total, {})
+        counters.merge(step.stats)
+    return RepairResult(current, squash_edits(edits), total, counters.snapshot())
 
 
 # ----------------------------------------------------------------------
@@ -457,6 +448,8 @@ def _component_outcome(task: ComponentTask) -> ComponentOutcome:
     # chunks' CPU — they burn cycles in worker processes — so per-unit
     # CPU accounting stays additive under splitting.
     cpu_seconds = time.process_time() - cpu0
+    result.stats["cache_hits"] = model.cache_hits - hits0
+    result.stats["cache_misses"] = model.cache_misses - misses0
     return ComponentOutcome(
         index=task.index,
         group=task.group,
@@ -466,8 +459,6 @@ def _component_outcome(task: ComponentTask) -> ComponentOutcome:
         fd_names=[fd.name for fd in task.fds],
         patterns=meta["patterns"],
         degraded=meta["degraded"],
-        cache_hits=model.cache_hits - hits0,
-        cache_misses=model.cache_misses - misses0,
         pid=os.getpid(),
         cpu_seconds=cpu_seconds,
         captured_warnings=[
@@ -513,20 +504,11 @@ def _detection_outcome(task: DetectionTask) -> DetectionOutcome:
         fd_name=task.fd.name,
         violations=violations,
         seconds=time.perf_counter() - start,
-        possible_pairs=join.possible_pairs,
-        candidates_generated=join.candidates_generated,
-        pairs_examined=join.pairs_examined,
-        pairs_filtered=join.pairs_filtered,
-        pairs_verified=join.pairs_verified,
-        kernel_calls=join.kernel_calls,
-        index_builds=join.index_builds,
-        index_reuses=join.index_reuses,
-        distinct_pairs_examined=join.distinct_pairs_examined,
-        tuple_fanout=join.tuple_fanout,
-        vector_filter_passes=join.vector_filter_passes,
-        blocker=join.plan.describe() if join.plan is not None else None,
-        cache_hits=model.cache_hits - hits0,
-        cache_misses=model.cache_misses - misses0,
+        counters={
+            **join.counters(),
+            "cache_hits": model.cache_hits - hits0,
+            "cache_misses": model.cache_misses - misses0,
+        },
         pid=os.getpid(),
         cpu_seconds=cpu_seconds,
     )
@@ -694,18 +676,7 @@ class RepairExecutor:
                     "cpu_seconds": outcome.cpu_seconds,
                     "pid": outcome.pid,
                     "violations": len(outcome.violations),
-                    "possible_pairs": outcome.possible_pairs,
-                    "candidates_generated": outcome.candidates_generated,
-                    "pairs_examined": outcome.pairs_examined,
-                    "pairs_filtered": outcome.pairs_filtered,
-                    "pairs_verified": outcome.pairs_verified,
-                    "kernel_calls": outcome.kernel_calls,
-                    "index_builds": outcome.index_builds,
-                    "index_reuses": outcome.index_reuses,
-                    "distinct_pairs_examined": outcome.distinct_pairs_examined,
-                    "tuple_fanout": outcome.tuple_fanout,
-                    "vector_filter_passes": outcome.vector_filter_passes,
-                    "blocker": outcome.blocker,
+                    **outcome.counters,
                 }
             )
         stats = ExecutionStats(
@@ -715,27 +686,9 @@ class RepairExecutor:
                 "worker_utilization": _utilization(outcomes, elapsed, workers),
                 "components": per_fd,
                 "violations": sum(len(o.violations) for o in outcomes),
-                "cache_hits": sum(o.cache_hits for o in outcomes),
-                "cache_misses": sum(o.cache_misses for o in outcomes),
-                "possible_pairs": sum(o.possible_pairs for o in outcomes),
-                "candidates_generated": sum(
-                    o.candidates_generated for o in outcomes
-                ),
-                "pairs_examined": sum(o.pairs_examined for o in outcomes),
-                "pairs_filtered": sum(o.pairs_filtered for o in outcomes),
-                "pairs_verified": sum(o.pairs_verified for o in outcomes),
-                "kernel_calls": sum(o.kernel_calls for o in outcomes),
-                "index_builds": sum(o.index_builds for o in outcomes),
-                "index_reuses": sum(o.index_reuses for o in outcomes),
-                "distinct_pairs_examined": sum(
-                    o.distinct_pairs_examined for o in outcomes
-                ),
-                "tuple_fanout": sum(o.tuple_fanout for o in outcomes),
-                "vector_filter_passes": sum(
-                    o.vector_filter_passes for o in outcomes
-                ),
             }
         )
+        sum_layers(stats, (o.counters for o in outcomes), "distances", "index")
         stats.update(traffic)
         stats.update(snapshot)
         _register_stats(stats)
@@ -811,16 +764,7 @@ class RepairExecutor:
                 outcomes = self._run_pool(
                     tasks, runner, workers, plan, coordinated, traffic
                 )
-            execute_span.set(
-                n_jobs=workers,
-                relation_bytes_shipped=traffic["relation_bytes_shipped"],
-                task_bytes_max=traffic["task_bytes_max"],
-                tasks_coordinated=traffic["tasks_coordinated"],
-                tasks_split=traffic["tasks_split"],
-                subtree_tasks=traffic["subtree_tasks"],
-                steals=traffic["steals"],
-                busy_skew_ratio=traffic["busy_skew_ratio"],
-            )
+            execute_span.set(n_jobs=workers, **traffic)
             tracer = current_tracer()
             if tracer is not None and tracer.enabled:
                 for outcome in outcomes:
@@ -937,8 +881,6 @@ class RepairExecutor:
             }
             for o in outcomes
         ]
-        stats["cache_hits"] = sum(o.cache_hits for o in outcomes)
-        stats["cache_misses"] = sum(o.cache_misses for o in outcomes)
         degraded = [o.degraded for o in outcomes if o.degraded is not None]
         stats["degraded"] = bool(degraded)
         stats["degraded_components"] = degraded

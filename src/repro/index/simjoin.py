@@ -72,8 +72,12 @@ from repro.index.blocking import (
 )
 from repro.index.registry import AttributeIndexRegistry
 from repro.obs import span
+from repro.obs.counters import COUNTERS
 
 STRATEGIES = ("naive", "vectorized")
+
+#: the join's counters: the ``index`` layer of the counter schema
+JOIN_COUNTERS = tuple(c.name for c in COUNTERS if c.layer == "index")
 
 #: the join every repair runs unless ``RepairConfig.join_strategy`` says
 #: otherwise
@@ -116,20 +120,11 @@ class SimilarityJoin:
         self._reset_counters()
 
     def _reset_counters(self) -> None:
-        self.possible_pairs = 0
-        self.candidates_generated = 0
-        self.pairs_examined = 0
-        self.pairs_filtered = 0
-        self.pairs_verified = 0
-        # per-join deltas of the shared model/registry counters, so sums
-        # over joins sharing one registry stay correct
-        self.kernel_calls = 0
-        self.index_builds = 0
-        self.index_reuses = 0
-        # distinct-id counters of the blocker union (0 on the scans)
-        self.distinct_pairs_examined = 0
-        self.tuple_fanout = 0
-        self.vector_filter_passes = 0
+        # kernel_calls / index_builds / index_reuses are per-join deltas
+        # of the shared model/registry counters, so sums over joins
+        # sharing one registry stay correct
+        for name in JOIN_COUNTERS:
+            setattr(self, name, 0)
 
     @property
     def reduction_ratio(self) -> float:
@@ -139,22 +134,12 @@ class SimilarityJoin:
         return 1.0 - min(1.0, self.pairs_examined / self.possible_pairs)
 
     def counters(self) -> dict:
-        """The join's instrumentation as a plain mapping (for stats)."""
-        return {
-            "possible_pairs": self.possible_pairs,
-            "candidates_generated": self.candidates_generated,
-            "pairs_examined": self.pairs_examined,
-            "pairs_filtered": self.pairs_filtered,
-            "pairs_verified": self.pairs_verified,
-            "kernel_calls": self.kernel_calls,
-            "index_builds": self.index_builds,
-            "index_reuses": self.index_reuses,
-            "distinct_pairs_examined": self.distinct_pairs_examined,
-            "tuple_fanout": self.tuple_fanout,
-            "vector_filter_passes": self.vector_filter_passes,
-            "reduction_ratio": self.reduction_ratio,
-            "blocker": self.plan.describe() if self.plan is not None else None,
-        }
+        """The join's ``index``-layer counters, its reduction ratio and
+        its blocker, as a plain mapping (for stats and spans)."""
+        out = {name: getattr(self, name) for name in JOIN_COUNTERS}
+        out["reduction_ratio"] = self.reduction_ratio
+        out["blocker"] = self.plan.describe() if self.plan is not None else None
+        return out
 
     # ------------------------------------------------------------------
     def join(self, patterns: Sequence[Pattern]) -> List[FTViolation]:

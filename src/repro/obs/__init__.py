@@ -8,6 +8,8 @@ gives them one spine:
 * :func:`span` / :class:`Tracer` — hierarchical phase spans over
   monotonic timers (``with span("detect", fd=...):``), no-ops unless a
   tracer is active (``RepairConfig(trace=True)`` / CLI ``--trace``);
+* :data:`~repro.obs.counters.COUNTERS` — the one schema of every
+  reported counter (layer, unit, definition, kind);
 * :class:`CounterRegistry` — the unified counter store; the executor
   backs one registry per run by the ``ExecutionStats`` dict itself, so
   stats are a *view* of the registry, not a parallel copy;

@@ -17,10 +17,11 @@ repair run spent its time and what it produced:
 * peak-RSS samples.
 
 Reports serialize to/from JSON losslessly (``to_json`` /
-``from_json``); :meth:`RunReport.normalized` strips the
-non-deterministic fields (wall seconds, utilization, RSS) so two runs
-with the same seed compare equal — the determinism contract
-``tests/test_run_report.py`` pins down.
+``from_json``); :meth:`RunReport.normalized` zeroes the span wall
+clocks, the RSS samples and every counter whose schema kind is
+``timing`` (``repro.obs.counters``) so two runs with the same seed
+compare equal — the determinism contract ``tests/test_run_report.py``
+pins down.
 """
 
 from __future__ import annotations
@@ -31,13 +32,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
+from repro.obs.counters import lookup
 from repro.obs.trace import Tracer
 
 SCHEMA_VERSION = 1
-
-#: counter/attribute name fragments that are wall-clock or machine
-#: dependent and therefore excluded by :meth:`RunReport.normalized`
-_NONDETERMINISTIC_FRAGMENTS = ("seconds", "utilization", "busy_skew")
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +210,8 @@ class RunReport:
 
     # ------------------------------------------------------------------
     def normalized(self) -> "RunReport":
-        """A copy with every wall-clock/machine-dependent field zeroed.
+        """A copy with every wall clock, RSS sample and ``timing`` counter
+        (span attributes included) zeroed.
 
         Two traced runs of the same config, seed, and dataset produce
         equal normalized reports — the determinism contract.
@@ -220,7 +219,7 @@ class RunReport:
 
         def scrub_mapping(mapping: Dict[str, Any]) -> Dict[str, Any]:
             return {
-                key: (0 if _is_nondeterministic(key) else value)
+                key: (0 if _is_timing(key) else value)
                 for key, value in mapping.items()
             }
 
@@ -245,9 +244,9 @@ class RunReport:
         )
 
 
-def _is_nondeterministic(name: str) -> bool:
-    lowered = name.lower()
-    return any(frag in lowered for frag in _NONDETERMINISTIC_FRAGMENTS)
+def _is_timing(name: str) -> bool:
+    counter = lookup(name)
+    return counter is not None and counter.kind == "timing"
 
 
 # ----------------------------------------------------------------------

@@ -237,7 +237,11 @@ class RepairService:
         out.update(self.latency.snapshot())
         seen = repaired = absorbed = 0
         for model in self._models.values():
-            for counters in (model.counters, model.tree_counters()):
+            for counters in (
+                model.counters,
+                model.tree_counters(),
+                model.repairer.memo_counters(),
+            ):
                 for name, value in counters.items():
                     out[name] = out.get(name, 0) + value
             seen += model.records_seen

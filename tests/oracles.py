@@ -331,8 +331,11 @@ class ScalarTargetTree:
     search on ``f = RDIST + EDIST`` — heap, push-order tie-break and
     float summation order — as the array tree, with one
     :meth:`DistanceModel.prepare_distance` comparison per (attribute,
-    node value). ``nodes_visited`` / ``nodes_pruned`` count as the
-    array tree counts them.
+    node value). ``nodes_visited`` counts as the array tree counts it.
+    The search keeps Algorithm 5's ``f >= C_min`` child prune and counts
+    it in ``nodes_pruned``; the array tree has no such branch, because
+    ``C_min`` is only set by the leaf that ends the search, and the
+    differential test checks that this oracle never prunes.
     """
 
     def __init__(

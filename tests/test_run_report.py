@@ -18,6 +18,7 @@ from repro.core.constraints import FD
 from repro.core.engine import Repairer
 from repro.dataset.citizens import CITIZENS_FDS, citizens_dirty
 from repro.obs import RunReport, repair_output_hash
+from repro.obs.counters import lookup
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -178,25 +179,20 @@ class TestParallelMerge:
         )
 
     def test_no_double_counting_in_counters(self, serial_and_parallel):
-        # shipping traffic ("shipped", "bytes") is n_jobs-dependent by
-        # definition: serial runs never cross a process boundary. Cache
-        # and kernel counters depend on cache *warmth*, which forked
-        # workers inherit from whatever ran earlier in this process —
-        # the algorithmic counters below them must still match exactly.
-        skip = (
-            "seconds", "utilization", "n_jobs", "shipped", "bytes",
-            "cache", "kernel", "busy_skew",
+        # shipping traffic is n_jobs-dependent by definition (serial runs
+        # never cross a process boundary), and cache and kernel counters
+        # follow the warmth of the worker-persistent memo: the schema
+        # marks those "scheduling" and wall clocks "timing". The
+        # invariant counters must match exactly.
+        serial, parallel = (
+            {
+                k: v
+                for k, v in serial_and_parallel[jobs].counters.items()
+                if lookup(k).kind == "invariant"
+            }
+            for jobs in (1, 2)
         )
-        serial = {
-            k: v
-            for k, v in serial_and_parallel[1].counters.items()
-            if not any(fragment in k for fragment in skip)
-        }
-        parallel = {
-            k: v
-            for k, v in serial_and_parallel[2].counters.items()
-            if not any(fragment in k for fragment in skip)
-        }
+        assert "pairs_examined" in serial
         assert serial == parallel
 
     def test_same_output_hash(self, serial_and_parallel):

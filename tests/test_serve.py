@@ -12,7 +12,9 @@ from repro.dataset.citizens import (
     CITIZENS_FDS,
     CITIZENS_THRESHOLDS,
     citizens_clean,
+    citizens_dirty,
 )
+from repro.obs import Tracer, activate, build_report
 from repro.serve import (
     IndexedRepairer,
     LatencyRecorder,
@@ -347,6 +349,52 @@ class TestRepairService:
         assert counters["target_tree_nodes_visited"] > 0
         assert counters["target_tree_vectors"] > 0
         assert "target_tree_edist_hits" in counters
+
+    def test_counters_report_model_memo_probes(self):
+        """The absorb-mode consistency check probes the fitted model's
+        distance memo; the service reports those probes since fit."""
+        service = RepairService()
+        service.fit(
+            citizens_clean(), CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS,
+            absorb=True,
+        )
+        model = service.model().repairer._model
+        hits, misses = model.cache_hits, model.cache_misses
+        dirty = citizens_dirty()
+        for tid in range(10):
+            service.repair_sync(dirty.as_record(tid))
+        counters = service.counters()
+        assert counters["cache_hits"] == model.cache_hits - hits
+        assert counters["cache_misses"] == model.cache_misses - misses
+        assert counters["cache_hits"] + counters["cache_misses"] > 0
+
+    def test_traced_runs_normalize_equal(self):
+        """Latency and queue-wait counters are timing: normalized() zeroes
+        them, so two traced runs of the same requests compare equal."""
+
+        def traced_run():
+            tracer = Tracer("serve")
+            dirty = citizens_dirty()
+            with activate(tracer):
+                service = RepairService()
+                service.fit(
+                    citizens_clean(), CITIZENS_FDS,
+                    thresholds=CITIZENS_THRESHOLDS, absorb=True,
+                )
+
+                async def scenario():
+                    async with service:
+                        for tid in range(10):
+                            await service.repair(dirty.as_record(tid))
+
+                run(scenario())
+            return build_report(
+                tracer, operation="serve", config={}, relation=dirty
+            )
+
+        first, second = traced_run(), traced_run()
+        assert first.counters["latency_count"] == 10
+        assert first.normalized().to_dict() == second.normalized().to_dict()
 
     def test_snapshot_shape(self):
         service = RepairService()

@@ -266,9 +266,11 @@ def _tree_case(draw):
 @settings(deadline=None, max_examples=250)
 @given(case=_tree_case())
 def test_array_tree_equals_scalar_search_exactly(case):
-    """Same target, cost, nodes_visited and nodes_pruned, with ==.
+    """Same target, cost and nodes_visited, with ==.
 
-    A query the scalar kernel rejects raises ValueError in both.
+    The oracle never prunes a child (its ``nodes_pruned`` stays 0), which
+    is why the array search returns at the first leaf it pops. A query
+    the scalar kernel rejects raises ValueError in both.
     """
     fds, sets, attributes, queries, zero_spread = case
     schema = Schema.of("S1", "S2", "N", "O", numeric=["N"])
@@ -286,8 +288,7 @@ def test_array_tree_equals_scalar_search_exactly(case):
     assert [t.values for t in tree.targets()] == [t.values for t in oracle.targets()]
     for projection in queries:
         values = tuple(projection[attributes.index(a)] for a in tree.attributes)
-        before = (oracle.nodes_visited, oracle.nodes_pruned,
-                  tree.nodes_visited, tree.nodes_pruned)
+        before = (oracle.nodes_visited, tree.nodes_visited)
         try:
             expected, expected_cost = oracle.nearest_target(values)
         except ValueError as error:
@@ -299,9 +300,8 @@ def test_array_tree_equals_scalar_search_exactly(case):
         target, cost = tree.nearest_target(values)
         assert target.values == expected.values
         assert cost == expected_cost
-        assert (tree.nodes_visited - before[2], tree.nodes_pruned - before[3]) == (
-            oracle.nodes_visited - before[0], oracle.nodes_pruned - before[1]
-        )
+        assert tree.nodes_visited - before[1] == oracle.nodes_visited - before[0]
+    assert oracle.nodes_pruned == 0
 
 
 def test_wide_value_table_equals_scalar_search_exactly():

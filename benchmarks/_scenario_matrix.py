@@ -12,13 +12,12 @@ appends one ``kind="scenario"`` entry:
   counts and per-detector seconds;
 * the FD anchor — a full ``greedy-m`` repair of the ``fd-noise``
   scenario scored against the injected truth, run twice (detectors off,
-  every detector on) with both output hashes recorded. The scenario
-  gate (``benchmarks/check_scenario_gate.py``) fails when the hashes
-  diverge: detectors are an advisory signal layer and must never change
-  the repair (``docs/scenarios.md``).
+  every detector on) with both output hashes recorded. The
+  ``scenario`` gate of ``benchmarks/check_all_gates.py`` fails when the
+  hashes diverge: detectors are an advisory signal layer and must never
+  change the repair (``docs/scenarios.md``).
 
-The ``kind`` marker keeps ``benchmarks/check_perf_gate.py`` from
-trending these entries as end-to-end repair runs.
+The gate selects these entries by their ``kind`` marker.
 
 Usage::
 
@@ -37,7 +36,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from _gate import ROOT, calibration_seconds  # noqa: E402
 from _harness import SCALE  # noqa: E402
 
 from repro.core.engine import Repairer  # noqa: E402
@@ -47,6 +45,7 @@ from repro.eval.runner import SCENARIOS, scenario_matrix  # noqa: E402
 from repro.exec.config import RepairConfig  # noqa: E402
 from repro.obs import repair_output_hash  # noqa: E402
 
+ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PATH = ROOT / "BENCH_scenarios.json"
 SCENARIO_N = 2000 if SCALE == "paper" else 400
 REPAIR_ALGORITHM = "greedy-m"
@@ -78,7 +77,6 @@ def matrix_entry() -> dict:
         "kind": "scenario",
         "scale": SCALE,
         "n_tuples": SCENARIO_N,
-        "calibration_seconds": round(calibration_seconds(), 4),
         "detectors": list(detectors),
         "scenarios": [s.name for s in SCENARIOS],
         "datasets": sorted({s.dataset for s in SCENARIOS}),

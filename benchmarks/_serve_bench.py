@@ -1,9 +1,9 @@
 """Append one serving-layer run to the ``BENCH_serve.json`` trajectory.
 
-Measures the four serving claims ``benchmarks/check_serve_gate.py``
-gates, on a synthetic catalog workload (distinct 12–14 char codes and
-names under tight thresholds — the regime where q-gram candidate
-generation has pruning power):
+Measures the four serving claims the ``serve`` gate of
+``benchmarks/check_all_gates.py`` checks, on a synthetic catalog
+workload (distinct 12–14 char codes and names under tight thresholds —
+the regime where q-gram candidate generation has pruning power):
 
 1. **sustained load** — a fleet of async clients drives the micro-
    batched service (10% dirty records) for ``N_REQUESTS``; the entry
@@ -20,9 +20,7 @@ generation has pruning power):
    batch :meth:`IncrementalRepairer.repair_record`; any byte difference
    is recorded (and fails the gate).
 
-Entries carry ``"kind": "serve"`` so the end-to-end perf gate
-(``benchmarks/check_perf_gate.py``) skips them when the two
-trajectories share a file.
+Entries carry ``"kind": "serve"``, which the gate selects on.
 
 Usage::
 
@@ -41,10 +39,8 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from _gate import ROOT, calibration_seconds  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from repro.core.constraints import FD  # noqa: E402
 from repro.core.incremental import IncrementalRepairer  # noqa: E402
@@ -232,7 +228,6 @@ def main(argv) -> int:
         "n_reference_rows": len(relation),
         "dirty_share": DIRTY_SHARE,
         "tau": TAU,
-        "calibration_seconds": calibration_seconds(),
     }
     entry.update(bench_cache(relation, fds, thresholds))
     entry.update(bench_load(relation, fds, thresholds, requests, n_clients))

@@ -1,61 +1,40 @@
-"""Append one traced repair run to the ``BENCH_repair.json`` trajectory.
+"""Append one measurement entry to a ``BENCH_*.json`` trajectory.
 
-The standard workload is the noisy HOSP slice the simjoin trajectory
-also uses (800 tuples at ``REPRO_BENCH_SCALE=smoke``, 5000 at
-``paper``), repaired end-to-end with the engine default (greedy-m,
-vectorized detection) under ``trace=True``. Each run appends one
-normalized entry:
+Each mode measures what a wall-clock total cannot show and appends one
+entry that ``benchmarks/check_all_gates.py`` checks (its ``GATES``
+table). Wall time per layer is perfbench's job (``perfbench/``), and
+every algorithm's repair hash on the 800-tuple HOSP slice is pinned in
+tier-1 (``tests/test_substrate_hashes.py``).
 
-* identity — scale, tuple/FD counts, algorithm, dataset fingerprint;
-* wall clocks — end-to-end seconds plus the per-phase span totals of
-  the run report, and the machine calibration constant
-  (:func:`benchmarks._gate.calibration_seconds`) that lets the gate
-  compare runs across machines;
-* counters — the unified registry snapshot (pair/kernel/cache work);
-* correctness — the repair output hash. The perf gate
-  (``benchmarks/check_perf_gate.py``) fails on any hash drift: a perf
-  win that changes repairs is a correctness regression.
-
-Each entry also breaks the *search phase* out of the span totals
-(``search_phase_seconds``: ``mis_enumeration``, ``greedy_growth``,
-``combination``, ``tree_search``; ``search_seconds`` is their sum) —
-the numbers ``benchmarks/check_search_gate.py`` compares against the
-committed pre-bitset baselines.
-
-``--substrate`` appends a ``tax_substrate`` entry instead: the columnar
-substrate measured at paper scale — a 1M-row (125k at smoke) Tax load in
-fresh subprocesses at two sizes (the marginal per-tuple RSS between them
-is the flatness number ``benchmarks/check_substrate_gate.py`` gates), an
-``n_jobs=2`` repair recording the relation-shipping traffic
-(``relation_bytes_shipped``, per-task message sizes, and the row-major
-bytes the pre-1.2 substrate would have pickled per task), and the
-800-tuple HOSP output hash of every algorithm (always the smoke slice,
-so the gate can pin exact values at every scale).
+``--substrate`` appends a ``tax_substrate`` entry to
+``BENCH_repair.json``: the columnar substrate measured at paper scale —
+a 1M-row (125k at smoke) Tax load in fresh subprocesses at two sizes
+(the marginal per-tuple RSS between them is the flatness number the
+``substrate`` gate checks), and an ``n_jobs=2`` repair recording the
+relation-shipping traffic (``relation_bytes_shipped``, per-task message
+sizes, and the row-major bytes the pre-1.2 substrate would have pickled
+per task).
 
 ``--simjoin`` appends a ``vectorized_simjoin`` entry to
-``BENCH_simjoin.json`` instead: the vectorized-vs-naive detection
-sweep on the noisy HOSP slice (detect-phase walls, the distinct-id
-counters), the same sweep on a Tax substrate slice whose constant
-active domain is the regime dictionary-granularity filtering exists
-for, and a five-algorithm repair-hash sweep at serial and ``n_jobs=2``
-under ``join_strategy="vectorized"`` — the equalities
-``benchmarks/check_simjoin_gate.py`` gates.
+``BENCH_simjoin.json``: the vectorized-vs-naive detection sweep on the
+noisy HOSP slice (detect-phase walls, the distinct-id counters), and the
+same sweep on a Tax substrate slice whose constant active domain is the
+regime dictionary-granularity filtering exists for.
 
-``--sched`` appends a ``skew_sched`` entry: the exact-s winner-search
-split (``docs/parallelism.md``) measured on the skewed generator's
-one-giant-component workload. It repairs the same relation three ways —
-serial, statically scheduled at ``n_jobs=2``, and split into subtree
-tasks at ``n_jobs=2`` — in three interleaved rounds, and records the
-median, min and max wall clock of each setting; these measured medians
-are what ``benchmarks/check_sched_gate.py`` gates. A five-algorithm
-hash sweep across serial and split settings pins the determinism
-contract: splitting may only re-order work, never change the repair.
+``--sched`` appends a ``skew_sched`` entry to ``BENCH_repair.json``: the
+exact-s winner-search split (``docs/parallelism.md``) measured on the
+skewed generator's one-giant-component workload. It repairs the same
+relation three ways — serial, statically scheduled at ``n_jobs=2``, and
+split into subtree tasks at ``n_jobs=2`` — in three interleaved rounds,
+and records the median, min and max wall clock of each setting; the
+``sched`` gate checks these measured medians. A five-algorithm hash
+sweep across serial and split settings pins the determinism contract:
+splitting may only re-order work, never change the repair.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/_trajectory.py \
-        [--algorithm greedy-m] [--substrate] [--sched] [--simjoin] \
-        [path/to/BENCH_repair.json]
+        {--substrate | --sched | --simjoin} [path/to/BENCH_*.json]
 """
 
 from __future__ import annotations
@@ -72,7 +51,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from _gate import ROOT, calibration_seconds  # noqa: E402
 from _harness import SCALE  # noqa: E402
 
 from repro.core.engine import Repairer  # noqa: E402
@@ -84,9 +62,9 @@ from repro.generator.hosp import (  # noqa: E402
 )
 from repro.generator.noise import NoiseConfig, inject_noise  # noqa: E402
 
+ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_PATH = ROOT / "BENCH_repair.json"
 HOSP_SLICE_N = 5000 if SCALE == "paper" else 800
-ALGORITHM = "greedy-m"
 
 #: --substrate: Tax rows at full load (the paper's largest x-axis)
 TAX_SUBSTRATE_N = 1_000_000 if SCALE == "paper" else 125_000
@@ -95,32 +73,8 @@ TAX_SUBSTRATE_N = 1_000_000 if SCALE == "paper" else 125_000
 TAX_CATALOG = {"n_residences": 400, "n_employers": 300, "n_filings": 40}
 #: rows of the noisy slice the shipping measurement repairs at n_jobs=2
 TAX_SHIPPING_N = 2000
-#: every algorithm's hash is pinned on the 800-tuple smoke HOSP slice
-HASH_SLICE_N = 800
+#: the algorithms of the --sched hash sweep
 HASH_ALGORITHMS = ("appro-m", "exact-m", "exact-s", "greedy-m", "greedy-s")
-
-#: search-phase entry keys -> the span names whose totals they sum
-SEARCH_PHASES = {
-    "mis_enumeration": "mis/expand",
-    "greedy_growth": "greedy/grow",
-    "combination": "combinations",
-    "tree_search": "targets/search",
-}
-
-#: counters worth trending run over run (subset of the unified registry)
-TRENDED_COUNTERS = (
-    "possible_pairs",
-    "candidates_generated",
-    "pairs_examined",
-    "pairs_filtered",
-    "pairs_verified",
-    "kernel_calls",
-    "index_builds",
-    "index_reuses",
-    "cache_hits",
-    "cache_misses",
-    "fd_components",
-)
 
 
 def workload():
@@ -128,60 +82,6 @@ def workload():
     clean = generate_hosp(HOSP_SLICE_N, rng=7)
     relation, _errors = inject_noise(clean, HOSP_FDS, NoiseConfig(), rng=11)
     return relation
-
-
-def run_entry(algorithm: str = ALGORITHM) -> dict:
-    """One traced repair of the standard workload as a trajectory entry."""
-    relation = workload()
-    weights = Weights(0.5, 0.5)
-    thresholds = hosp_thresholds(weights=weights)
-    extra = {}
-    if algorithm.startswith("exact"):
-        # Exact searches legitimately exhaust their budgets on the big
-        # components of this slice; degrade like the CLI default does.
-        extra["fallback"] = "greedy"
-    repairer = Repairer(
-        HOSP_FDS,
-        algorithm=algorithm,
-        weights=weights,
-        thresholds=thresholds,
-        trace=True,
-        **extra,
-    )
-    start = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # degradations are expected here
-        result = repairer.repair(relation)
-    wall = time.perf_counter() - start
-    report = repairer.report()
-    counters = report.counters
-    totals = report.phase_totals()
-    search_phases = {
-        key: round(totals.get(name, 0.0), 4)
-        for key, name in sorted(SEARCH_PHASES.items())
-    }
-    return {
-        "scale": SCALE,
-        "n_tuples": HOSP_SLICE_N,
-        "n_fds": len(HOSP_FDS),
-        "algorithm": algorithm,
-        "dataset_sha256": report.dataset["sha256"],
-        "wall_seconds": round(wall, 4),
-        "calibration_seconds": round(calibration_seconds(), 4),
-        "phase_seconds": {
-            name: round(seconds, 4)
-            for name, seconds in sorted(totals.items())
-        },
-        "search_phase_seconds": search_phases,
-        "search_seconds": round(sum(search_phases.values()), 4),
-        "counters": {
-            key: counters[key] for key in TRENDED_COUNTERS if key in counters
-        },
-        "edits": len(result.edits),
-        "cost": round(result.cost, 9),
-        "output_hash": report.result["output_hash"],
-        "rss_peak_bytes": report.rss.get("peak_bytes"),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -274,37 +174,6 @@ def _shipping_measurement() -> dict:
     }
 
 
-def _hash_sweep() -> dict:
-    """Every algorithm's output hash on the pinned 800-tuple HOSP slice."""
-    from repro.obs import repair_output_hash
-
-    clean = generate_hosp(HASH_SLICE_N, rng=7)
-    relation, _errors = inject_noise_hosp(clean)
-    weights = Weights(0.5, 0.5)
-    thresholds = hosp_thresholds(weights=weights)
-    hashes = {}
-    for algorithm in HASH_ALGORITHMS:
-        extra = {"fallback": "greedy"} if algorithm.startswith("exact") else {}
-        repairer = Repairer(
-            HOSP_FDS,
-            algorithm=algorithm,
-            weights=weights,
-            thresholds=thresholds,
-            **extra,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = repairer.repair(relation)
-        hashes[algorithm] = repair_output_hash(result.edits, result.cost)
-    return hashes
-
-
-def inject_noise_hosp(clean):
-    from repro.generator.noise import NoiseConfig, inject_noise
-
-    return inject_noise(clean, HOSP_FDS, NoiseConfig(), rng=11)
-
-
 def run_substrate_entry() -> dict:
     """The ``tax_substrate`` trajectory entry (see module docstring)."""
     small = _measure_point(max(TAX_SUBSTRATE_N // 8, 1000))
@@ -317,12 +186,9 @@ def run_substrate_entry() -> dict:
         "workload": "tax_substrate",
         "scale": SCALE,
         "n_tuples": TAX_SUBSTRATE_N,
-        "calibration_seconds": round(calibration_seconds(), 4),
         "load_points": [small, full],
         "marginal_bytes_per_tuple": round(marginal, 2),
         "shipping": shipping,
-        "hash_slice_n": HASH_SLICE_N,
-        "output_hashes": _hash_sweep(),
     }
 
 
@@ -405,45 +271,6 @@ def _simjoin_detect_sweep(relation, fds, thresholds, rounds: int = 2) -> dict:
     return out
 
 
-def _vectorized_hash_sweep() -> dict:
-    """Repair hashes of every algorithm under the vectorized strategy.
-
-    For each algorithm: the naive-serial reference hash plus the
-    vectorized hash at serial and ``n_jobs=2`` — three values the gate
-    requires to be one.
-    """
-    from repro.obs import repair_output_hash
-
-    clean = generate_hosp(HASH_SLICE_N, rng=7)
-    relation, _errors = inject_noise(clean, HOSP_FDS, NoiseConfig(), rng=11)
-    weights = Weights(0.5, 0.5)
-    thresholds = hosp_thresholds(weights=weights)
-    settings = (
-        ("naive", {"join_strategy": "naive"}),
-        ("vectorized", {"join_strategy": "vectorized"}),
-        ("vectorized_n_jobs2", {"join_strategy": "vectorized", "n_jobs": 2}),
-    )
-    hashes = {}
-    for algorithm in HASH_ALGORITHMS:
-        extra = {"fallback": "greedy"} if algorithm.startswith("exact") else {}
-        per_setting = {}
-        for label, kwargs in settings:
-            repairer = Repairer(
-                HOSP_FDS,
-                algorithm=algorithm,
-                weights=weights,
-                thresholds=thresholds,
-                **kwargs,
-                **extra,
-            )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = repairer.repair(relation)
-            per_setting[label] = repair_output_hash(result.edits, result.cost)
-        hashes[algorithm] = per_setting
-    return hashes
-
-
 def run_simjoin_entry() -> dict:
     """The ``vectorized_simjoin`` trajectory entry (see module docstring)."""
     from repro.generator.tax import TAX_FDS, generate_tax, tax_thresholds
@@ -459,18 +286,11 @@ def run_simjoin_entry() -> dict:
     tax_sweep = _simjoin_detect_sweep(
         tax_relation, TAX_FDS, tax_thresholds(), rounds=1
     )
-    sweep = _vectorized_hash_sweep()
     return {
         "workload": "vectorized_simjoin",
         "scale": SCALE,
-        "calibration_seconds": round(calibration_seconds(), 4),
         "hosp": hosp_sweep,
         "tax": tax_sweep,
-        "hash_slice_n": HASH_SLICE_N,
-        "output_hashes": sweep,
-        "hashes_match": all(
-            len(set(values.values())) == 1 for values in sweep.values()
-        ),
     }
 
 
@@ -602,7 +422,6 @@ def run_sched_entry() -> dict:
         "workload": "skew_sched",
         "scale": SCALE,
         "cpu_count": len(os.sched_getaffinity(0)),
-        "calibration_seconds": round(calibration_seconds(), 4),
         "config": {
             "algorithm": SCHED_ALGORITHM,
             "n_tuples": SCHED_N,
@@ -638,42 +457,35 @@ def run_sched_entry() -> dict:
     }
 
 
+def _append(path: Path, entry: dict) -> int:
+    """Append *entry* to the trajectory at *path*; the new length."""
+    trajectory = json.loads(path.read_text()) if path.exists() else []
+    trajectory.append(entry)
+    path.write_text(json.dumps(trajectory, indent=2) + "\n")
+    return len(trajectory)
+
+
 def main(argv: list) -> int:
-    algorithm = ALGORITHM
-    substrate = False
-    sched = False
-    simjoin = False
-    positional = []
+    modes = {"--substrate", "--sched", "--simjoin"}
     rest = list(argv[1:])
-    while rest:
-        arg = rest.pop(0)
-        if arg == "--algorithm":
-            if not rest:
-                print("--algorithm requires a value", file=sys.stderr)
-                return 2
-            algorithm = rest.pop(0)
-        elif arg == "--substrate":
-            substrate = True
-        elif arg == "--sched":
-            sched = True
-        elif arg == "--simjoin":
-            simjoin = True
-        elif arg == "--_substrate-point":
-            print(json.dumps(substrate_point(int(rest.pop(0)))))
-            return 0
-        else:
-            positional.append(arg)
-    if simjoin:
-        path = Path(positional[0]) if positional else SIMJOIN_PATH
+    if rest[:1] == ["--_substrate-point"] and len(rest) == 2:
+        print(json.dumps(substrate_point(int(rest[1]))))
+        return 0
+    if len(rest) not in (1, 2) or rest[0] not in modes:
+        print(
+            "usage: _trajectory.py {--substrate | --sched | --simjoin} "
+            "[path/to/BENCH_*.json]",
+            file=sys.stderr,
+        )
+        return 2
+    mode = rest[0]
+    default = SIMJOIN_PATH if mode == "--simjoin" else DEFAULT_PATH
+    path = Path(rest[1]) if len(rest) == 2 else default
+    if mode == "--simjoin":
         entry = run_simjoin_entry()
-        trajectory = []
-        if path.exists():
-            trajectory = json.loads(path.read_text())
-        trajectory.append(entry)
-        path.write_text(json.dumps(trajectory, indent=2) + "\n")
         hosp = entry["hosp"]
         tax = entry["tax"]
-        print(
+        line = (
             f"simjoin: vectorized {hosp['speedup']}x vs naive on "
             f"{hosp['n_tuples']} HOSP tuples "
             f"({hosp['vectorized']['seconds']}s vs "
@@ -681,65 +493,33 @@ def main(argv: list) -> int:
             f"{tax['n_tuples']} Tax tuples; "
             f"{hosp['vectorized']['distinct_pairs_examined']} distinct "
             f"pair(s) for {hosp['vectorized']['tuple_fanout']} tuple "
-            f"pair(s); hashes "
-            f"{'match' if entry['hashes_match'] else 'MISMATCH'}; "
-            f"{len(trajectory)} entr{'y' if len(trajectory) == 1 else 'ies'} "
-            f"in {path}"
+            f"pair(s)"
         )
-        return 0
-    path = Path(positional[0]) if positional else DEFAULT_PATH
-    if sched:
+    elif mode == "--sched":
         entry = run_sched_entry()
-        trajectory = []
-        if path.exists():
-            trajectory = json.loads(path.read_text())
-        trajectory.append(entry)
-        path.write_text(json.dumps(trajectory, indent=2) + "\n")
-        serial = entry["serial"]["wall_median"]
         split = entry["split"]
-        print(
+        line = (
             f"sched: {entry['config']['algorithm']} on a "
             f"{entry['config']['chain']}-pattern giant component at "
             f"n_jobs={entry['config']['n_jobs']} — median wall serial "
-            f"{serial}s, static {entry['static']['wall_median']}s, split "
+            f"{entry['serial']['wall_median']}s, static "
+            f"{entry['static']['wall_median']}s, split "
             f"{split['wall_median']}s over {entry['config']['runs']} "
             f"interleaved run(s); {split['subtree_tasks']} subtree "
             f"task(s), {split['steals']} steal(s), hashes "
-            f"{'consistent' if entry['hash_slice']['hashes_consistent'] else 'INCONSISTENT'}; "
-            f"{len(trajectory)} entr{'y' if len(trajectory) == 1 else 'ies'} "
-            f"in {path}"
+            f"{'consistent' if entry['hash_slice']['hashes_consistent'] else 'INCONSISTENT'}"
         )
-        return 0
-    if substrate:
+    else:
         entry = run_substrate_entry()
-        trajectory = []
-        if path.exists():
-            trajectory = json.loads(path.read_text())
-        trajectory.append(entry)
-        path.write_text(json.dumps(trajectory, indent=2) + "\n")
-        print(
+        line = (
             f"substrate: {entry['n_tuples']} Tax tuples ({SCALE}) — "
             f"{entry['marginal_bytes_per_tuple']} B/tuple marginal RSS, "
             f"task max {entry['shipping']['task_bytes_max']} B "
             f"({entry['shipping']['task_reduction_ratio']}x smaller than "
-            f"row-major), {len(entry['output_hashes'])} hash(es) pinned; "
-            f"{len(trajectory)} entr{'y' if len(trajectory) == 1 else 'ies'} "
-            f"in {path}"
+            f"row-major)"
         )
-        return 0
-    entry = run_entry(algorithm)
-    trajectory = []
-    if path.exists():
-        trajectory = json.loads(path.read_text())
-    trajectory.append(entry)
-    path.write_text(json.dumps(trajectory, indent=2) + "\n")
-    print(
-        f"trajectory: {entry['algorithm']} on {entry['n_tuples']} tuples "
-        f"({entry['scale']}) — {entry['wall_seconds']}s wall, "
-        f"{entry['edits']} edit(s), hash {entry['output_hash']}; "
-        f"{len(trajectory)} entr{'y' if len(trajectory) == 1 else 'ies'} "
-        f"in {path}"
-    )
+    count = _append(path, entry)
+    print(f"{line}; {count} entr{'y' if count == 1 else 'ies'} in {path}")
     return 0
 
 

@@ -11,8 +11,9 @@ DP pays most.
 of both strategies on a noisy generated HOSP slice (5k tuples at
 ``REPRO_BENCH_SCALE=paper``, 800 at smoke) and appends the wall clocks
 and candidate counters to the ``BENCH_simjoin.json`` trajectory file at
-the repository root; ``benchmarks/check_simjoin_gate.py`` gates CI on
-its latest entry.
+the repository root. (The ``simjoin`` gate of
+``benchmarks/check_all_gates.py`` checks the ``vectorized_simjoin``
+entries ``benchmarks/_trajectory.py --simjoin`` appends there.)
 """
 
 import json

@@ -95,7 +95,6 @@ class ExpansionStats:
     levels: int = 0
     nodes_generated: int = 0
     nodes_pruned: int = 0
-    duplicates_removed: int = 0
     non_maximal_discarded: int = 0
     sets_enumerated: int = 0
     search_nodes_expanded: int = 0
@@ -369,7 +368,6 @@ class SearchKernel:
 
             def emit(mask: int, lower: float, coverage: int) -> None:
                 if mask in emitted_index:
-                    stats.duplicates_removed += 1
                     stats.search_dominance_prunes += 1
                     return
                 emitted_index[mask] = len(next_masks)

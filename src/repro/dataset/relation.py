@@ -165,29 +165,21 @@ class ValueDictionary:
     only ever appends, so an id minted by one copy is invisible to the
     columns of another). Equal values always intern to equal ids, which
     is the invariant every id-keyed hot path relies on.
-
-    ``probes`` / ``hits`` count interning traffic (a hit = the value was
-    already present); their ratio is the ``dict_hit_rate`` counter the
-    execution layer reports.
     """
 
-    __slots__ = ("_values", "_ids", "probes", "hits")
+    __slots__ = ("_values", "_ids")
 
     def __init__(self, values: Iterable[Any] = ()) -> None:
         self._values: List[Any] = []
         self._ids: Dict[Any, int] = {}
-        self.probes = 0
-        self.hits = 0
         for value in values:
             self._values.append(value)
             self._ids.setdefault(value, len(self._values) - 1)
 
     def intern(self, value: Any) -> int:
         """The id of *value*, minting a new one on first sight."""
-        self.probes += 1
         vid = self._ids.get(value)
         if vid is not None:
-            self.hits += 1
             return vid
         vid = len(self._values)
         self._values.append(value)
@@ -220,19 +212,19 @@ class ValueDictionary:
         return f"ValueDictionary({len(self)} values)"
 
     # -- pickling (slots need an explicit state protocol) ---------------
-    def __getstate__(self) -> Tuple[List[Any], int, int]:
+    def __getstate__(self) -> Tuple[List[Any]]:
         # _ids is derivable from _values; shipping only the value list
         # halves the payload and re-establishes the invariant on load.
-        return (self._values, self.probes, self.hits)
+        # (A 1-tuple, never falsy: pickle skips __setstate__ on a falsy
+        # state, which an empty list would be.)
+        return (self._values,)
 
-    def __setstate__(self, state: Tuple[List[Any], int, int]) -> None:
-        values, probes, hits = state
+    def __setstate__(self, state: Tuple[List[Any]]) -> None:
+        (values,) = state
         self._values = values
         self._ids = {}
         for vid, value in enumerate(values):
             self._ids.setdefault(value, vid)
-        self.probes = probes
-        self.hits = hits
 
 
 class Relation:
@@ -441,25 +433,24 @@ class Relation:
     def dict_stats(self) -> Dict[str, Any]:
         """Aggregate encoding statistics (for profiles and run counters).
 
-        ``dict_hit_rate`` is interning hits over probes across every
-        attribute dictionary — near 1.0 for low-cardinality data, where
-        the columnar layout pays off most.
+        ``dict_hit_rate`` is ``1 - dictionary_entries / cells``: the
+        share of cells whose value repeats one already in its dictionary
+        — near 1.0 for low-cardinality data, where the columnar layout
+        pays off most. It depends on the encoding alone, so repairing a
+        relation (or a copy sharing its dictionaries) never changes it.
         """
         rows = len(self)
+        cells = rows * len(self.schema)
         entries = sum(len(d) for d in self._dicts)
-        probes = sum(d.probes for d in self._dicts)
-        hits = sum(d.hits for d in self._dicts)
         return {
             "rows": rows,
             "attributes": len(self.schema),
-            "cells": rows * len(self.schema),
+            "cells": cells,
             "dictionary_entries": entries,
             "encoded_bytes": sum(
                 col.itemsize * len(col) for col in self._columns
             ),
-            "intern_probes": probes,
-            "intern_hits": hits,
-            "dict_hit_rate": hits / probes if probes else 0.0,
+            "dict_hit_rate": 1 - entries / cells if cells else 0.0,
         }
 
     # ------------------------------------------------------------------

@@ -28,8 +28,9 @@ The executor threads the measured traffic through
 ``relation_bytes_shipped`` (encoded payload bytes crossing process
 boundaries: payload size × workers; 0 for serial runs and refs resolved
 in-process), ``task_bytes_max`` / ``task_bytes_total`` (the per-task
-request messages), and ``dict_hit_rate`` (the input relation's
-interning hit rate). See ``docs/parallelism.md``.
+request messages), and ``dict_hit_rate`` (the share of the input
+relation's cells that repeat a value already in their dictionary). See
+``docs/parallelism.md``.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ gives them one spine:
   CLI ``--report out.json``;
 * :func:`peak_rss_bytes` — dependency-free peak-RSS sampling.
 
-See ``docs/observability.md`` for the API walkthrough and the report
-schema, and ``benchmarks/check_perf_gate.py`` for the CI gate that
-consumes the reports' trajectory (``BENCH_repair.json``).
+See ``docs/observability.md`` for the API walkthrough, the report
+schema, and how perfbench and the ``GATES`` table in
+``benchmarks/check_all_gates.py`` measure and check runs.
 """
 
 from repro.obs.counters import CounterRegistry, merged_snapshot

@@ -57,7 +57,7 @@ class Counter(NamedTuple):
 #: every scalar counter a run reports, in pipeline order
 COUNTERS = tuple(Counter(*row) for row in (
     ("dictionary_entries", "dataset", "entries", "distinct values interned in the input relation's attribute dictionaries, read before execution", "invariant"),
-    ("dict_hit_rate", "dataset", "ratio", "interning hits over probes of the input relation's dictionaries (high = heavy value repetition)", "invariant"),
+    ("dict_hit_rate", "dataset", "ratio", "1 - dictionary_entries / cells of the input relation: the share of cells repeating a value already in their dictionary (high = heavy value repetition)", "invariant"),
     ("possible_pairs", "index", "pattern pairs", "`P·(P−1)/2` over each FD's `P` projection patterns: what a full pair scan faces", "invariant"),
     ("candidates_generated", "index", "pattern pairs", "pattern pairs the join put on the table: the blocker union's output, or every pair on a scan", "invariant"),
     ("pairs_examined", "index", "pattern pairs", "pattern pairs the join inspected (equals `candidates_generated`); counts pattern pairs, not value pairs", "invariant"),
@@ -76,7 +76,6 @@ COUNTERS = tuple(Counter(*row) for row in (
     ("levels", "single", "levels", "last expansion level of the MIS enumeration (Sec. 3.1), summed over components", "invariant"),
     ("nodes_generated", "single", "nodes", "expansion-tree nodes the MIS enumeration generated; `max_nodes` bounds it", "invariant"),
     ("nodes_pruned", "single", "nodes", "expansion nodes cut because their Eq. (5) lower bound exceeded the Eq. (6) upper bound", "invariant"),
-    ("duplicates_removed", "single", "nodes", "emitted expansion nodes dropped because the next frontier already held their mask", "invariant"),
     ("non_maximal_discarded", "single", "nodes", "FTC children dropped because they are not maximal in the larger prefix", "invariant"),
     ("sets_enumerated", "single", "sets", "maximal independent sets the enumeration produced", "invariant"),
     ("search_nodes_expanded", "single", "nodes", "frontier nodes the expansion work-list processed", "invariant"),

@@ -12,8 +12,8 @@ repair run spent its time and what it produced:
   :class:`~repro.exec.config.RepairConfig`),
 * a **dataset fingerprint** (row/attribute counts plus a content hash,
   so two reports are comparable only when they ran the same input),
-* a **result digest** (edit count, cost, and the repair-output hash the
-  perf-regression gate diffs against its baseline),
+* a **result digest** (edit count, cost, and the repair-output hash,
+  see :func:`repair_output_hash`),
 * peak-RSS samples.
 
 Reports serialize to/from JSON losslessly (``to_json`` /
@@ -109,8 +109,8 @@ def dataset_fingerprint(relation: Any) -> Dict[str, Any]:
 def repair_output_hash(edits: Any, cost: float) -> str:
     """Stable hash of a repair's observable output (edits + cost).
 
-    The perf-regression gate fails on *any* change of this hash between
-    the baseline and the candidate entry: a perf win that silently
+    Tier-1 pins it for every algorithm on the 800-tuple HOSP slice
+    (``tests/test_substrate_hashes.py``): a perf win that silently
     changes repairs is a correctness regression, not an optimization.
     """
     digest = hashlib.sha256()

@@ -19,8 +19,9 @@ long-lived service:
   asyncio HTTP front-end behind ``repro serve``.
 
 See ``docs/serving.md`` for the walkthrough and
-``benchmarks/_serve_bench.py`` for the sustained-load benchmark the CI
-gate (``benchmarks/check_serve_gate.py``) consumes.
+``benchmarks/_serve_bench.py`` for the sustained-load benchmark whose
+entries the ``serve`` row of the ``GATES`` table in
+``benchmarks/check_all_gates.py`` checks.
 """
 
 from repro.serve.batching import (

@@ -1,4 +1,4 @@
-"""Reference implementations that only the tests (and gates) call.
+"""Reference implementations that only the tests call.
 
 Each oracle is a slow, obviously-correct version of a production path,
 kept so differential suites can assert the fast path reproduces it:
@@ -6,7 +6,7 @@ kept so differential suites can assert the fast path reproduces it:
 * :func:`levenshtein_two_row` / :func:`levenshtein_banded` — the classic
   DP and Ukkonen's banded DP, against the Myers bit-parallel kernel in
   :mod:`repro.core.distances` (``tests/test_kernels.py``,
-  ``tests/test_distances.py``, ``benchmarks/check_kernel_gate.py``);
+  ``tests/test_distances.py``);
 * :func:`enumerate_maximal_independent_sets_setbased` — the pre-bitset
   expansion of Section 3.1, against the bitset engine in
   :mod:`repro.core.single.mis` (``tests/test_search_bitset.py``);
@@ -45,8 +45,7 @@ def levenshtein_two_row(a: str, b: str, upper_bound: Optional[int] = None) -> in
     Same early-abort contract as :func:`repro.core.distances.levenshtein`:
     exact whenever the result is ``<= upper_bound``, some value
     ``> upper_bound`` otherwise. The reference the Myers kernel is
-    differentially tested (``tests/test_kernels.py``) and timed
-    (``benchmarks/check_kernel_gate.py``) against.
+    differentially tested and timed against (``tests/test_kernels.py``).
     """
     if a == b:
         return 0
@@ -232,7 +231,7 @@ def enumerate_maximal_independent_sets_setbased(
 
         def emit(candidate: FrozenSet[int]) -> None:
             if candidate in next_level:
-                stats.duplicates_removed += 1
+                stats.search_dominance_prunes += 1
                 return
             next_level[candidate] = None
             stats.nodes_generated += 1

@@ -216,9 +216,21 @@ class TestEncodedApi:
         assert stats["cells"] == 9
         assert stats["dictionary_entries"] == 2 + 1 + 1
         assert stats["encoded_bytes"] == 9 * 4
-        assert stats["intern_probes"] == 9
-        assert stats["intern_hits"] == 9 - 4
         assert stats["dict_hit_rate"] == pytest.approx(5 / 9)
+
+    def test_dict_hit_rate_is_a_property_of_the_input(self):
+        from repro.core.engine import Repairer
+        from repro.dataset.citizens import (
+            CITIZENS_FDS,
+            CITIZENS_THRESHOLDS,
+            citizens_dirty,
+        )
+
+        relation = citizens_dirty()
+        before = relation.dict_stats()["dict_hit_rate"]
+        repairer = Repairer(CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS)
+        rates = [repairer.repair(relation).stats.dict_hit_rate for _ in range(3)]
+        assert rates == [before] * 3
 
     def test_value_dictionary_roundtrip(self):
         vd = ValueDictionary()
@@ -228,7 +240,6 @@ class TestEncodedApi:
         assert vd.decode(2) == "c"
         assert "a" in vd and "zzz" not in vd
         assert vd.values() == ("a", "b", "c")
-        assert (vd.probes, vd.hits) == (4, 1)
 
     def test_value_dictionary_pickle_rebuilds_index(self):
         import pickle
@@ -239,4 +250,5 @@ class TestEncodedApi:
         clone = pickle.loads(pickle.dumps(vd))
         assert clone.values() == vd.values()
         assert clone.id_of("b") == vd.id_of("b")
-        assert (clone.probes, clone.hits) == (vd.probes, vd.hits)
+        empty = pickle.loads(pickle.dumps(ValueDictionary()))
+        assert empty.values() == () and empty.intern("a") == 0

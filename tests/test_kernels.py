@@ -16,7 +16,13 @@ Bounded kernels only promise the exact distance when it is within the
 bound; beyond it, two_row may return the true distance while Myers and
 banded clamp to ``bound + 1``. Both satisfy the contract, so bounded
 comparisons canonicalize through ``min(result, bound + 1)``.
+
+A timing floor also pins Myers at least 2x faster than the two-row DP
+on 200-character strings.
 """
+
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,6 +114,35 @@ class TestDegenerateCorners:
         assert levenshtein_two_row(a, b, bound) == expected
         assert levenshtein(a, b, bound) == expected
         assert levenshtein_banded(a, b, bound) == expected
+
+
+def test_myers_at_least_twice_as_fast_as_two_row():
+    """The bit-parallel column update is O(ceil(m/w)) big-int words
+    against the DP's O(m) inner loop: on 200-character strings anything
+    under 2x means the kernel fell back into scalar behaviour."""
+    rng = random.Random(9)
+    alphabet = "abcdefghijklmnopqrstuvwxyz"
+    pairs = []
+    for _ in range(60):
+        left = [rng.choice(alphabet) for _ in range(200)]
+        right = list(left)
+        for _ in range(rng.randrange(1, 12)):
+            right[rng.randrange(200)] = rng.choice(alphabet)
+        pairs.append(("".join(left), "".join(right)))
+
+    def best_of_three(kernel) -> float:
+        walls = []
+        for _ in range(3):
+            start = time.perf_counter()
+            for a, b in pairs:
+                kernel(a, b)
+            walls.append(time.perf_counter() - start)
+        return min(walls)
+
+    assert [levenshtein(a, b) for a, b in pairs[:5]] == [
+        levenshtein_two_row(a, b) for a, b in pairs[:5]
+    ]
+    assert best_of_three(levenshtein_two_row) >= 2 * best_of_three(levenshtein)
 
 
 class TestOneVsMany:

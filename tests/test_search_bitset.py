@@ -33,12 +33,12 @@ from repro.obs import repair_output_hash
 from tests.oracles import enumerate_maximal_independent_sets_setbased
 
 # statistics fields the two enumeration engines must agree on exactly
-# (the search_* counters are bitset-only instrumentation)
+# (the other search_* counters are bitset-only instrumentation)
 SHARED_STATS = (
     "levels",
     "nodes_generated",
     "nodes_pruned",
-    "duplicates_removed",
+    "search_dominance_prunes",
     "non_maximal_discarded",
     "sets_enumerated",
 )

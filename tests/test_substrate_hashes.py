@@ -1,15 +1,22 @@
-"""Cross-substrate repair hashes on the standard HOSP smoke slice.
+"""Every algorithm's repair hash on the standard HOSP smoke slice.
 
-The committed ``BENCH_repair.json`` trajectory pins the repair output
-hash of every algorithm on the 800-tuple noisy HOSP workload, recorded
-on the pre-1.2 row-major substrate. Reproducing those exact hashes on
-the columnar substrate is the end-to-end proof that the encoding changed
-*nothing* about what gets repaired — every edit, in order, at identical
-cost.
+The 800-tuple noisy HOSP slice (``generate_hosp(800, rng=7)`` plus
+``inject_noise(..., rng=11)``) has pinned output hashes for all five
+algorithms, first recorded on the pre-1.2 row-major substrate. Each
+algorithm must reproduce its hash and edit count under the naive join,
+the vectorized join, and the vectorized join at ``n_jobs=2``: the
+encoding, the join strategy and the worker pool change nothing about
+what gets repaired — every edit, in order, at identical cost.
 
-Slowish (two full 800-tuple repairs), so marked ``slow`` like the other
-integration workloads.
+The exact algorithms run with ``fallback="greedy"``: their searches
+exhaust ``max_nodes`` on this slice's large components and degrade, as
+the CLI default does.
+
+Slow (15 full 800-tuple repairs; exact-s takes most of it), so marked
+``slow`` like the other integration workloads.
 """
+
+import warnings
 
 import pytest
 
@@ -19,10 +26,20 @@ from repro.generator.hosp import HOSP_FDS, generate_hosp, hosp_thresholds
 from repro.generator.noise import NoiseConfig, inject_noise
 from repro.obs import repair_output_hash
 
-#: (algorithm, expected hash) from the committed smoke-scale trajectory
+#: algorithm -> (expected output hash, expected edit count)
 EXPECTED = {
+    "appro-m": ("ed47302ef255617b", 442),
+    "exact-m": ("ed47302ef255617b", 442),
+    "exact-s": ("3a25e7b8fe51b497", 452),
     "greedy-m": ("ed47302ef255617b", 442),
     "greedy-s": ("3a25e7b8fe51b497", 452),
+}
+
+#: join settings; the default one (vectorized, serial) has no id suffix
+SETTINGS = {
+    "": {"join_strategy": "vectorized"},
+    "-naive": {"join_strategy": "naive"},
+    "-n_jobs2": {"join_strategy": "vectorized", "n_jobs": 2},
 }
 
 
@@ -34,16 +51,28 @@ def hosp_slice():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("algorithm", sorted(EXPECTED))
-def test_smoke_hash_matches_row_major_baseline(hosp_slice, algorithm):
+@pytest.mark.parametrize(
+    "algorithm,setting",
+    [
+        pytest.param(algorithm, setting, id=algorithm + setting)
+        for algorithm in sorted(EXPECTED)
+        for setting in SETTINGS
+    ],
+)
+def test_smoke_hash_matches_row_major_baseline(hosp_slice, algorithm, setting):
     expected_hash, expected_edits = EXPECTED[algorithm]
     weights = Weights(0.5, 0.5)
+    extra = {"fallback": "greedy"} if algorithm.startswith("exact") else {}
     repairer = Repairer(
         HOSP_FDS,
         algorithm=algorithm,
         weights=weights,
         thresholds=hosp_thresholds(weights=weights),
+        **SETTINGS[setting],
+        **extra,
     )
-    result = repairer.repair(hosp_slice)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the exact searches degrade here
+        result = repairer.repair(hosp_slice)
     assert len(result.edits) == expected_edits
     assert repair_output_hash(result.edits, result.cost) == expected_hash

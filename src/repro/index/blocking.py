@@ -183,9 +183,9 @@ def _band_width(ratio: float, spread: float) -> float:
 # ----------------------------------------------------------------------
 # Vectorized candidate passes (distinct-id granularity, numpy-batched)
 # ----------------------------------------------------------------------
-#: element budget per transient matrix of the length-band pass and byte
-#: budget per packed-overlap gather — both bound peak memory, neither
-#: affects the emitted pair set.
+#: element budget per transient matrix of the length-band pass, and
+#: byte budget of the gram rows one count-filter chunk gathers — both
+#: bound peak memory, neither affects the emitted pair set.
 _VEC_MATRIX_ELEMS = 1 << 21
 _VEC_OVERLAP_BYTES = 1 << 20
 
@@ -224,15 +224,15 @@ def vectorized_qgram_pairs(
 ) -> Tuple[Any, Any, Any, int]:
     """Distinct-id pair candidates of one q-gram blocker, numpy-batched.
 
-    Runs the two sound prefilters over the canonical (bit-packed) gram
-    matrix of :meth:`_StringIndex.gram_arrays`, upper triangle only:
+    Runs the two sound prefilters over the canonical ``uint64``-word
+    gram matrix of :meth:`_StringIndex.gram_arrays`, upper triangle only:
 
     1. **length band** — ``|la - lb| <= k`` with the per-pair edit
        budget ``k = floor(ratio * max(la, lb) + eps)``;
     2. **q-gram count filter** (distinct-set variant) — ``lev <= k``
        implies the profiles share at least ``max(|Ga|, |Gb|) - k*q``
        grams, so pairs under that overlap are rejected by popcounting
-       the packed rows.
+       the ANDed word rows (``np.bitwise_count``).
 
     Returns ``(u, v, k, passes)``: surviving canonical code pairs, the
     edit budget per pair (for the exact settle the caller runs), and the
@@ -245,23 +245,26 @@ def vectorized_qgram_pairs(
     out_u: List[Any] = []
     out_v: List[Any] = []
     out_k: List[Any] = []
-    row_bytes = packed.shape[1] if packed.ndim == 2 else 1
-    overlap_chunk = max(1, _VEC_OVERLAP_BYTES // max(row_bytes, 1))
+    overlap_chunk = max(1, _VEC_OVERLAP_BYTES // (packed.shape[0] * 8))
     row_chunk = max(16, _VEC_MATRIX_ELEMS // max(n_values, 1))
     idx = np.arange(n_values, dtype=np.int64)
     for start in range(0, n_values, row_chunk):
         stop = min(start + row_chunk, n_values)
+        # upper triangle: no row of the chunk pairs with a column at or
+        # left of its first row, so the band matrix starts right of it
         li = lengths[start:stop, None]
-        maxlen = np.maximum(li, lengths[None, :])
+        lj = lengths[None, start + 1 :]
+        maxlen = np.maximum(li, lj)
         budget = (ratio * maxlen + _BUDGET_EPS).astype(np.int64)
-        mask = np.abs(li - lengths[None, :]) <= budget
-        mask &= idx[None, :] > idx[start:stop, None]  # upper triangle
+        mask = np.abs(li - lj) <= budget
+        mask &= idx[None, start + 1 :] > idx[start:stop, None]
         passes += 1
         rows, cols = np.nonzero(mask)
         if rows.size == 0:
             continue
         budgets = budget[rows, cols]
         rows = rows + start
+        cols = cols + (start + 1)
         need = np.maximum(sizes[rows], sizes[cols]) - budgets * q
         keep = np.ones(rows.size, dtype=bool)
         check = np.nonzero(need > 0)[0]

@@ -16,56 +16,37 @@ from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-_POPCOUNT_TABLE: Any = None
 
-
-def popcount_table() -> Any:
-    """256-entry ``uint8`` popcount lookup table.
-
-    Portable across numpy versions (``np.bitwise_count`` only exists from
-    numpy 2.0); indexing a byte matrix through the table and summing rows
-    counts set bits at memory bandwidth.
-    """
-    global _POPCOUNT_TABLE
-    if _POPCOUNT_TABLE is None:
-        _POPCOUNT_TABLE = np.array(
-            [bin(i).count("1") for i in range(256)], dtype=np.uint8
-        )
-    return _POPCOUNT_TABLE
-
-
-def gram_matrix(profiles: Sequence[Set[str]]) -> Tuple[Any, Any, Any, Any]:
-    """Encode distinct-gram profiles as a CSR matrix plus a packed bitset.
+def gram_matrix(profiles: Sequence[Set[str]]) -> Tuple[Any, Any]:
+    """Bit-pack distinct-gram profiles into ``uint64`` words, word-major.
 
     *profiles* is one distinct-q-gram set per dictionary id. Returns
-    ``(indptr, gram_ids, packed, sizes)``:
-
-    * ``indptr`` / ``gram_ids`` — CSR rows of the boolean value x gram
-      matrix: value *v*'s grams are ``gram_ids[indptr[v]:indptr[v+1]]``,
-      columns assigned in first-occurrence order over a shared
-      vocabulary;
-    * ``packed`` — the same matrix bit-packed to ``uint8``
-      (``ceil(G/8)`` bytes per row) for pairwise overlap popcounts;
-    * ``sizes`` — ``int64`` profile sizes (the CSR row lengths).
+    ``(packed, sizes)``: ``packed`` is the boolean value x gram matrix,
+    columns assigned in first-occurrence order over a shared vocabulary,
+    packed 64 columns to a ``uint64`` word and stored transposed —
+    ``packed[w, v]`` is word ``w`` of value ``v`` (``ceil(G/64)`` rows),
+    so :func:`packed_overlap` gathers one contiguous row per word;
+    ``sizes`` are the ``int64`` profile sizes.
     """
     vocabulary: Dict[str, int] = {}
     columns: List[int] = []
-    indptr = np.zeros(len(profiles) + 1, dtype=np.int64)
+    sizes = np.zeros(len(profiles), dtype=np.int64)
     for row, profile in enumerate(profiles):
         columns.extend(
             vocabulary.setdefault(gram, len(vocabulary))
             for gram in sorted(profile)
         )
-        indptr[row + 1] = len(columns)
-    gram_ids = np.asarray(columns, dtype=np.int64)
-    width = (max(len(vocabulary), 1) + 7) // 8
-    packed = np.zeros((len(profiles), width), dtype=np.uint8)
-    bits = (1 << (gram_ids & 7)).astype(np.uint8)
-    bytes_of = gram_ids >> 3
-    for row in range(len(profiles)):
-        lo, hi = indptr[row], indptr[row + 1]
-        np.bitwise_or.at(packed[row], bytes_of[lo:hi], bits[lo:hi])
-    return indptr, gram_ids, packed, np.diff(indptr)
+        sizes[row] = len(profile)
+    gram_ids = np.asarray(columns, dtype=np.uint64)
+    width = (max(len(vocabulary), 1) + 63) // 64
+    packed = np.zeros((width, len(profiles)), dtype=np.uint64)
+    rows = np.repeat(np.arange(len(profiles), dtype=np.int64), sizes)
+    np.bitwise_or.at(
+        packed.reshape(-1),
+        (gram_ids >> np.uint64(6)).astype(np.int64) * len(profiles) + rows,
+        np.left_shift(np.uint64(1), gram_ids & np.uint64(63)),
+    )
+    return packed, sizes
 
 
 def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any, Dict[str, int]]:
@@ -83,21 +64,25 @@ def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any, Dict[str, int]]:
     so the batched kernels route pairs where *both* sides are that wide
     back to the scalar kernel.
     """
-    vocabulary: Dict[str, int] = {}
     lengths = np.array([len(value) for value in values], dtype=np.int64)
-    codes = np.zeros((len(values), max(int(lengths.max(initial=0)), 1)), dtype=np.int32)
-    for row, value in enumerate(values):
-        codes[row, : len(value)] = [
-            vocabulary.setdefault(ch, len(vocabulary)) for ch in value
-        ]
-    peq = np.zeros((len(values), len(vocabulary) + 1), dtype=np.uint64)
-    rows, cols = np.nonzero(
-        (np.arange(codes.shape[1]) < lengths[:, None]) & (lengths[:, None] <= 63)
+    # every character as one code point, all values back to back
+    flat = np.frombuffer(
+        "".join(values).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
     )
+    chars, inverse = np.unique(flat, return_inverse=True)
+    vocabulary = {chr(ch): code for code, ch in enumerate(chars.tolist())}
+    rows = np.repeat(np.arange(len(values), dtype=np.int64), lengths)
+    cols = np.arange(flat.size, dtype=np.int64) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    codes = np.zeros((len(values), max(int(lengths.max(initial=0)), 1)), dtype=np.int32)
+    codes[rows, cols] = inverse
+    peq = np.zeros((len(values), len(vocabulary) + 1), dtype=np.uint64)
+    narrow = lengths[rows] <= 63
     np.bitwise_or.at(
         peq,
-        (rows, codes[rows, cols]),
-        np.left_shift(np.uint64(1), cols.astype(np.uint64)),
+        (rows[narrow], inverse[narrow]),
+        np.left_shift(np.uint64(1), cols[narrow].astype(np.uint64)),
     )
     return codes, lengths, peq, vocabulary
 
@@ -139,10 +124,9 @@ def _myers_scan(m: Any, n: Any, eq_at: Callable[[int, int], Any]) -> Any:
         np.bitwise_or(mh << one, ~(xv | ph), out=pv_s)
         np.bitwise_and(ph, xv, out=mv_s)
     full = (one << m.astype(np.uint64)) - one
-    words = np.stack([pv & full, mv & full])
-    bits = popcount_table()[words.view(np.uint8)].reshape(2, -1, 8)
-    plus, minus = bits.sum(axis=2, dtype=np.int64)
-    return n + plus - minus
+    plus = np.bitwise_count(pv & full)
+    minus = np.bitwise_count(mv & full)
+    return n + plus.astype(np.int64) - minus
 
 
 def batched_myers(codes: Any, lengths: Any, peq: Any, lefts: Any,
@@ -225,10 +209,12 @@ def batched_myers_query(codes: Any, lengths: Any, peq: Any,
 def packed_overlap(packed: Any, left: Any, right: Any) -> Any:
     """Distinct-gram overlap ``|G_u & G_v|`` for each pair ``(left[i], right[i])``.
 
-    Operates on the bit-packed matrix from :func:`gram_matrix`. The
-    caller chunks the pair arrays to bound the transient
-    ``len(pairs) x row_bytes`` gather.
+    Operates on the word-major ``uint64`` matrix from :func:`gram_matrix`:
+    per word, one gather of each side, an AND and ``np.bitwise_count``,
+    accumulated over the words. The caller chunks the pair arrays to
+    bound the transient gathers.
     """
-    table = popcount_table()
-    inter = np.bitwise_and(packed[left], packed[right])
-    return table[inter].sum(axis=1, dtype=np.int64)
+    overlap = np.zeros(len(left), dtype=np.int64)
+    for words in packed:
+        overlap += np.bitwise_count(words[left] & words[right])
+    return overlap

@@ -10,29 +10,33 @@ canonical numbering and each FD's local value ids.
 
 Shared per string attribute:
 
-* the q-gram profiles, gram frequencies, length buckets, and inverted
-  posting lists (built lazily on the first one-vs-many probe),
-* the packed gram and character matrices of the vectorized join,
-* the exact settle verdicts ``lev(a, b) <= k`` per value pair and
-  budget, and the exact edit counts the bounded kernel proved.
+* the q-gram profiles and the ``uint64``-word gram matrix of the
+  vectorized join's count filter,
+* the character codes and Myers PEQ tables of the batched kernel,
+* the gram frequencies, length buckets and inverted posting lists of
+  the one-vs-many serving probe (built on the first probe).
 
 Shared per numeric attribute: the sorted value order.
+
+Settling is array-native and uncached: :meth:`bounded_edits_many` sends
+every candidate pair of a call through one batched Myers kernel, whose
+results are exact, so a settle verdict is just ``edits <= k``.
 
 Everything the registry returns is a value-level fact, so detection
 output is byte-identical with and without sharing.
 
-The registry validates its entries per call (length equality plus
+The registry validates its entries per join (length equality plus
 membership of every local value) and rebuilds on mismatch, so it stays
 sound when the relation evolves between joins — e.g. the sequential
-single-FD repair loop. Builds, reuses, and settle kernel calls are
-counted and surface in ``ViolationGraph.join_counters`` /
-``ExecutionStats`` / CLI ``--stats``.
+single-FD repair loop; serving probes validate once per values list.
+Builds, reuses, and kernel calls are counted and surface in
+``ViolationGraph.join_counters`` / ``ExecutionStats`` / CLI ``--stats``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -53,8 +57,6 @@ class _StringIndex:
         "_frequency",
         "_by_length",
         "_postings",
-        "settled",
-        "exact_edits",
         "_gram_arrays",
         "_char_arrays",
     )
@@ -65,34 +67,36 @@ class _StringIndex:
         self.code_of: Dict[str, int] = {
             value: code for code, value in enumerate(self.values)
         }
-        self.lengths: List[int] = [len(value) for value in self.values]
+        self.lengths = np.array([len(value) for value in self.values], dtype=np.int64)
         self._profiles: Optional[List[frozenset]] = None
         self._frequency: Optional[Counter] = None
         self._by_length: Optional[Dict[int, List[int]]] = None
         self._postings: Optional[Dict[int, Dict[str, List[int]]]] = None
-        #: settle verdicts ``lev(values[u], values[v]) <= k`` keyed (u, v, k)
-        self.settled: Dict[Tuple[int, int, int], bool] = {}
-        #: exact edit counts keyed (min(u, v), max(u, v)); only values a
-        #: bounded kernel call proved exact are ever stored here
-        self.exact_edits: Dict[Tuple[int, int], int] = {}
-        self._gram_arrays: Optional[Tuple[Any, Any, Any, Any, Any]] = None
+        self._gram_arrays: Optional[Tuple[Any, Any, Any]] = None
         self._char_arrays: Optional[Tuple[Any, Any, Any, Dict[str, int]]] = None
 
-    def _ensure_grams(self) -> None:
-        if self._profiles is not None:
+    def _ensure_profiles(self) -> List[frozenset]:
+        if self._profiles is None:
+            self._profiles = [
+                frozenset(qgrams(value, self.q)) for value in self.values
+            ]
+        return self._profiles
+
+    def _ensure_postings(self) -> None:
+        """Frequency, length buckets and postings: serving probes only."""
+        if self._postings is not None:
             return
-        self._profiles = [frozenset(qgrams(value, self.q)) for value in self.values]
+        profiles = self._ensure_profiles()
         frequency: Counter = Counter()
-        for profile in self._profiles:
-            frequency.update(profile)
-        self._frequency = frequency
         by_length: Dict[int, List[int]] = {}
         postings: Dict[int, Dict[str, List[int]]] = {}
-        for code, length in enumerate(self.lengths):
+        for code, length in enumerate(self.lengths.tolist()):
+            frequency.update(profiles[code])
             by_length.setdefault(length, []).append(code)
             bucket = postings.setdefault(length, {})
-            for gram in self._profiles[code]:
+            for gram in profiles[code]:
                 bucket.setdefault(gram, []).append(code)
+        self._frequency = frequency
         self._by_length = by_length
         self._postings = postings
 
@@ -105,7 +109,7 @@ class _StringIndex:
         the index. The result is a superset of the values within
         ``floor(ratio * max_len + eps)`` edits — callers verify exactly.
         """
-        self._ensure_grams()
+        self._ensure_postings()
         eps = _BUDGET_EPS
         q = self.q
         la = len(query)
@@ -129,21 +133,17 @@ class _StringIndex:
                     out.update(bucket.get(gram, ()))
         return sorted(out)
 
-    def gram_arrays(self) -> Tuple[Any, Any, Any, Any, Any]:
+    def gram_arrays(self) -> Tuple[Any, Any, Any]:
         """Numpy encodings for the vectorized join, built lazily once.
 
-        Returns ``(indptr, gram_ids, packed, sizes, lengths)``: the CSR
-        and bit-packed q-gram matrices from
+        Returns ``(packed, sizes, lengths)``: the ``uint64``-word gram
+        matrix and profile sizes from
         :func:`repro.index.qgram.gram_matrix` over the canonical
-        profiles, plus the canonical value lengths as an ``int64``
-        array.
+        profiles, plus the canonical value lengths.
         """
         if self._gram_arrays is None:
-            self._ensure_grams()
-            assert self._profiles is not None
-            indptr, gram_ids, packed, sizes = gram_matrix(self._profiles)
-            lengths = np.asarray(self.lengths, dtype=np.int64)
-            self._gram_arrays = (indptr, gram_ids, packed, sizes, lengths)
+            packed, sizes = gram_matrix(self._ensure_profiles())
+            self._gram_arrays = (packed, sizes, self.lengths)
         return self._gram_arrays
 
     def char_arrays(self) -> Tuple[Any, Any, Any, Dict[str, int]]:
@@ -198,11 +198,14 @@ class AttributeIndexRegistry:
         self.index_reuses = 0
         #: one-vs-many candidate probes (serving path; see qgram_probe)
         self.index_probes = 0
-        #: settle kernel invocations (cache-missed ``lev <= k`` verdicts)
+        #: string pairs the join settles or verifies (every one is a
+        #: kernel evaluation; nothing is cached across calls)
         self.kernel_calls = 0
         self._strings: Dict[str, _StringIndex] = {}
         self._numerics: Dict[str, _NumericIndex] = {}
         self._kernels: Dict[str, PreparedKernel] = {}
+        #: attribute -> (probed values list, its entry, canonical -> local)
+        self._probe_views: Dict[str, Tuple[Sequence, Any, List[int]]] = {}
 
     def counters(self) -> Dict[str, int]:
         """The accounting triple, for stats plumbing."""
@@ -213,17 +216,14 @@ class AttributeIndexRegistry:
         }
 
     # ------------------------------------------------------------------
-    def string_index(
-        self, attribute: str, values: Sequence[str]
-    ) -> Tuple[_StringIndex, List[int]]:
-        """The canonical index for *attribute* plus local->canonical codes.
-
-        Reuses the cached entry when *values* is a bijection of its
-        canonical set (same length, every value known); rebuilds
-        otherwise — the relation changed under the registry, e.g. between
-        the passes of a sequential repair loop.
-        """
-        entry = self._strings.get(attribute)
+    def _index(
+        self,
+        store: Dict[str, Any],
+        attribute: str,
+        values: Sequence,
+        build: Callable[[Sequence], Any],
+    ) -> Tuple[Any, List[int]]:
+        entry = store.get(attribute)
         if entry is not None and len(entry.values) == len(values):
             code_of = entry.code_of
             codes: List[int] = []
@@ -235,31 +235,30 @@ class AttributeIndexRegistry:
             else:
                 self.index_reuses += 1
                 return entry, codes
-        entry = _StringIndex(values, self.q)
-        self._strings[attribute] = entry
+        entry = build(values)
+        store[attribute] = entry
         self.index_builds += 1
         return entry, list(range(len(values)))
+
+    def string_index(
+        self, attribute: str, values: Sequence[str]
+    ) -> Tuple[_StringIndex, List[int]]:
+        """The canonical index for *attribute* plus local->canonical codes.
+
+        Reuses the cached entry when *values* is a bijection of its
+        canonical set (same length, every value known); rebuilds
+        otherwise — the relation changed under the registry, e.g. between
+        the passes of a sequential repair loop.
+        """
+        return self._index(
+            self._strings, attribute, values, lambda vs: _StringIndex(vs, self.q)
+        )
 
     def numeric_index(
         self, attribute: str, values: Sequence[float]
     ) -> Tuple[_NumericIndex, List[int]]:
         """Numeric twin of :meth:`string_index` (same validation rule)."""
-        entry = self._numerics.get(attribute)
-        if entry is not None and len(entry.values) == len(values):
-            code_of = entry.code_of
-            codes = []
-            for value in values:
-                code = code_of.get(value)
-                if code is None:
-                    break
-                codes.append(code)
-            else:
-                self.index_reuses += 1
-                return entry, codes
-        entry = _NumericIndex(values)
-        self._numerics[attribute] = entry
-        self.index_builds += 1
-        return entry, list(range(len(values)))
+        return self._index(self._numerics, attribute, values, _NumericIndex)
 
     # ------------------------------------------------------------------
     def prepared_kernel(self, text: str) -> PreparedKernel:
@@ -271,114 +270,64 @@ class AttributeIndexRegistry:
         return prepared
 
     def bounded_edits_many(
-        self,
-        entry: _StringIndex,
-        lefts: Sequence[int],
-        rights: Sequence[int],
-        budgets: Sequence[int],
-    ) -> List[int]:
-        """Batched bounded edit distances between canonical value pairs.
+        self, entry: _StringIndex, lefts: Any, rights: Any, budgets: Any
+    ) -> Any:
+        """Bounded edit distances between canonical value pairs, as arrays.
 
-        Each result honours the kernel contract: exact iff it does not
-        exceed its budget. Misses run through
-        :func:`repro.index.qgram.batched_myers` — the bit-parallel column
-        update as elementwise ``uint64`` ops over the whole batch; pairs
-        the one-word bitvector cannot hold (both sides over 63
-        characters) are grouped by left value and settled through one
-        prepared :meth:`PreparedKernel.compare_many` per group. Exact
-        results are cached in ``entry.exact_edits`` so the blocker settle
-        and the verify pass never re-run a kernel on the same distinct
-        pair.
+        *lefts*, *rights* and *budgets* are ``int64`` arrays; the result
+        is too, and honours the kernel contract: exact iff it does not
+        exceed its budget, so ``result <= budgets`` is the settle
+        verdict. Every pair runs through one
+        :func:`repro.index.qgram.batched_myers` call — the bit-parallel
+        column update as elementwise ``uint64`` ops, with exact results.
+        Pairs the one-word bitvector cannot hold (both sides over 63
+        characters) are grouped by left value and run through one
+        prepared :meth:`PreparedKernel.compare_many` per group.
         """
-        values = entry.values
-        edits_cache = entry.exact_edits
-        settled = entry.settled
-        out: List[int] = [0] * len(lefts)
-        miss: List[int] = []
-        for pos in range(len(lefts)):
-            u, v = lefts[pos], rights[pos]
-            cached = edits_cache.get((u, v) if u < v else (v, u))
-            if cached is not None:
-                out[pos] = cached
-            else:
-                miss.append(pos)
-        if not miss:
-            return out
         codes, lengths, peq, _ = entry.char_arrays()
-        batch = batched_myers(
-            codes,
-            lengths,
-            peq,
-            np.fromiter((lefts[p] for p in miss), np.int64, count=len(miss)),
-            np.fromiter((rights[p] for p in miss), np.int64, count=len(miss)),
-        )
-        remaining: List[int] = []
-        for pos, edits in zip(miss, batch.tolist()):
-            if edits < 0:  # too wide for one word; scalar below
-                remaining.append(pos)
-                continue
-            out[pos] = edits
-            u, v, k = lefts[pos], rights[pos], budgets[pos]
-            settled[(u, v, k)] = edits <= k
-            # batched distances are unconditionally exact
-            edits_cache[(u, v) if u < v else (v, u)] = edits
-        self.kernel_calls += len(miss) - len(remaining)
-        pending: Dict[int, List[int]] = {}
-        for pos in remaining:
-            pending.setdefault(lefts[pos], []).append(pos)
-        for u, positions in pending.items():
-            self.kernel_calls += len(positions)
-            results = self.prepared_kernel(values[u]).compare_many(
-                [values[rights[p]] for p in positions],
-                [budgets[p] for p in positions],
-            )
-            for p, edits in zip(positions, results):
-                out[p] = edits
-                v, k = rights[p], budgets[p]
-                verdict = edits <= k
-                settled[(u, v, k)] = verdict
-                if verdict:
-                    edits_cache[(u, v) if u < v else (v, u)] = edits
+        out = batched_myers(codes, lengths, peq, lefts, rights)
+        self.kernel_calls += len(out)
+        wide = np.nonzero(out < 0)[0]
+        if wide.size:
+            groups: Dict[int, List[int]] = {}
+            for pos, u in zip(wide.tolist(), lefts[wide].tolist()):
+                groups.setdefault(u, []).append(pos)
+            values = entry.values
+            for u, positions in groups.items():
+                out[positions] = self.prepared_kernel(values[u]).compare_many(
+                    [values[v] for v in rights[positions].tolist()],
+                    budgets[positions].tolist(),
+                )
         return out
 
-    def settle_many(
+    def _probe_view(
         self,
-        entry: _StringIndex,
-        lefts: Sequence[int],
-        rights: Sequence[int],
-        budgets: Sequence[int],
-    ) -> List[bool]:
-        """Batched settle verdicts ``lev(values[u], values[v]) <= k`` per pair.
+        store: Dict[str, Any],
+        attribute: str,
+        values: Sequence,
+        index: Callable[[str, Sequence], Tuple[Any, List[int]]],
+    ) -> Tuple[Any, List[int]]:
+        """The entry for a probed *values* list and its canonical -> local ids.
 
-        Probes the verdict and exact-edit caches first, then routes the
-        misses through :meth:`bounded_edits_many`.
+        Validated and inverted once per (entry, values list): a serving
+        index probes the same distinct-values list many times, and
+        rebuilds a fresh list when its element set grows.
         """
-        out: List[bool] = [False] * len(lefts)
-        settled = entry.settled
-        edits_cache = entry.exact_edits
-        miss: List[int] = []
-        for pos in range(len(lefts)):
-            u, v, k = lefts[pos], rights[pos], budgets[pos]
-            verdict = settled.get((u, v, k))
-            if verdict is None:
-                edits = edits_cache.get((u, v) if u < v else (v, u))
-                if edits is not None:
-                    verdict = edits <= k
-                    settled[(u, v, k)] = verdict
-            if verdict is None:
-                miss.append(pos)
-            else:
-                out[pos] = verdict
-        if miss:
-            edits_batch = self.bounded_edits_many(
-                entry,
-                [lefts[p] for p in miss],
-                [rights[p] for p in miss],
-                [budgets[p] for p in miss],
-            )
-            for p, edits in zip(miss, edits_batch):
-                out[p] = edits <= budgets[p]
-        return out
+        view = self._probe_views.get(attribute)
+        if (
+            view is None
+            or view[0] is not values
+            or view[1] is not store.get(attribute)
+            or len(view[2]) != len(values)
+        ):
+            entry, codes = index(attribute, values)
+            local_of = [0] * len(codes)
+            for vid, code in enumerate(codes):
+                local_of[code] = vid
+            view = (values, entry, local_of)
+            self._probe_views[attribute] = view
+        self.index_probes += 1
+        return view[1], view[2]
 
     def qgram_probe(
         self,
@@ -395,14 +344,12 @@ class AttributeIndexRegistry:
         a **superset** of the values within
         ``floor(ratio * max_len + eps)`` edits — callers verify exactly,
         so a looser probe can never change results, only waste work.
+        *values* must not be mutated in place between probes.
         """
-        entry, codes = self.string_index(attribute, values)
-        self.index_probes += 1
-        raw = entry.probe(query, ratio)
-        if not raw:
-            return []
-        local_of = {code: vid for vid, code in enumerate(codes)}
-        return [local_of[code] for code in raw]
+        entry, local_of = self._probe_view(
+            self._strings, attribute, values, self.string_index
+        )
+        return [local_of[code] for code in entry.probe(query, ratio)]
 
     def band_probe(
         self,
@@ -416,10 +363,7 @@ class AttributeIndexRegistry:
         Numeric twin of :meth:`qgram_probe` over the shared sorted
         order; exact (the band window is the candidate condition).
         """
-        entry, codes = self.numeric_index(attribute, values)
-        self.index_probes += 1
-        raw = entry.probe(query, band)
-        if not raw:
-            return []
-        local_of = {code: vid for vid, code in enumerate(codes)}
-        return [local_of[code] for code in raw]
+        entry, local_of = self._probe_view(
+            self._numerics, attribute, values, self.numeric_index
+        )
+        return [local_of[code] for code in entry.probe(query, band)]

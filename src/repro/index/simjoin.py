@@ -8,15 +8,15 @@ strategies implement it:
   union of per-attribute blockers (:mod:`repro.index.blocking`) run at
   **distinct-dictionary-id granularity** with numpy-batched filtering:
   per-attribute length-band + q-gram count-filter passes over the
-  packed gram matrices propose distinct-id pairs, each survivor is
-  settled exactly once with the prepared Myers kernel, verified value
-  pairs fan out to pattern pairs through the dictionary frequency
-  lists, and Eq. (2) accumulates per candidate as elementwise float64
-  vector ops (bit-identical to the scalar accumulation). When the join
-  has fewer than two patterns, the FD has a custom distance override or
-  an active attribute that refuses the numeric coercion, or no sound
-  budget split covers ``tau``, it falls back to the length-filtered
-  pair scan.
+  ``uint64``-word gram matrices propose distinct-id pairs, the
+  survivors go as arrays through one batched Myers kernel call
+  (``edits <= k``), verified value pairs fan out to pattern pairs
+  through the dictionary frequency lists, and Eq. (2) accumulates per
+  candidate as elementwise float64 vector ops (bit-identical to the
+  scalar accumulation). When the join has fewer than two patterns, the
+  FD has a custom distance override or an active attribute that refuses
+  the numeric coercion, or no sound budget split covers ``tau``, it
+  falls back to the length-filtered pair scan.
 * ``naive`` — exact distance for every pair, no filtering: the test
   oracle.
 
@@ -190,9 +190,9 @@ class SimilarityJoin:
            pigeonhole allocation of :func:`_allocate_union`;
         2. realize each blocker at distinct-id granularity — numpy band
            windows for numerics, length-band + packed q-gram
-           count-filter passes for strings, with survivors settled
-           **exactly once per distinct pair** through the batched
-           prepared Myers kernel;
+           count-filter passes for strings, with the surviving
+           distinct pairs sent as arrays through the batched Myers
+           kernel;
         3. fan the surviving value pairs out to pattern pairs through
            the per-value pattern groups (segmented ``repeat``/``cumsum``
            expansion), union the blockers, and sort via one
@@ -280,16 +280,13 @@ class SimilarityJoin:
                 filter_passes += passes
             else:
                 entry, codes = registry.string_index(info.attribute, info.values)
-                _, _, packed, sizes, lengths = entry.gram_arrays()
+                packed, sizes, lengths = entry.gram_arrays()
                 cu, cv, budgets, passes = vectorized_qgram_pairs(
                     packed, sizes, lengths, ratio, self.q
                 )
                 filter_passes += passes
                 distinct_examined += int(cu.size)
-                verdicts = registry.settle_many(
-                    entry, cu.tolist(), cv.tolist(), budgets.tolist()
-                )
-                keep = np.asarray(verdicts, dtype=bool)
+                keep = registry.bounded_edits_many(entry, cu, cv, budgets) <= budgets
                 cu, cv = cu[keep], cv[keep]
                 # canonical codes -> this FD's local value ids
                 codes_arr = np.asarray(codes, dtype=np.int64)
@@ -345,20 +342,15 @@ class SimilarityJoin:
                 codes_arr = np.asarray(codes, dtype=np.int64)
                 canon_u = codes_arr[uu]
                 canon_v = codes_arr[vv]
-                lengths = np.asarray(entry.lengths, dtype=np.int64)
-                longest = np.maximum(lengths[canon_u], lengths[canon_v])
+                longest = np.maximum(
+                    entry.lengths[canon_u], entry.lengths[canon_v]
+                )
                 # the loosest budget a scalar bounded check could use;
                 # pairs rejected here provably exceed tau (margin
                 # weight / longest, far above float noise)
                 budgets = ((tau / info.weight) * longest).astype(np.int64) + 1
-                edits = np.asarray(
-                    registry.bounded_edits_many(
-                        entry,
-                        canon_u.tolist(),
-                        canon_v.tolist(),
-                        budgets.tolist(),
-                    ),
-                    dtype=np.int64,
+                edits = registry.bounded_edits_many(
+                    entry, canon_u, canon_v, budgets
                 )
                 distances = np.where(
                     edits <= budgets, edits / longest, np.inf

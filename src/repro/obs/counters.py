@@ -63,7 +63,7 @@ COUNTERS = tuple(Counter(*row) for row in (
     ("pairs_examined", "index", "pattern pairs", "pattern pairs the join inspected (equals `candidates_generated`); counts pattern pairs, not value pairs", "invariant"),
     ("pairs_filtered", "index", "pattern pairs", "examined pattern pairs a sound filter rejected before exact Eq. (2) verification (0 on `naive`)", "invariant"),
     ("pairs_verified", "index", "pattern pairs", "pattern pairs that reached the exact Eq. (2) accumulation (`pairs_examined − pairs_filtered`)", "invariant"),
-    ("kernel_calls", "index", "calls", "bounded Levenshtein evaluations the join ran; a distance-memo hit skips one, so it follows memo warmth", "scheduling"),
+    ("kernel_calls", "index", "calls", "Levenshtein evaluations the join ran: every distinct string pair the vectorized join settles or verifies, none skipped by a cache, plus the scans' distance-memo misses, which follow memo warmth", "scheduling"),
     ("index_builds", "index", "indexes", "attribute indexes the join's registry built from scratch", "invariant"),
     ("index_reuses", "index", "indexes", "attribute indexes served from an earlier FD's work in the same registry", "invariant"),
     ("distinct_pairs_examined", "index", "value pairs", "distinct-value pairs per attribute that reached an exact settle or a verification batch; counts value pairs, not pattern pairs (0 on scans)", "invariant"),

@@ -36,7 +36,7 @@ def _plan(fd, model, tau, patterns):
 
 def _qgram_pairs(values, ratio, q=2):
     """``(i, j) -> edit budget`` for the pairs the q-gram blocker keeps."""
-    _, _, packed, sizes, lengths = _StringIndex(values, q).gram_arrays()
+    packed, sizes, lengths = _StringIndex(values, q).gram_arrays()
     u, v, budgets, _ = vectorized_qgram_pairs(packed, sizes, lengths, ratio, q)
     return dict(zip(zip(u.tolist(), v.tolist()), budgets.tolist()))
 

@@ -24,12 +24,13 @@ on 200-character strings.
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.distances import DistanceKernel, DistanceModel, levenshtein
 from repro.dataset.relation import Relation, Schema
-from repro.index.registry import AttributeIndexRegistry
+from repro.index.registry import AttributeIndexRegistry, _StringIndex
 from tests.oracles import levenshtein_banded, levenshtein_two_row
 
 # ascii, space, combining-free accents, CJK, and astral-plane symbols
@@ -246,3 +247,58 @@ class TestRegistry:
             "index_reuses",
             "kernel_calls",
         }
+
+
+# short unicode values (empty included) and 64-80-character values: a
+# pair whose shorter side is over 63 characters takes the scalar kernel
+settle_values = st.one_of(
+    words,
+    st.text(alphabet="ab é\U0001f600", min_size=64, max_size=80),
+)
+
+
+class TestArraySettle:
+    """``bounded_edits_many`` against the two-row DP oracle: exact within
+    budget, over budget otherwise, so ``edits <= k`` is the verdict."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        values=st.lists(settle_values, min_size=2, max_size=6, unique=True),
+        data=st.data(),
+    )
+    def test_matches_two_row_oracle(self, values, data):
+        n = len(values)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        budgets = data.draw(
+            st.lists(
+                st.integers(0, 90), min_size=len(pairs), max_size=len(pairs)
+            )
+        )
+        registry = AttributeIndexRegistry()
+        entry, _ = registry.string_index("attr", values)
+        lefts = np.array([u for u, _ in pairs], dtype=np.int64)
+        rights = np.array([v for _, v in pairs], dtype=np.int64)
+        ks = np.array(budgets, dtype=np.int64)
+        edits = registry.bounded_edits_many(entry, lefts, rights, ks).tolist()
+        for (u, v), k, got in zip(pairs, budgets, edits):
+            expected = levenshtein_two_row(values[u], values[v])
+            if expected <= k:
+                assert got == expected
+            else:
+                assert got > k
+        # no cache: every pair is one kernel evaluation
+        assert registry.kernel_calls == len(pairs)
+
+    def test_wide_pairs_take_the_scalar_kernel(self):
+        a = "ab" * 35
+        b = "ba" * 35
+        values = [a, b, a + "c", ""]
+        registry = AttributeIndexRegistry()
+        entry = _StringIndex(values, 2)
+        lefts = np.array([0, 0, 1, 3], dtype=np.int64)
+        rights = np.array([1, 2, 2, 0], dtype=np.int64)
+        budgets = np.array([70, 1, 0, 70], dtype=np.int64)
+        edits = registry.bounded_edits_many(entry, lefts, rights, budgets)
+        assert edits.tolist()[:2] == [2, 1]
+        assert edits[2] > 0  # lev(b, a + "c") = 3, over its budget of 0
+        assert edits[3] == 70  # the empty side: the other length

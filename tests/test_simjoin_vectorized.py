@@ -199,6 +199,14 @@ class TestCounters:
         assert join.distinct_pairs_examined <= max(1, join.tuple_fanout)
         assert join.vector_filter_passes > 0
 
+    def test_kernel_runs_once_per_distinct_pair(self, citizens, citizens_model):
+        # string attributes only: every distinct pair the blocker settles
+        # or the verification needs is one kernel evaluation, uncached
+        fd = FD.parse("City -> State")
+        _, join = _violations(citizens, fd, citizens_model, 0.55, "vectorized")
+        assert join.plan.kind == "block"
+        assert join.kernel_calls == join.distinct_pairs_examined > 0
+
     def test_scalar_strategies_report_zero(self, citizens, citizens_model):
         fd = FD.parse("City -> State")
         scan_model = DistanceModel(

@@ -87,17 +87,12 @@ def evaluate_sets(
     if not unresolved:
         return 0.0
     if use_tree:
-        tree = TargetTree(fds, elements_per_fd, model)
-        lookup = tree.nearest_target
+        found = TargetTree(fds, elements_per_fd, model).nearest_targets(unresolved)
     else:
         targets = join_targets(fds, elements_per_fd)
-
-        def lookup(values: Tuple):
-            return nearest_target_naive(model, targets, values)
-
+        found = [nearest_target_naive(model, targets, v) for v in unresolved]
     total = 0.0
-    for projection in unresolved:
-        _, cost = lookup(projection)
+    for projection, (_, cost) in zip(unresolved, found):
         total += cost * len(projections[projection])
     return total
 
@@ -129,7 +124,6 @@ def repair_with_sets(
     with span("targets/build", fds=[fd.name for fd in fds]) as build_span:
         if use_tree:
             tree = TargetTree(fds, elements_per_fd, model)
-            lookup = tree.nearest_target
             stats["target_tree_nodes"] = tree.node_count
             build_span.set(kind="tree", nodes=tree.node_count)
         else:
@@ -137,14 +131,14 @@ def repair_with_sets(
             stats["targets_materialized"] = len(targets)
             build_span.set(kind="materialized", targets=len(targets))
 
-            def lookup(values: Tuple):
-                return nearest_target_naive(model, targets, values)
-
     with span("targets/search", unresolved=len(unresolved)) as search_span:
+        if tree is not None:
+            found = tree.nearest_targets(unresolved)
+        else:
+            found = [nearest_target_naive(model, targets, v) for v in unresolved]
         tid_to_values: Dict[int, Tuple] = {}
         total = 0.0
-        for projection in unresolved:
-            target, cost = lookup(projection)
+        for projection, (target, cost) in zip(unresolved, found):
             total += cost * len(projections[projection])
             for tid in projections[projection]:
                 tid_to_values[tid] = target.values

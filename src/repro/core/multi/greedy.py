@@ -34,15 +34,17 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
 from repro.core.graph import ViolationGraph
 from repro.core.multi.base import repair_with_sets
+from repro.core.multi.target_tree import _ValueTable
 from repro.core.multi.targets import TargetJoinError
 from repro.core.repair import RepairResult, apply_edits
-from repro.core.violation import PreparedProjection
 from repro.dataset.relation import Relation
 from repro.index.registry import AttributeIndexRegistry
 from repro.index.simjoin import DEFAULT_JOIN
@@ -70,6 +72,13 @@ class _FDState:
         }
         #: conflict weight of value tuples not present in the graph
         self._novel_cache: Dict[Tuple, float] = {}
+        #: per FD attribute, the patterns' values interned into a value
+        #: table plus each pattern's value id (built at the first novel
+        #: pattern)
+        self._columns: Optional[List[Tuple[_ValueTable, np.ndarray]]] = None
+        self._multiplicities = np.array(
+            [p.multiplicity for p in graph.patterns], dtype=np.int64
+        )
         bound = fd.bind(relation.schema)
         #: tid -> vertex carrying its pattern
         self.vertex_of_tid: Dict[int, int] = {}
@@ -105,25 +114,54 @@ class _FDState:
     def conflicts_of_values(self, values: Tuple, model: DistanceModel, tau: float) -> float:
         """Tuple-level conflict weight of an arbitrary pattern value.
 
-        Existing patterns read the precomputed weight; novel value
-        combinations are scored against all patterns (cached), with the
-        novel value's kernel preparations built once and streamed over
-        the whole pattern list (one-vs-many).
+        Existing patterns read the precomputed weight; a novel value
+        combination is scored against all patterns (cached) with one
+        distance vector per FD attribute: the summed multiplicity of the
+        patterns within *tau* of it.
         """
         vertex = self.by_values.get(values)
         if vertex is not None:
             return self.conflict_weight[vertex]
         hit = self._novel_cache.get(values)
-        if hit is not None:
-            return hit
-        prepared = PreparedProjection(model, self.fd, values)
-        total = 0.0
-        for pattern in self.graph.patterns:
-            dist = prepared.distance_within(pattern.values, tau)
-            if dist is not None:
-                total += pattern.multiplicity
-        self._novel_cache[values] = total
-        return total
+        if hit is None:
+            within = self._within(values, model, tau)
+            hit = self._novel_cache[values] = float(self._multiplicities[within].sum())
+        return hit
+
+    def _within(self, values: Tuple, model: DistanceModel, tau: float) -> np.ndarray:
+        """Which patterns lie within *tau* of *values* (Eq. 2), as a mask.
+
+        The same verdicts as :meth:`PreparedProjection.distance_within`
+        with its filters on, with the same arithmetic per pattern: the
+        length lower bound ``w * |len(a) - len(b)| / longest`` (the exact
+        distance off plain string attributes) and the weighted exact sum,
+        both accumulated in attribute order, must each stay ``<= tau``.
+        Vectors come from :meth:`_ValueTable.distances`, which bypasses
+        the model's memo.
+        """
+        if self._columns is None:
+            self._columns = []
+            for pos, attr in enumerate(self.fd.attributes):
+                table = _ValueTable(attr, model)
+                ids = np.array(
+                    [table.intern(p.values[pos]) for p in self.graph.patterns],
+                    dtype=np.int64,
+                )
+                table.encode()
+                self._columns.append((table, ids))
+        n_lhs = len(self.fd.lhs)
+        exact = bound = np.zeros(len(self.graph.patterns))
+        for pos, (table, ids) in enumerate(self._columns):
+            weight = model.weights.lhs if pos < n_lhs else model.weights.rhs
+            term = weight * table.distances(values[pos])[ids]
+            exact = exact + term
+            if table.kind == "string":
+                size, sizes = len(values[pos]), table.lengths[ids]
+                term = weight * np.abs(size - sizes) / np.maximum(
+                    np.maximum(size, sizes), 1
+                )
+            bound = bound + term
+        return (bound <= tau) & (exact <= tau)
 
 
 def repair_multi_fd_greedy(

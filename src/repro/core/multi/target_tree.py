@@ -22,9 +22,11 @@ Layout: each attribute's distinct element values are interned once into a
 value table, and each level is a set of flat arrays — the value ids its
 nodes fix, a parent index per node (children of one node are
 contiguous), and per attribute still open at that level a CSR list of
-the value ids in each node's subtree. A search computes one distance
+the value ids in each node's subtree. A search reads one distance
 vector per attribute against its value table; RDIST is then a gather
 and EDIST an ``np.minimum.reduceat`` over the CSR slices.
+:meth:`TargetTree.nearest_targets` computes the vectors of many queries
+with one batched kernel call per attribute before searching.
 """
 
 from __future__ import annotations
@@ -39,16 +41,19 @@ from repro.core.constraints import FD
 from repro.core.distances import DistanceModel, PreparedKernel
 from repro.core.multi.fdgraph import component_attributes
 from repro.core.multi.targets import Target, TargetJoinError
-from repro.index.qgram import batched_myers, batched_myers_query, char_arrays
+from repro.index.qgram import batched_myers_texts, char_arrays
 from repro.obs import current_tracer
 
 #: max recorded f-values of the first traced search (keeps reports small)
 _TRAJECTORY_CAP = 512
 #: a string value table with at most this many value pairs (64 values)
-#: computes all its in-table distance vectors at its first in-table query:
-#: numpy's per-call overhead dominates there, so one batched Myers call
-#: over every pair costs a few rows' worth (about 6x one row at 64 values)
+#: computes all its in-table distance vectors at its first in-table
+#: single-query miss: numpy's per-call overhead dominates there, so one
+#: batched Myers call over every value costs a few rows' worth
 _MATRIX_PAIRS = 4096
+#: queries per :meth:`TargetTree.nearest_targets` chunk: bounds how many
+#: out-of-table distance vectors are held at once
+_BATCH_QUERIES = 1024
 
 
 class TreeLevel(NamedTuple):
@@ -87,10 +92,12 @@ class _ValueTable:
         return vid
 
     def encode(self) -> None:
-        """Lay the interned values out for :meth:`distances`.
+        """Lay the interned values out for :meth:`distances_many`.
 
         Overridden attributes, and numeric ones holding a value that
         does not coerce to float, stay on the model's scalar kernel.
+        A string table keeps its PEQ table character-major, so each
+        query character selects one contiguous row.
         """
         model, attr = self._model, self.attribute
         self.kind = "scalar"
@@ -106,41 +113,39 @@ class _ValueTable:
         else:
             self.kind = "string"
             texts = [str(v) for v in self.values]
-            self._arrays = (texts, *char_arrays(texts))
+            _, lengths, peq, vocabulary = char_arrays(texts)
+            self._arrays = (texts, lengths, np.ascontiguousarray(peq.T), vocabulary)
 
-    def matrix(self) -> np.ndarray:
-        """:meth:`distances` of every value of a string table, as the
-        rows of one matrix (one batched Myers call over all pairs)."""
-        texts, codes, lengths, peq, _ = self._arrays
-        size = len(texts)
-        left = np.repeat(np.arange(size), size)
-        right = np.tile(np.arange(size), size)
-        edits = batched_myers(codes, lengths, peq, left, right)
-        for pair in np.nonzero(edits < 0)[0].tolist():
-            edits[pair] = PreparedKernel(texts[left[pair]]).compare(texts[right[pair]])
-        longest = np.maximum(np.maximum(lengths[left], lengths[right]), 1)
-        return (edits / longest).reshape(size, size)
+    @property
+    def lengths(self) -> np.ndarray:
+        """The ``int64`` value lengths of a string table."""
+        return self._arrays[1]
 
     def distances(self, query: object) -> np.ndarray:
-        """Eq. (1) distance from *query* to every value, as one vector.
+        """Eq. (1) distance from *query* to every value, as one vector."""
+        return self.distances_many([query])[0]
 
-        Exactly :meth:`DistanceModel.attribute_distance` per value, but
-        without touching the model's memo: strings through the batched
-        Myers kernel (scalar Myers where both sides exceed one machine
-        word), numerics as one expression, the rest value by value.
+    def distances_many(self, queries: Sequence) -> np.ndarray:
+        """:meth:`distances` of every query, as the rows of one matrix.
+
+        Exactly :meth:`DistanceModel.attribute_distance` per pair, but
+        without touching the model's memo: strings through one batched
+        Myers call (scalar Myers for values over one machine word),
+        numerics as one expression per query, the rest pair by pair.
         """
-        if self.kind == "numeric":
-            vector = self._numeric(query)
-            if vector is not None:
-                return vector
-        elif self.kind == "string":
-            return self._strings(query)
-        distance = self._model.uncached_distance
-        attr = self.attribute
-        # + 0.0 turns an override's -0.0 into the 0.0 a sum starts from
-        return np.array(
-            [distance(attr, query, v) for v in self.values], dtype=np.float64
-        ) + 0.0
+        if self.kind == "string":
+            return self._strings(queries)
+        rows = np.empty((len(queries), len(self.values)), dtype=np.float64)
+        for row, query in enumerate(queries):
+            vector = self._numeric(query) if self.kind == "numeric" else None
+            if vector is None:
+                distance, attr = self._model.uncached_distance, self.attribute
+                # + 0.0 turns an override's -0.0 into the 0.0 a sum starts from
+                vector = np.array(
+                    [distance(attr, query, v) for v in self.values], dtype=np.float64
+                ) + 0.0
+            rows[row] = vector
+        return rows
 
     def _numeric(self, query: object) -> Optional[np.ndarray]:
         """``normalized_euclidean`` against every value, or ``None`` when
@@ -161,16 +166,17 @@ class _ValueTable:
             return None
         return vector
 
-    def _strings(self, query: object) -> np.ndarray:
-        texts, codes, lengths, peq, vocabulary = self._arrays
-        text = str(query)
-        edits = batched_myers_query(codes, lengths, peq, vocabulary, text)
-        wide = np.nonzero(edits < 0)[0]
-        if wide.size:
-            kernel = PreparedKernel(text)
-            edits[wide] = [kernel.compare(texts[i]) for i in wide.tolist()]
+    def _strings(self, queries: Sequence) -> np.ndarray:
+        values, lengths, peq_t, vocabulary = self._arrays
+        texts = [str(query) for query in queries]
+        edits = batched_myers_texts(peq_t, lengths, vocabulary, texts)
+        for col in np.nonzero(lengths > 63)[0].tolist():
+            kernel = PreparedKernel(values[col])
+            edits[:, col] = [kernel.compare(text) for text in texts]
+        sizes = np.array([len(text) for text in texts], dtype=np.int64)
         # two empty strings are at distance 0 (0 edits over length 1)
-        return edits / np.maximum(lengths, max(len(text), 1))
+        longest = np.maximum(np.maximum(lengths, sizes[:, None]), 1)
+        return edits / longest
 
 
 class _Level:
@@ -252,9 +258,11 @@ class TargetTree:
         #: (attribute, query value) -> distance vector, for query values
         #: in the attribute's value table only: bounded by the tree
         self._memo: Dict[Tuple[str, object], np.ndarray] = {}
+        #: out-of-table vectors of the current :meth:`nearest_targets` chunk
+        self._batch: Dict[Tuple[str, object], np.ndarray] = {}
         self.searches = 0
         self.nodes_visited = 0
-        #: distance vectors reused from the memo
+        #: distance vectors a search read ready-made (memo or batch)
         self.edist_hits = 0
         #: distance vectors computed
         self.vectors = 0
@@ -430,6 +438,8 @@ class TargetTree:
     def _vector(self, attr: str, value: object) -> np.ndarray:
         key = (attr, value)
         vector = self._memo.get(key)
+        if vector is None:
+            vector = self._batch.get(key)
         if vector is not None:
             self.edist_hits += 1
             return vector
@@ -438,13 +448,60 @@ class TargetTree:
             self.vectors += 1
             return table.distances(value)
         if table.kind == "string" and len(table.values) ** 2 <= _MATRIX_PAIRS:
-            rows = table.matrix()
-            self.vectors += len(rows)
-            self._memo.update(((attr, v), row) for v, row in zip(table.values, rows))
+            self._fill(attr, table.values)
             return self._memo[key]
         vector = self._memo[key] = table.distances(value)
         self.vectors += 1
         return vector
+
+    def _fill(self, attr: str, values: Sequence) -> None:
+        """Compute the vectors of *values* with one batched call: the
+        in-table ones go to the memo, the rest to the current batch."""
+        table = self._tables[attr]
+        rows = table.distances_many(values)
+        self.vectors += len(values)
+        for value, row in zip(values, rows):
+            if value in table.ids:
+                # a copy: a view would keep the whole matrix alive
+                self._memo[(attr, value)] = row.copy()
+            else:
+                self._batch[(attr, value)] = row
+
+    def _check_arity(self, tuple_values: Sequence) -> None:
+        if len(tuple_values) != len(self.attributes):
+            raise ValueError(
+                f"expected {len(self.attributes)} values, got {len(tuple_values)}"
+            )
+
+    def nearest_targets(
+        self, queries: Sequence[Sequence]
+    ) -> List[Tuple[Target, float]]:
+        """:meth:`nearest_target` of every query, in order.
+
+        Per chunk of ``_BATCH_QUERIES`` queries and per attribute, the
+        distinct values missing from the memo get their distance vectors
+        from one batched call first. Out-of-table vectors live only for
+        the chunk. Each search then runs through :meth:`nearest_target`
+        and reads every vector it needs.
+        """
+        for query in queries:
+            self._check_arity(query)
+        out: List[Tuple[Target, float]] = []
+        for start in range(0, len(queries), _BATCH_QUERIES):
+            chunk = queries[start: start + _BATCH_QUERIES]
+            for pos, attr in enumerate(self.attributes):
+                missing = [
+                    value
+                    for value in dict.fromkeys(query[pos] for query in chunk)
+                    if (attr, value) not in self._memo
+                ]
+                if missing:
+                    self._fill(attr, missing)
+            try:
+                out.extend(self.nearest_target(query) for query in chunk)
+            finally:
+                self._batch.clear()
+        return out
 
     def nearest_target(
         self, tuple_values: Sequence
@@ -454,10 +511,7 @@ class TargetTree:
         *tuple_values* follow :attr:`attributes` order. Returns the
         target and the exact repair cost over the component attributes.
         """
-        if len(tuple_values) != len(self.attributes):
-            raise ValueError(
-                f"expected {len(self.attributes)} values, got {len(tuple_values)}"
-            )
+        self._check_arity(tuple_values)
         self.searches += 1
         vectors = np.concatenate([
             self._vector(attr, value)

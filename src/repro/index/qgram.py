@@ -6,8 +6,10 @@ grams, because one edit destroys at most ``q`` distinct gram types.
 :func:`gram_matrix` and :func:`packed_overlap` evaluate that test for
 many value pairs at once; :func:`char_arrays` and :func:`batched_myers`
 settle the survivors with Myers' bit-parallel edit distance.
-:func:`batched_myers_query` scores one query against every encoded
-value — the target tree's one-vs-many shape.
+:func:`batched_myers_texts` scores many texts against every encoded
+value at once — the texts x values shape of target-tree search and
+Greedy-M's conflict scoring. Both run the one recurrence of
+:func:`_myers_scan`.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any, Dict[str, int]]:
     ``peq[v][c]`` has bit ``j`` set when character ``c`` occurs at
     position ``j`` of value ``v``. ``peq`` has one column beyond the
     vocabulary, always zero: the code of a character no value contains
-    (see :func:`batched_myers_query`). Rows of values longer than 63
+    (see :func:`batched_myers_texts`). Rows of values longer than 63
     characters stay zero: their bitvector does not fit one machine word,
-    so the batched kernels route pairs where *both* sides are that wide
+    so the batched kernels send the pairs whose pattern is that wide
     back to the scalar kernel.
     """
     lengths = np.array([len(value) for value in values], dtype=np.int64)
@@ -91,12 +93,15 @@ def _myers_scan(m: Any, n: Any, eq_at: Callable[[int, int], Any]) -> Any:
     """Myers' bit-parallel column update, elementwise over a batch.
 
     The same recurrence as :class:`repro.core.distances.PreparedKernel`
-    as ``uint64`` operations: pair ``i`` has a pattern of ``m[i]``
-    characters (``1 <= m[i] <= 63``) and a text of ``n[i]``, with ``n``
-    sorted descending — at column ``j`` the still-active pairs are
-    exactly the prefix ``[0:active]``, so state updates are views and a
-    retired pair keeps its last column. ``eq_at(active, j)`` returns the
-    PEQ masks of each active pair's text character ``j``.
+    as ``uint64`` operations. The state has one row per text, ``n[i]``
+    characters long, with ``n`` sorted descending: at column ``j`` the
+    still-active texts are exactly the prefix ``[0:active]``, so state
+    updates are views and a retired text keeps its last column. For
+    pairs, ``m`` holds one pattern length per text (``m.shape ==
+    n.shape``); for a texts x patterns grid, ``m`` is one ``(1, P)`` row
+    and the state is ``len(n) x P``. Pattern lengths are at most 63.
+    ``eq_at(active, j)`` returns the PEQ masks of each active text's
+    character ``j``, shaped like the active state.
 
     The distance is read once from that last column,
     ``D[m][n] = n + #(+1 vertical deltas) - #(-1 vertical deltas)``,
@@ -105,14 +110,15 @@ def _myers_scan(m: Any, n: Any, eq_at: Callable[[int, int], Any]) -> Any:
     so bits above ``m - 1`` never reach the bits that are counted.
     """
     one = np.uint64(1)
-    pv = np.full(len(m), ~np.uint64(0))
-    mv = np.zeros(len(m), dtype=np.uint64)
+    shape = n.shape + m.shape[1:]
+    pv = np.full(shape, ~np.uint64(0))
+    mv = np.zeros(shape, dtype=np.uint64)
     pv_s, mv_s = pv, mv
     counts = np.bincount(n, minlength=int(n[0]) + 1).tolist()
-    active = len(m)
+    active = len(n)
     for col in range(int(n[0])):
         if counts[col]:
-            # pairs whose text is exactly `col` characters long retire
+            # texts exactly `col` characters long retire
             active -= counts[col]
             pv_s, mv_s = pv[:active], mv[:active]
         eq = eq_at(active, col)
@@ -126,7 +132,8 @@ def _myers_scan(m: Any, n: Any, eq_at: Callable[[int, int], Any]) -> Any:
     full = (one << m.astype(np.uint64)) - one
     plus = np.bitwise_count(pv & full)
     minus = np.bitwise_count(mv & full)
-    return n + plus.astype(np.int64) - minus
+    text_lengths = n.reshape(shape[:1] + (1,) * (len(shape) - 1))
+    return text_lengths + plus.astype(np.int64) - minus
 
 
 def batched_myers(codes: Any, lengths: Any, peq: Any, lefts: Any,
@@ -159,50 +166,46 @@ def batched_myers(codes: Any, lengths: Any, peq: Any, lefts: Any,
     return out
 
 
-def batched_myers_query(codes: Any, lengths: Any, peq: Any,
-                        vocabulary: Dict[str, int], query: str) -> Any:
-    """Exact Levenshtein distances from *query* to every encoded value.
+#: byte budget of one ``uint64`` texts x values state array of
+#: :func:`batched_myers_texts` (the scan holds a handful of them at
+#: once): it bounds peak memory and keeps the state in cache (64-128 KiB
+#: ran fastest on 60-1000 values of 6-20 characters); no distance
+#: depends on it
+_TEXT_STATE_BYTES = 1 << 17
 
-    The one-vs-many twin of :func:`batched_myers` over the arrays of
-    :func:`char_arrays`; *query* need not be one of the values. Up to 63
-    characters the query is the pattern of every pair (its PEQ row is
-    built here over the shared vocabulary) and the values are the texts,
-    whatever their length. A longer query is the common text instead,
-    with its characters outside the vocabulary reading the all-zero PEQ
-    column; ``-1`` then marks values that also exceed 63 characters.
+
+def batched_myers_texts(peq_t: Any, lengths: Any, vocabulary: Dict[str, int],
+                        texts: Sequence[str]) -> Any:
+    """Exact Levenshtein distances from every text to every value.
+
+    *peq_t* is the character-major PEQ table of the values
+    (``char_arrays(values)[2].T``, contiguous): each text character
+    selects one row of masks, one per value. The values are the
+    patterns; the texts, of any length and need not be values, run
+    column by column as one ``len(texts) x len(values)`` state, longest
+    first, with the still-active texts a shrinking prefix. Characters
+    outside *vocabulary* read the all-zero last row. Text chunks keep
+    each state array under ``_TEXT_STATE_BYTES``. Returns an ``int64``
+    matrix; ``-1`` marks the columns of values over 63 characters (one
+    word cannot hold them — the caller settles those with the scalar
+    kernel).
     """
-    size = len(query)
-    if size == 0:
-        return lengths.copy()
-    if size <= 63:
-        query_peq = np.zeros(peq.shape[1], dtype=np.uint64)
-        for col, ch in enumerate(query):
-            code = vocabulary.get(ch)
-            if code is not None:
-                query_peq[code] |= np.uint64(1 << col)
-        out = np.zeros(len(lengths), dtype=np.int64)
-        order = np.argsort(-lengths, kind="stable")
-        n = lengths[order]
-        texts = codes[order]
-        run = n > 0
-        if run.any():
-            out[order[run]] = _myers_scan(
-                np.full(int(run.sum()), size, dtype=np.int64),
-                n[run],
-                lambda active, col: query_peq[texts[:active, col]],
-            )
-        out[lengths == 0] = size
-        return out
-    out = np.full(len(lengths), -1, dtype=np.int64)
-    out[lengths == 0] = size
-    run = np.nonzero((lengths > 0) & (lengths <= 63))[0]
-    if run.size:
-        text = [vocabulary.get(ch, peq.shape[1] - 1) for ch in query]
-        out[run] = _myers_scan(
-            lengths[run],
-            np.full(len(run), size, dtype=np.int64),
-            lambda active, col: peq[run, text[col]],
+    out = np.empty((len(texts), len(lengths)), dtype=np.int64)
+    sizes = np.array([len(text) for text in texts], dtype=np.int64)
+    order = np.argsort(-sizes, kind="stable")
+    unknown = peq_t.shape[0] - 1
+    patterns = lengths.reshape(1, -1)
+    step = max(1, _TEXT_STATE_BYTES // (8 * max(len(lengths), 1)))
+    for start in range(0, len(texts), step):
+        rows = order[start: start + step]
+        n = sizes[rows]
+        codes = np.zeros((len(rows), max(int(n[0]), 1)), dtype=np.intp)
+        for row, text in enumerate(texts[i] for i in rows.tolist()):
+            codes[row, : len(text)] = [vocabulary.get(ch, unknown) for ch in text]
+        out[rows] = _myers_scan(
+            patterns, n, lambda active, col: peq_t[codes[:active, col]]
         )
+    out[:, lengths > 63] = -1
     return out
 
 

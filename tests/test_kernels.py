@@ -10,7 +10,9 @@ oracles in ``tests/oracles.py``:
 * the prepared one-vs-many comparer returns the same values — and the
   same cache/kernel counter traffic — as the pairwise model method;
 * the shared attribute-index registry reuses indexes across joins and
-  rebuilds when the underlying values change.
+  rebuilds when the underlying values change;
+* the batched texts x values kernel equals the DP oracle, with the
+  scalar kernel behind it for values past one machine word.
 
 Bounded kernels only promise the exact distance when it is within the
 bound; beyond it, two_row may return the true distance while Myers and
@@ -29,7 +31,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.distances import DistanceKernel, DistanceModel, levenshtein
+from repro.core.multi.target_tree import _ValueTable
 from repro.dataset.relation import Relation, Schema
+from repro.index import qgram
+from repro.index.qgram import batched_myers_texts, char_arrays
 from repro.index.registry import AttributeIndexRegistry, _StringIndex
 from tests.oracles import levenshtein_banded, levenshtein_two_row
 
@@ -302,3 +307,56 @@ class TestArraySettle:
         assert edits.tolist()[:2] == [2, 1]
         assert edits[2] > 0  # lev(b, a + "c") = 3, over its budget of 0
         assert edits[3] == 70  # the empty side: the other length
+
+
+class TestTextsKernel:
+    """``batched_myers_texts`` (texts x values) against the two-row DP
+    oracle: exact, with ``-1`` in the columns of values over 63
+    characters, which ``_ValueTable.distances_many`` settles with the
+    scalar kernel."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        values=st.lists(settle_values, min_size=1, max_size=6, unique=True),
+        # texts of mixed lengths, with characters no value holds
+        texts=st.lists(
+            st.one_of(settle_values, st.text(alphabet="xyü\U0001f680", max_size=9)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_matches_two_row_oracle(self, values, texts):
+        _, lengths, peq, vocabulary = char_arrays(values)
+        edits = batched_myers_texts(
+            np.ascontiguousarray(peq.T), lengths, vocabulary, texts
+        )
+        assert edits.shape == (len(texts), len(values))
+        for row, text in enumerate(texts):
+            for col, value in enumerate(values):
+                expected = levenshtein_two_row(text, value) if len(value) <= 63 else -1
+                assert edits[row, col] == expected
+        table = _ValueTable("A", DistanceModel(Relation(Schema.of("A"))))
+        for value in values:
+            table.intern(value)
+        table.encode()
+        for text, vector in zip(texts, table.distances_many(texts)):
+            assert vector.tolist() == [
+                levenshtein_two_row(text, value) / max(len(text), len(value), 1)
+                for value in values
+            ]
+
+    def test_text_chunks_do_not_change_distances(self, monkeypatch):
+        rng = random.Random(3)
+        values = ["", "a", "ab" * 20, "x" * 70, "日本語"]
+        texts = [
+            "".join(rng.choice("abx日本") for _ in range(rng.randint(0, 75)))
+            for _ in range(40)
+        ]
+        _, lengths, peq, vocabulary = char_arrays(values)
+        peq_t = np.ascontiguousarray(peq.T)
+        whole = batched_myers_texts(peq_t, lengths, vocabulary, texts)
+        # one text per chunk
+        monkeypatch.setattr(qgram, "_TEXT_STATE_BYTES", 8)
+        assert (batched_myers_texts(peq_t, lengths, vocabulary, texts) == whole).all()
+        assert whole[:, 3].tolist() == [-1] * len(texts)
+        assert whole[:, 0].tolist() == [len(text) for text in texts]

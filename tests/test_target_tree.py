@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.constraints import parse_fds
 from repro.core.distances import DistanceModel
+from repro.core.multi import target_tree
 from repro.core.multi.target_tree import TargetTree
 from repro.core.multi.targets import (
     TargetJoinError,
@@ -14,6 +15,7 @@ from repro.core.multi.targets import (
     nearest_target_naive,
 )
 from repro.dataset.relation import Relation, Schema
+from repro.index import qgram
 from tests.oracles import ScalarTargetTree
 
 
@@ -164,6 +166,13 @@ class TestSearch:
         with pytest.raises(ValueError):
             tree.nearest_target(("just", "two"))
 
+    def test_wrong_arity_rejected_in_a_batch(self, citizens_model,
+                                             component_fds, example_sets):
+        tree = TargetTree(component_fds, example_sets, citizens_model)
+        with pytest.raises(ValueError):
+            tree.nearest_targets([("just", "two")])
+        assert tree.searches == 0
+
 
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 10_000))
@@ -263,6 +272,13 @@ def _tree_case(draw):
     return fds, sets, attributes, queries, zero_spread
 
 
+def _case_model(zero_spread):
+    schema = Schema.of("S1", "S2", "N", "O", numeric=["N"])
+    numbers = [5, 5] if zero_spread else [0, 10]
+    relation = Relation(schema, [("a", "b", n, "o") for n in numbers])
+    return DistanceModel(relation, overrides={"O": _override})
+
+
 @settings(deadline=None, max_examples=250)
 @given(case=_tree_case())
 def test_array_tree_equals_scalar_search_exactly(case):
@@ -273,10 +289,7 @@ def test_array_tree_equals_scalar_search_exactly(case):
     the scalar kernel rejects raises ValueError in both.
     """
     fds, sets, attributes, queries, zero_spread = case
-    schema = Schema.of("S1", "S2", "N", "O", numeric=["N"])
-    numbers = [5, 5] if zero_spread else [0, 10]
-    relation = Relation(schema, [("a", "b", n, "o") for n in numbers])
-    model = DistanceModel(relation, overrides={"O": _override})
+    model = _case_model(zero_spread)
     try:
         oracle = ScalarTargetTree(fds, sets, model)
     except TargetJoinError:
@@ -302,6 +315,42 @@ def test_array_tree_equals_scalar_search_exactly(case):
         assert cost == expected_cost
         assert tree.nodes_visited - before[1] == oracle.nodes_visited - before[0]
     assert oracle.nodes_pruned == 0
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_tree_case(), chunked=st.booleans())
+def test_batched_search_equals_one_search_per_query(case, chunked):
+    """``nearest_targets(qs) == [nearest_target(q) for q in qs]`` on a
+    fresh tree: same targets, costs, ``nodes_visited`` and ``searches``,
+    with duplicate queries, numeric, override and ``"n/a"`` tables, and,
+    when *chunked*, more queries and texts than one chunk holds."""
+    fds, sets, attributes, queries, zero_spread = case
+    model = _case_model(zero_spread)
+    try:
+        single = TargetTree(fds, sets, model)
+    except TargetJoinError:
+        return
+    batched = TargetTree(fds, sets, model)
+    values = [
+        tuple(projection[attributes.index(a)] for a in single.attributes)
+        for projection in queries
+    ]
+    values += values[:2]  # duplicates
+    with pytest.MonkeyPatch.context() as patch:
+        if chunked:
+            patch.setattr(target_tree, "_BATCH_QUERIES", 2)
+            patch.setattr(qgram, "_TEXT_STATE_BYTES", 8)
+        try:
+            expected = [single.nearest_target(v) for v in values]
+        except ValueError as error:
+            with pytest.raises(type(error)):
+                batched.nearest_targets(values)
+            return
+        found = batched.nearest_targets(values)
+    assert [(t.values, c) for t, c in found] == [(t.values, c) for t, c in expected]
+    assert batched.nodes_visited == single.nodes_visited
+    assert batched.searches == single.searches == len(values)
+    assert batched.memo_size <= batched.memo_capacity
 
 
 def test_wide_value_table_equals_scalar_search_exactly():

@@ -143,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "comma-separated error detectors to run ahead of repair, "
             "e.g. 'fd,null,regex,outlier' (registry names; see "
-            "docs/scenarios.md). Verdicts are advisory: they annotate "
-            "the violation graph and the stats, never the repair"
+            "docs/scenarios.md). Verdicts are reported in the stats "
+            "and never touch the repair"
         ),
     )
     parser.add_argument(

@@ -6,18 +6,25 @@ block a load, feed a different fixer). :class:`DetectionReport` exposes
 the FT-violations per constraint, the suspect tuples and cells, and a
 text summary. Produced by :func:`detect` or
 :meth:`repro.core.engine.Repairer.detect`.
+
+Both run one FD at a time through :func:`fd_violations` — the
+similarity join every repair uses — and assemble the report with
+:func:`detection_report`. The quadratic
+:func:`~repro.core.violation.ft_violation_pairs` scan is the
+definition-level reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
-from repro.core.violation import FTViolation, ft_violation_pairs, group_patterns
+from repro.core.violation import FTViolation, group_patterns
 from repro.dataset.relation import Cell, Relation
-from repro.detect.base import DetectorVerdict, FlagMap, merge_verdicts
+from repro.detect.base import DetectorVerdict
+from repro.index.simjoin import DEFAULT_JOIN, SimilarityJoin
 
 
 @dataclass
@@ -84,15 +91,6 @@ class DetectionReport:
                     cells.add((tid, attr))
         return cells
 
-    @property
-    def flagged_cells(self) -> FlagMap:
-        """cell -> detector names, merged over :attr:`detector_verdicts`.
-
-        Covers the configured non-FD detectors only; the FD path's
-        suspects live in :attr:`suspects` / :meth:`suspect_cells`.
-        """
-        return merge_verdicts(self.detector_verdicts.values())
-
     def is_clean(self) -> bool:
         """True when no constraint has any FT-violation and no
         configured detector flagged a cell."""
@@ -143,25 +141,57 @@ def classify_violations(
     return tids, minority
 
 
+def fd_violations(
+    relation: Relation,
+    fd: FD,
+    model: DistanceModel,
+    tau: float,
+    join_strategy: str = DEFAULT_JOIN,
+) -> Tuple[List[FTViolation], Dict[str, object]]:
+    """FT-violations of one FD and the counters of the join that found them.
+
+    Groups *relation* into patterns and runs the
+    :class:`~repro.index.simjoin.SimilarityJoin` every repair runs, so
+    detection and repair see the same violations.
+    """
+    join = SimilarityJoin(fd, model, tau, strategy=join_strategy)
+    violations = join.join(group_patterns(relation, fd))
+    return violations, join.counters()
+
+
+def detection_report(
+    relation: Relation,
+    fds: Sequence[FD],
+    thresholds: Mapping[FD, float],
+    violations: Mapping[str, List[FTViolation]],
+) -> DetectionReport:
+    """The report of per-FD *violations* (fd name -> pairs), classified."""
+    suspects: Dict[str, Set[int]] = {}
+    likely: Dict[str, Set[int]] = {}
+    for name, pairs in violations.items():
+        suspects[name], likely[name] = classify_violations(pairs)
+    return DetectionReport(
+        relation_size=len(relation),
+        thresholds={fd.name: float(thresholds[fd]) for fd in fds},
+        violations=dict(violations),
+        suspects=suspects,
+        likely_errors=likely,
+    )
+
+
 def detect(
     relation: Relation,
     fds: Sequence[FD],
     model: DistanceModel,
-    thresholds: Dict[FD, float],
+    thresholds: Mapping[FD, float],
 ) -> DetectionReport:
     """Detect FT-violations of every FD; no repair is attempted."""
-    violations: Dict[str, List[FTViolation]] = {}
-    suspects: Dict[str, Set[int]] = {}
-    likely: Dict[str, Set[int]] = {}
-    for fd in fds:
-        patterns = group_patterns(relation, fd)
-        pairs = ft_violation_pairs(patterns, fd, model, thresholds[fd])
-        violations[fd.name] = pairs
-        suspects[fd.name], likely[fd.name] = classify_violations(pairs)
-    return DetectionReport(
-        relation_size=len(relation),
-        thresholds={fd.name: thresholds[fd] for fd in fds},
-        violations=violations,
-        suspects=suspects,
-        likely_errors=likely,
+    return detection_report(
+        relation,
+        fds,
+        thresholds,
+        {
+            fd.name: fd_violations(relation, fd, model, thresholds[fd])[0]
+            for fd in fds
+        },
     )

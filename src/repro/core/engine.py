@@ -246,11 +246,15 @@ class Repairer:
             return ()
         return tuple(name for name in spec if name != "fd")
 
-    def _run_detectors(self, relation: Relation, model, thresholds):
-        """Run the configured non-FD detectors; [] when none.
+    def _run_detectors(
+        self, relation: Relation, model, thresholds, watch: Stopwatch
+    ):
+        """The ``detectors`` stage: run the configured non-FD detectors.
 
-        Emits one ``detector_cells_flagged.<name>`` counter per
-        detector into the active tracer (``docs/observability.md``).
+        Returns their verdicts ([] when none are configured). Nothing in
+        the repair reads them; they are reported only. Emits one
+        ``detector_cells_flagged.<name>`` counter per detector into the
+        active tracer (``docs/observability.md``).
         """
         names = self._extra_detectors()
         if not names:
@@ -263,11 +267,12 @@ class Repairer:
             thresholds=thresholds,
             seed=self.config.seed,
         )
-        verdicts = run_detectors(relation, names, context)
+        with watch.measure("detectors"), span("detectors"):
+            verdicts = run_detectors(relation, names, context)
         add_counters(
             {
-                f"detector_cells_flagged.{v.detector}": len(v.cells)
-                for v in verdicts
+                f"detector_cells_flagged.{name}": count
+                for name, count in _cells_flagged(verdicts).items()
             }
         )
         return verdicts
@@ -340,19 +345,12 @@ class Repairer:
                 model = self.build_model(relation)
             with watch.measure("thresholds"), span("thresholds"):
                 thresholds = self.resolve_thresholds(relation, model)
-            verdicts = []
-            if self._extra_detectors():
-                with watch.measure("detectors"), span("detectors"):
-                    verdicts = self._run_detectors(
-                        relation, model, thresholds
-                    )
+            verdicts = self._run_detectors(relation, model, thresholds, watch)
             report = self._executor().detect(relation, self.fds, thresholds)
         for verdict in verdicts:
             report.detector_verdicts[verdict.detector] = verdict
         if verdicts:
-            report.stats["detector_cells_flagged"] = {
-                v.detector: len(v.cells) for v in verdicts
-            }
+            report.stats["detector_cells_flagged"] = _cells_flagged(verdicts)
         report.timings.update(watch.totals)
         report.run_report = self._finish_report(
             tracer,
@@ -373,19 +371,10 @@ class Repairer:
                 model = self.build_model(relation)
             with watch.measure("thresholds"), span("thresholds"):
                 thresholds = self.resolve_thresholds(relation, model)
-            verdicts = []
-            if self._extra_detectors():
-                with watch.measure("detectors"), span("detectors"):
-                    verdicts = self._run_detectors(
-                        relation, model, thresholds
-                    )
-            result = self._executor().repair(
-                relation, self.fds, thresholds, verdicts=verdicts or None
-            )
+            verdicts = self._run_detectors(relation, model, thresholds, watch)
+            result = self._executor().repair(relation, self.fds, thresholds)
         if verdicts:
-            result.stats["detector_cells_flagged"] = {
-                v.detector: len(v.cells) for v in verdicts
-            }
+            result.stats["detector_cells_flagged"] = _cells_flagged(verdicts)
         result.timings.update(watch.totals)
         result.run_report = self._finish_report(
             tracer,
@@ -447,3 +436,8 @@ class Repairer:
             for result in results:
                 result.run_report = batch
         return results
+
+
+def _cells_flagged(verdicts) -> Dict[str, int]:
+    """detector name -> cells it flagged (``detector_cells_flagged``)."""
+    return {v.detector: len(v.cells) for v in verdicts}

@@ -28,12 +28,10 @@ on mutation (:meth:`ViolationGraph.add_edge`).
 from __future__ import annotations
 
 from typing import (
-    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -43,8 +41,7 @@ from typing import (
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
 from repro.core.violation import Pattern, group_patterns
-from repro.dataset.relation import Cell, Relation
-from repro.detect.base import installed_flags
+from repro.dataset.relation import Relation
 from repro.index.registry import AttributeIndexRegistry
 from repro.index.simjoin import DEFAULT_JOIN, SimilarityJoin
 from repro.obs import span
@@ -160,10 +157,6 @@ class ViolationGraph:
         #: detection counters of the join that built this graph (empty
         #: when the graph was assembled from precomputed edges)
         self.join_counters: Dict[str, object] = {}
-        #: vertex -> names of the detectors that flagged one of its
-        #: cells (:meth:`merge_verdicts`); advisory provenance only —
-        #: never consulted by the search algorithms
-        self.flagged: Dict[int, FrozenSet[str]] = {}
         self._adjacency: List[Dict[int, float]] = [dict() for _ in self.patterns]
         self._pair_cost_cache: Dict[Tuple[int, int], float] = {}
         for u, v, dist in edges:
@@ -224,16 +217,6 @@ class ViolationGraph:
             graph_span.set(
                 vertices=len(graph.patterns), edges=graph.edge_count
             )
-            # Detector verdicts installed by the executor (config
-            # detectors beyond the FD path) annotate vertices before
-            # any search sees the graph. With no detectors configured
-            # the flag map is None and this is a no-op — the FD-only
-            # fast path builds byte-identical graphs.
-            flags = installed_flags()
-            if flags:
-                marked = graph.merge_verdicts(flags)
-                if marked:
-                    graph_span.set(flagged_patterns=marked)
         return graph
 
     # ------------------------------------------------------------------
@@ -284,43 +267,6 @@ class ViolationGraph:
             hit = ComponentMasks(self, order)
             self._masks_cache[order] = hit
         return hit
-
-    def merge_verdicts(
-        self, flags: Mapping[Cell, AbstractSet[str]]
-    ) -> int:
-        """Annotate vertices whose cells carry detector flags.
-
-        *flags* maps (tid, attribute) cells to the detector names that
-        flagged them (:func:`repro.detect.merge_verdicts`). A vertex is
-        marked when any of its pattern's tuples is flagged on any of
-        this graph's FD attributes; marks accumulate in
-        :attr:`flagged` with union-of-names semantics, so repeated
-        merges (or overlapping detectors) compose. Returns the number
-        of *newly* marked vertices.
-
-        Annotations are provenance for review and reporting. They are
-        deliberately invisible to the search algorithms: the repair a
-        graph produces is identical with or without them (the
-        byte-identical contract of ``docs/scenarios.md``).
-        """
-        attributes = self.fd.attributes
-        newly = 0
-        for vertex, pattern in enumerate(self.patterns):
-            names: Set[str] = set()
-            for tid in pattern.tids:
-                for attribute in attributes:
-                    hit = flags.get((tid, attribute))
-                    if hit:
-                        names.update(hit)
-            if not names:
-                continue
-            before = self.flagged.get(vertex)
-            if before is None:
-                newly += 1
-                self.flagged[vertex] = frozenset(names)
-            else:
-                self.flagged[vertex] = before | names
-        return newly
 
     def neighbors(self, u: int) -> Dict[int, float]:
         """Adjacent vertices of *u* with base edge costs."""

@@ -55,7 +55,7 @@ from repro.obs.counters import sum_layers
 class _FDState:
     """Per-FD bookkeeping for the joint greedy loop."""
 
-    def __init__(self, fd: FD, graph: ViolationGraph, relation: Relation) -> None:
+    def __init__(self, fd: FD, graph: ViolationGraph) -> None:
         self.fd = fd
         self.graph = graph
         self.chosen: Set[int] = set()
@@ -79,14 +79,11 @@ class _FDState:
         self._multiplicities = np.array(
             [p.multiplicity for p in graph.patterns], dtype=np.int64
         )
-        bound = fd.bind(relation.schema)
         #: tid -> vertex carrying its pattern
         self.vertex_of_tid: Dict[int, int] = {}
         for vertex, pattern in enumerate(graph.patterns):
             for tid in pattern.tids:
                 self.vertex_of_tid[tid] = vertex
-        self._bound = bound
-        self._relation = relation
         #: expected price of repairing one tuple-level violation later
         edge_costs = sorted(
             cost
@@ -186,7 +183,6 @@ def repair_multi_fd_greedy(
                 join_strategy=join_strategy,
                 registry=registry,
             ),
-            relation,
         )
         for fd in fds
     ]

@@ -41,7 +41,7 @@ from repro.core.constraints import FD
 from repro.core.distances import DistanceModel, PreparedKernel
 from repro.core.multi.fdgraph import component_attributes
 from repro.core.multi.targets import Target, TargetJoinError
-from repro.index.qgram import batched_myers_texts, char_arrays
+from repro.index.qgram import batched_myers_texts, peq_table
 from repro.obs import current_tracer
 
 #: max recorded f-values of the first traced search (keeps reports small)
@@ -113,7 +113,7 @@ class _ValueTable:
         else:
             self.kind = "string"
             texts = [str(v) for v in self.values]
-            _, lengths, peq, vocabulary = char_arrays(texts)
+            lengths, peq, vocabulary = peq_table(texts)
             self._arrays = (texts, lengths, np.ascontiguousarray(peq.T), vocabulary)
 
     @property

@@ -4,16 +4,17 @@ The paper's repair model detects errors through FT-FD violations; real
 pipelines meet error *sources* FDs never see — missing-value bursts,
 format drift, numeric outliers. This package treats detection as a
 signal layer (the HoloClean framing): detectors register under short
-names (:data:`DETECTORS`, :func:`register_detector`), each emits a
-typed :class:`DetectorVerdict` cell set, and verdicts merge into one
-provenance map that annotates the violation graph ahead of search.
+names (:data:`DETECTORS`, :func:`register_detector`) and each emits a
+typed :class:`DetectorVerdict` cell set.
 
-Annotations are advisory — the FD cost model still decides every
-repair, byte-identically — but they make the suspect surface visible:
+Detectors run as a stage of their own before repair, and they never
+touch repair: the FD cost model decides every repair, byte-identically.
+What they add is a visible suspect surface:
 ``RepairConfig(detectors=("fd", "null", "outlier"))``, CLI
-``--detectors``, ``detector_cells_flagged`` counters, and the
-scenario-matrix benchmark (``benchmarks/_scenario_matrix.py``) that
-scores every detector on every error profile.
+``--detectors``, ``DetectionReport.detector_verdicts``,
+``detector_cells_flagged`` counters, and the scenario-matrix benchmark
+(``benchmarks/_scenario_matrix.py``) that scores every detector on
+every error profile.
 """
 
 from __future__ import annotations
@@ -27,12 +28,6 @@ from repro.detect.base import (
     Detector,
     DetectorContext,
     DetectorVerdict,
-    FlagMap,
-    install_flags,
-    installed_flags,
-    merge_verdicts,
-    pack_flags,
-    unpack_flags,
 )
 from repro.detect.builtin import (
     DEFAULT_NULL_TOKENS,
@@ -58,8 +53,7 @@ def run_detectors(
     """Run each detector (name or instance) on *relation*, in order.
 
     Names resolve against *registry* (the default registry when
-    omitted). Each verdict is stamped with its wall seconds. The merged
-    provenance map is one :func:`merge_verdicts` call away.
+    omitted). Each verdict is stamped with its wall seconds.
     """
     registry = registry if registry is not None else DETECTORS
     verdicts: List[DetectorVerdict] = []
@@ -82,16 +76,10 @@ __all__ = [
     "DetectorRegistry",
     "DetectorVerdict",
     "FdViolationDetector",
-    "FlagMap",
     "NullDetector",
     "NumericOutlierDetector",
     "RegexFormatDetector",
     "format_signature",
-    "install_flags",
-    "installed_flags",
-    "merge_verdicts",
-    "pack_flags",
     "register_detector",
     "run_detectors",
-    "unpack_flags",
 ]

@@ -6,39 +6,28 @@ with provenance. Detectors are deliberately decoupled from the repair
 model: the paper's FT-FD detection is one detector among several
 (:class:`~repro.detect.builtin.FdViolationDetector`), alongside
 signal-style detectors in the HoloClean tradition (null tokens, format
-conformance, numeric outliers). Verdicts from any mix of detectors
-merge into one ``cell -> {detector names}`` map
-(:func:`merge_verdicts`) that annotates the violation graph ahead of
-search (:meth:`repro.core.graph.ViolationGraph.merge_verdicts`).
+conformance, numeric outliers).
 
-The merge is **advisory**: flagged vertices carry provenance for
-review, reporting and the scenario matrix, but never change which
-repair the cost model selects — the FD-only repair stays byte-identical
+Verdicts are reports, not repair inputs: the engine runs detectors as
+a stage before repair and records their cells
+(``DetectionReport.detector_verdicts``, the
+``detector_cells_flagged`` counters), and nothing in the repair reads
+them. Detectors never touch repair — the FD repair is byte-identical
 whether detectors are configured or not (``docs/scenarios.md``).
-
-:func:`installed_flags` / :func:`install_flags` carry the merged flag
-map across the executor boundary on a context variable, so
-:meth:`ViolationGraph.build` can consult it without threading a
-parameter through every algorithm signature.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    AbstractSet,
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     Mapping,
     Optional,
     Sequence,
     Set,
-    Tuple,
 )
 
 from repro.dataset.relation import Cell, Relation
@@ -136,75 +125,8 @@ class Detector:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-#: cell -> names of the detectors that flagged it
-FlagMap = Dict[Cell, FrozenSet[str]]
-
-
-def merge_verdicts(verdicts: Iterable[DetectorVerdict]) -> FlagMap:
-    """Union verdict cell sets into one provenance map.
-
-    Overlapping verdicts merge their detector names per cell, so a cell
-    flagged by both the null and the outlier detector maps to
-    ``frozenset({"null", "outlier"})``. Empty verdicts contribute
-    nothing; an empty iterable yields an empty map.
-    """
-    staged: Dict[Cell, Set[str]] = {}
-    for verdict in verdicts:
-        for cell in verdict.cells:
-            staged.setdefault(cell, set()).add(verdict.detector)
-    return {cell: frozenset(names) for cell, names in staged.items()}
-
-
-def pack_flags(flags: Mapping[Cell, AbstractSet[str]]) -> Tuple:
-    """A deterministic, picklable encoding of a flag map (for tasks)."""
-    return tuple(
-        (tid, attr, tuple(sorted(names)))
-        for (tid, attr), names in sorted(flags.items())
-    )
-
-
-def unpack_flags(packed: Sequence[Tuple[int, str, Tuple[str, ...]]]) -> FlagMap:
-    """Inverse of :func:`pack_flags`."""
-    return {
-        (tid, attr): frozenset(names) for tid, attr, names in packed
-    }
-
-
-# ----------------------------------------------------------------------
-# The ambient flag map (executor -> graph build)
-# ----------------------------------------------------------------------
-_ACTIVE_FLAGS: ContextVar[Optional[FlagMap]] = ContextVar(
-    "repro_detect_flags", default=None
-)
-
-
-@contextmanager
-def install_flags(flags: Optional[FlagMap]) -> Iterator[None]:
-    """Make *flags* the ambient flag map for the block.
-
-    ``None`` or an empty map installs nothing (graph builds skip the
-    merge entirely — the FD-only fast path).
-    """
-    token = _ACTIVE_FLAGS.set(flags or None)
-    try:
-        yield
-    finally:
-        _ACTIVE_FLAGS.reset(token)
-
-
-def installed_flags() -> Optional[FlagMap]:
-    """The ambient flag map, or ``None`` when no detectors are active."""
-    return _ACTIVE_FLAGS.get()
-
-
 __all__ = [
     "Detector",
     "DetectorContext",
     "DetectorVerdict",
-    "FlagMap",
-    "install_flags",
-    "installed_flags",
-    "merge_verdicts",
-    "pack_flags",
-    "unpack_flags",
 ]

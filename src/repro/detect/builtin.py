@@ -311,8 +311,9 @@ class NumericOutlierDetector(Detector):
 class FdViolationDetector(Detector):
     """The paper's FT-FD detection, wrapped as a registry citizen.
 
-    Runs :func:`repro.core.detection.detect` over the context's FDs and
-    flags the **likely-error carriers** — the minority-side tuples of
+    Runs :func:`repro.core.detection.detect` — the similarity join
+    every repair runs — over the context's FDs and flags the
+    **likely-error carriers** — the minority-side tuples of
     each violating pattern pair — on the attributes of the violated FD.
     (Flagging both sides would halve precision for no recall gain: when
     a frequent and a rare pattern collide, the rare one is almost

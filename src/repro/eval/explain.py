@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import FD
+from repro.core.detection import fd_violations
 from repro.core.distances import DistanceModel
 from repro.core.repair import RepairResult
-from repro.core.violation import ft_violation_pairs, group_patterns
 from repro.dataset.relation import Relation
 from repro.eval.reporting import format_table
 
@@ -109,17 +109,9 @@ def repair_report(
     if fds and model is not None and thresholds is not None:
         for fd in fds:
             tau = thresholds[fd]
-            before = len(
-                ft_violation_pairs(
-                    group_patterns(original, fd), fd, model, tau
-                )
-            )
-            after = len(
-                ft_violation_pairs(
-                    group_patterns(result.relation, fd), fd, model, tau
-                )
-            )
-            violations[fd.name] = (before, after)
+            before, _ = fd_violations(original, fd, model, tau)
+            after, _ = fd_violations(result.relation, fd, model, tau)
+            violations[fd.name] = (len(before), len(after))
 
     return RepairReport(
         total_edits=len(result.edits),

@@ -76,8 +76,8 @@ class RepairConfig:
     #: error detectors to run ahead of repair/detection
     #: (``docs/scenarios.md``): names from the detector registry, e.g.
     #: ``("fd", "null", "outlier")``. ``"fd"`` denotes the built-in
-    #: FT-FD path (always active); the others emit advisory verdicts
-    #: merged into the violation graph — the repair itself is
+    #: FT-FD path (always active); the others run as a stage before
+    #: repair and are reported only — the repair itself is
     #: byte-identical with or without them. ``None`` = FD-only.
     detectors: Optional[Tuple[str, ...]] = None
 

@@ -63,7 +63,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import FD
-from repro.core.detection import DetectionReport, classify_violations
+from repro.core.detection import (
+    DetectionReport,
+    detection_report,
+    fd_violations,
+)
 from repro.core.distances import DistanceModel
 from repro.core.multi.appro import repair_multi_fd_appro
 from repro.core.multi.exact import CombinationLimitError, repair_multi_fd_exact
@@ -76,13 +80,6 @@ from repro.core.single.mis import ExpansionLimitError
 from repro.core.single.subtree import use_dispatcher
 from repro.core.violation import FTViolation, group_patterns
 from repro.dataset.relation import Relation
-from repro.detect.base import (
-    DetectorVerdict,
-    install_flags,
-    merge_verdicts,
-    pack_flags,
-    unpack_flags,
-)
 from repro.exec import bounds, shipping
 from repro.exec.bounds import BoundExchange
 from repro.exec.cache import shared_model
@@ -96,7 +93,6 @@ from repro.exec.shipping import RelationRef
 from repro.exec.subtrees import PoolSubtreeDispatcher
 from repro.exec.stats import DegradedRepairWarning, ExecutionStats
 from repro.index.registry import AttributeIndexRegistry
-from repro.index.simjoin import SimilarityJoin
 from repro.obs import CounterRegistry, Tracer, activate, current_tracer, span
 from repro.obs.counters import sum_layers
 
@@ -132,12 +128,6 @@ class ComponentTask:
     fds: Tuple[FD, ...]
     thresholds: Tuple[Tuple[FD, float], ...]  #: materialized per-FD taus
     config: RepairConfig
-    #: packed detector flag map (:func:`repro.detect.pack_flags`) the
-    #: worker installs around the component repair so violation-graph
-    #: builds can annotate flagged vertices; ``None`` (the FD-only
-    #: path) keeps the task message byte-for-byte what it was before
-    #: detectors existed
-    flags: Optional[Tuple[Tuple[int, str, Tuple[str, ...]], ...]] = None
 
     @property
     def relation(self) -> Relation:
@@ -397,33 +387,40 @@ def _repair_sequential(
 # ----------------------------------------------------------------------
 # Worker entry points (must be module-level for pickling)
 # ----------------------------------------------------------------------
-def _run_component_task(task: ComponentTask) -> ComponentOutcome:
-    """Execute one component task; pure function of the task.
+def _traced(task, body, name: str, **attrs: Any):
+    """Run ``body(task)`` under a span called *name*.
 
-    Tracing: in-process (the serial path) an active tracer already
-    exists, so the task's spans nest live under the parent's
-    ``execute`` span. In a worker process there is no inherited tracer;
-    when the config asks for tracing, a worker-local tracer records the
-    task and ships its serialized tree back in ``outcome.trace`` for
-    the parent to graft. Exactly one of the two happens, which is what
-    keeps merged span trees free of double counting at every n_jobs.
+    In-process (the serial path) an active tracer already exists, so
+    the task's spans nest live under the parent's ``execute`` span. In
+    a worker process there is no inherited tracer; when the config asks
+    for tracing, a worker-local tracer records the task and ships its
+    serialized tree back in ``outcome.trace`` for the parent to graft.
+    Exactly one of the two happens, which is what keeps merged span
+    trees free of double counting at every n_jobs.
     """
     tracer = current_tracer()
-    attrs = {
-        "index": task.index,
-        "group": task.group,
-        "fds": [fd.name for fd in task.fds],
-    }
     if tracer is not None and tracer.enabled:
-        with tracer.span("component", **attrs):
-            return _component_outcome(task)
+        with tracer.span(name, **attrs):
+            return body(task)
     if task.config.trace:
-        local = Tracer("component", **attrs)
+        local = Tracer(name, **attrs)
         with activate(local):
-            outcome = _component_outcome(task)
+            outcome = body(task)
         outcome.trace = local.serialize()
         return outcome
-    return _component_outcome(task)
+    return body(task)
+
+
+def _run_component_task(task: ComponentTask) -> ComponentOutcome:
+    """Execute one component task; pure function of the task."""
+    return _traced(
+        task,
+        _component_outcome,
+        "component",
+        index=task.index,
+        group=task.group,
+        fds=[fd.name for fd in task.fds],
+    )
 
 
 def _component_outcome(task: ComponentTask) -> ComponentOutcome:
@@ -435,14 +432,13 @@ def _component_outcome(task: ComponentTask) -> ComponentOutcome:
     cpu0 = time.process_time()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with install_flags(unpack_flags(task.flags) if task.flags else None):
-            result, meta = repair_component(
-                task.relation,
-                task.fds,
-                model,
-                dict(task.thresholds),
-                task.config,
-            )
+        result, meta = repair_component(
+            task.relation,
+            task.fds,
+            model,
+            dict(task.thresholds),
+            task.config,
+        )
     seconds = time.perf_counter() - start
     # process_time of a coordinated task naturally excludes its subtree
     # chunks' CPU — they burn cycles in worker processes — so per-unit
@@ -468,22 +464,10 @@ def _component_outcome(task: ComponentTask) -> ComponentOutcome:
 
 
 def _run_detection_task(task: DetectionTask) -> DetectionOutcome:
-    """Detect the FT-violations of one FD; pure function of the task.
-
-    Tracing follows the same live-or-shipped split as
-    :func:`_run_component_task`.
-    """
-    tracer = current_tracer()
-    if tracer is not None and tracer.enabled:
-        with tracer.span("fd", index=task.index, fd=task.fd.name):
-            return _detection_outcome(task)
-    if task.config.trace:
-        local = Tracer("fd", index=task.index, fd=task.fd.name)
-        with activate(local):
-            outcome = _detection_outcome(task)
-        outcome.trace = local.serialize()
-        return outcome
-    return _detection_outcome(task)
+    """Detect the FT-violations of one FD; pure function of the task."""
+    return _traced(
+        task, _detection_outcome, "fd", index=task.index, fd=task.fd.name
+    )
 
 
 def _detection_outcome(task: DetectionTask) -> DetectionOutcome:
@@ -493,11 +477,9 @@ def _detection_outcome(task: DetectionTask) -> DetectionOutcome:
     hits0, misses0 = model.cache_hits, model.cache_misses
     start = time.perf_counter()
     cpu0 = time.process_time()
-    patterns = group_patterns(task.relation, task.fd)
-    join = SimilarityJoin(
-        task.fd, model, task.tau, strategy=task.config.join_strategy
+    violations, counters = fd_violations(
+        task.relation, task.fd, model, task.tau, task.config.join_strategy
     )
-    violations = join.join(patterns)
     cpu_seconds = time.process_time() - cpu0
     return DetectionOutcome(
         index=task.index,
@@ -505,7 +487,7 @@ def _detection_outcome(task: DetectionTask) -> DetectionOutcome:
         violations=violations,
         seconds=time.perf_counter() - start,
         counters={
-            **join.counters(),
+            **counters,
             "cache_hits": model.cache_hits - hits0,
             "cache_misses": model.cache_misses - misses0,
         },
@@ -563,26 +545,13 @@ class RepairExecutor:
         relation: Relation,
         fds: Sequence[FD],
         thresholds: Dict[FD, float],
-        verdicts: Optional[Sequence[DetectorVerdict]] = None,
     ) -> RepairResult:
-        """Repair *relation* against *fds*; input never mutated.
-
-        *verdicts* — detector verdicts (``config.detectors``) whose
-        merged flag map annotates every component's violation graphs
-        ahead of search. Advisory only: the repair is byte-identical
-        with or without them.
-        """
-        return self.repair_many(
-            [(relation, fds, thresholds)],
-            verdicts=[verdicts] if verdicts else None,
-        )[0]
+        """Repair *relation* against *fds*; input never mutated."""
+        return self.repair_many([(relation, fds, thresholds)])[0]
 
     def repair_many(
         self,
         jobs: Sequence[Tuple[Relation, Sequence[FD], Dict[FD, float]]],
-        verdicts: Optional[
-            Sequence[Optional[Sequence[DetectorVerdict]]]
-        ] = None,
     ) -> List[RepairResult]:
         """Repair a batch of (relation, fds, thresholds) jobs.
 
@@ -598,12 +567,6 @@ class RepairExecutor:
         snapshots = [_dict_snapshot(relation) for relation, _, _ in jobs]
         for group, (relation, fds, thresholds) in enumerate(jobs):
             ref = shipping.publish(relation)
-            job_verdicts = verdicts[group] if verdicts else None
-            flags = (
-                pack_flags(merge_verdicts(job_verdicts))
-                if job_verdicts
-                else None
-            ) or None
             for index, component in enumerate(fd_components(list(fds))):
                 tasks.append(
                     ComponentTask(
@@ -615,7 +578,6 @@ class RepairExecutor:
                             (fd, float(thresholds[fd])) for fd in component
                         ),
                         config=self.config,
-                        flags=flags,
                     )
                 )
         outcomes, elapsed, workers, traffic = self._run(
@@ -660,25 +622,17 @@ class RepairExecutor:
         )
         outcomes.sort(key=lambda o: o.index)
 
-        violations: Dict[str, List[FTViolation]] = {}
-        suspects: Dict[str, Set[int]] = {}
-        likely: Dict[str, Set[int]] = {}
-        per_fd: List[Dict[str, Any]] = []
-        for outcome in outcomes:
-            violations[outcome.fd_name] = outcome.violations
-            tids, minority = classify_violations(outcome.violations)
-            suspects[outcome.fd_name] = tids
-            likely[outcome.fd_name] = minority
-            per_fd.append(
-                {
-                    "fd": outcome.fd_name,
-                    "seconds": outcome.seconds,
-                    "cpu_seconds": outcome.cpu_seconds,
-                    "pid": outcome.pid,
-                    "violations": len(outcome.violations),
-                    **outcome.counters,
-                }
-            )
+        per_fd = [
+            {
+                "fd": outcome.fd_name,
+                "seconds": outcome.seconds,
+                "cpu_seconds": outcome.cpu_seconds,
+                "pid": outcome.pid,
+                "violations": len(outcome.violations),
+                **outcome.counters,
+            }
+            for outcome in outcomes
+        ]
         stats = ExecutionStats(
             {
                 "n_jobs": workers,
@@ -692,15 +646,15 @@ class RepairExecutor:
         stats.update(traffic)
         stats.update(snapshot)
         _register_stats(stats)
-        return DetectionReport(
-            relation_size=len(relation),
-            thresholds={fd.name: float(thresholds[fd]) for fd in fds},
-            violations=violations,
-            suspects=suspects,
-            likely_errors=likely,
-            stats=stats,
-            timings={"detect": elapsed},
+        report = detection_report(
+            relation,
+            fds,
+            thresholds,
+            {outcome.fd_name: outcome.violations for outcome in outcomes},
         )
+        report.stats = stats
+        report.timings = {"detect": elapsed}
+        return report
 
     # ------------------------------------------------------------------
     def _run(self, tasks, runner) -> Tuple[List[Any], float, int, Dict[str, Any]]:

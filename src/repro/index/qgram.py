@@ -51,6 +51,39 @@ def gram_matrix(profiles: Sequence[Set[str]]) -> Tuple[Any, Any]:
     return packed, sizes
 
 
+def _encode(
+    values: Sequence[str],
+) -> Tuple[Tuple[Any, Any, Dict[str, int]], Tuple[Any, Any, Any]]:
+    """``(lengths, peq, vocabulary)`` of :func:`char_arrays`, plus each
+    character's value, position and code as flat arrays."""
+    lengths = np.array([len(value) for value in values], dtype=np.int64)
+    # every character as one code point, all values back to back
+    flat = np.frombuffer(
+        "".join(values).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+    )
+    chars, inverse = np.unique(flat, return_inverse=True)
+    vocabulary = {chr(ch): code for code, ch in enumerate(chars.tolist())}
+    rows = np.repeat(np.arange(len(values), dtype=np.int64), lengths)
+    cols = np.arange(flat.size, dtype=np.int64) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths
+    )
+    peq = np.zeros((len(values), len(vocabulary) + 1), dtype=np.uint64)
+    narrow = lengths[rows] <= 63
+    np.bitwise_or.at(
+        peq,
+        (rows[narrow], inverse[narrow]),
+        np.left_shift(np.uint64(1), cols[narrow].astype(np.uint64)),
+    )
+    return (lengths, peq, vocabulary), (rows, cols, inverse)
+
+
+def peq_table(values: Sequence[str]) -> Tuple[Any, Any, Dict[str, int]]:
+    """``(lengths, peq, vocabulary)`` of :func:`char_arrays`, without the
+    character matrix only :func:`batched_myers` reads (the value tables
+    of :func:`batched_myers_texts` need just these)."""
+    return _encode(values)[0]
+
+
 def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any, Dict[str, int]]:
     """Pad-encoded character matrix + per-value Myers PEQ tables.
 
@@ -66,26 +99,9 @@ def char_arrays(values: Sequence[str]) -> Tuple[Any, Any, Any, Dict[str, int]]:
     so the batched kernels send the pairs whose pattern is that wide
     back to the scalar kernel.
     """
-    lengths = np.array([len(value) for value in values], dtype=np.int64)
-    # every character as one code point, all values back to back
-    flat = np.frombuffer(
-        "".join(values).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
-    )
-    chars, inverse = np.unique(flat, return_inverse=True)
-    vocabulary = {chr(ch): code for code, ch in enumerate(chars.tolist())}
-    rows = np.repeat(np.arange(len(values), dtype=np.int64), lengths)
-    cols = np.arange(flat.size, dtype=np.int64) - np.repeat(
-        np.cumsum(lengths) - lengths, lengths
-    )
+    (lengths, peq, vocabulary), (rows, cols, inverse) = _encode(values)
     codes = np.zeros((len(values), max(int(lengths.max(initial=0)), 1)), dtype=np.int32)
     codes[rows, cols] = inverse
-    peq = np.zeros((len(values), len(vocabulary) + 1), dtype=np.uint64)
-    narrow = lengths[rows] <= 63
-    np.bitwise_or.at(
-        peq,
-        (rows[narrow], inverse[narrow]),
-        np.left_shift(np.uint64(1), cols[narrow].astype(np.uint64)),
-    )
     return codes, lengths, peq, vocabulary
 
 

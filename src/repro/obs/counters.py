@@ -100,7 +100,7 @@ COUNTERS = tuple(Counter(*row) for row in (
     ("target_tree_vectors", "multi", "vectors", "per-attribute distance vectors the target trees computed: one per distinct value a `nearest_targets` chunk was missing from the memo, one per memo miss of a single `nearest_target` (the whole table on a small string table's first in-table miss)", "invariant"),
     ("target_tree_edist_hits", "multi", "vectors", "distance vectors a search read ready-made: from the tree's memo, or computed beforehand for its `nearest_targets` chunk", "invariant"),
     ("violations", "detect", "pattern pairs", "FT-violating pattern pairs `detect` found, summed over FDs", "invariant"),
-    ("detector_cells_flagged", "detect", "cells", "cells an advisory detector flagged; a run report holds one `detector_cells_flagged.<detector>` entry per detector", "invariant"),
+    ("detector_cells_flagged", "detect", "cells", "cells a detector flagged (reported only, never read by repair); a run report holds one `detector_cells_flagged.<detector>` entry per detector", "invariant"),
     ("fd_components", "exec", "components", "FD-graph components repaired (Theorem 5's independent work units)", "invariant"),
     ("n_jobs", "exec", "workers", "worker processes the run used (1 = serial)", "scheduling"),
     ("wall_seconds", "exec", "s", "wall time of the execute phase", "timing"),

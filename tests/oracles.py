@@ -15,7 +15,11 @@ kept so differential suites can assert the fast path reproduces it:
 * :class:`ScalarTargetTree` — the node-object target tree searched one
   scalar distance at a time, against the array-laid
   :class:`repro.core.multi.target_tree.TargetTree`
-  (``tests/test_target_tree.py``).
+  (``tests/test_target_tree.py``);
+* :func:`scan_detection` — detection by the definition-level pair scan
+  :func:`repro.core.violation.ft_violation_pairs`, against the
+  similarity join every detection runs (``tests/test_detection.py``,
+  ``tests/test_detect.py``).
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.constraints import FD
+from repro.core.detection import DetectionReport, detection_report
 from repro.core.distances import DistanceModel
 from repro.core.graph import ViolationGraph
 from repro.core.multi.fdgraph import component_attributes
@@ -34,6 +39,8 @@ from repro.core.single.frontier import (
     ExpansionStats,
     min_outgoing_costs,
 )
+from repro.core.violation import ft_violation_pairs, group_patterns
+from repro.dataset.relation import Relation
 
 
 # ----------------------------------------------------------------------
@@ -449,3 +456,26 @@ class ScalarTargetTree:
             Target(self.attributes, tuple(best.assignment[a] for a in self.attributes)),
             c_min,
         )
+
+
+# ----------------------------------------------------------------------
+# FT-violation detection
+# ----------------------------------------------------------------------
+def scan_detection(
+    relation: Relation,
+    fds: Sequence[FD],
+    model: DistanceModel,
+    thresholds: Dict[FD, float],
+) -> DetectionReport:
+    """The detection report of the quadratic pair scan (Section 2.1)."""
+    return detection_report(
+        relation,
+        fds,
+        thresholds,
+        {
+            fd.name: ft_violation_pairs(
+                group_patterns(relation, fd), fd, model, thresholds[fd]
+            )
+            for fd in fds
+        },
+    )

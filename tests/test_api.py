@@ -70,7 +70,7 @@ class TestFacade:
 
 
 class TestDeprecationPolicy:
-    """Spellings removed in 2.1 and 2.2 raise instead of warning."""
+    """Spellings removed in 2.1, 2.2 and 2.4 raise instead of warning."""
 
     @pytest.mark.parametrize(
         "build,argument",
@@ -99,6 +99,27 @@ class TestDeprecationPolicy:
         assert not hasattr(relation, "record")
         assert not hasattr(repro.Relation, "from_dicts")
         assert relation.as_record(0) == {"A": "x"}
+
+    def test_detector_flag_map_removed(self):
+        import dataclasses
+
+        import repro.detect
+        import repro.detect.base
+        from repro.core.detection import DetectionReport
+        from repro.core.graph import ViolationGraph
+        from repro.exec.executor import ComponentTask, RepairExecutor
+
+        for name in ("FlagMap", "merge_verdicts", "pack_flags",
+                     "unpack_flags", "install_flags", "installed_flags"):
+            assert not hasattr(repro.detect, name), name
+            assert not hasattr(repro.detect.base, name), name
+        assert not hasattr(ViolationGraph, "merge_verdicts")
+        assert not hasattr(DetectionReport, "flagged_cells")
+        assert "flags" not in {f.name for f in dataclasses.fields(ComponentTask)}
+        with pytest.raises(TypeError, match="verdicts"):
+            RepairExecutor().repair(
+                repro.Relation(repro.Schema.of("K", "V")), [], {}, verdicts=[]
+            )
 
     def test_config_simjoin_alias_removed(self):
         with pytest.raises(TypeError, match="simjoin_strategy"):

@@ -1,19 +1,18 @@
-"""Detector registry, builtin detectors, verdict merging, and the
-advisory contract (detectors never change the repair).
+"""Detector registry, builtin detectors, and the contract that
+detectors never touch repair.
 
-Covers the satellite checklist of the detector-registry PR: registry
-semantics, overlapping-verdict merges, empty relations, dictionary-id
-vs raw-value columns, the zero-division corners of
-``evaluate_detection``, and byte-identical FD-only repairs with
-detectors enabled. See ``docs/scenarios.md``.
+Covers registry semantics, empty relations, dictionary-id vs raw-value
+columns, the zero-division corners of ``evaluate_detection``, and
+byte-identical FD-only repairs with detectors enabled. See
+``docs/scenarios.md``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.distances import DistanceModel
 from repro.core.engine import Repairer
-from repro.core.graph import ViolationGraph
 from repro.dataset import (
     CITIZENS_FDS,
     CITIZENS_THRESHOLDS,
@@ -25,19 +24,17 @@ from repro.detect import (
     Detector,
     DetectorContext,
     DetectorRegistry,
-    DetectorVerdict,
     FdViolationDetector,
     NullDetector,
     NumericOutlierDetector,
     RegexFormatDetector,
     format_signature,
-    merge_verdicts,
     run_detectors,
 )
-from repro.detect.base import install_flags, pack_flags, unpack_flags
 from repro.eval.metrics import evaluate_detection
 from repro.exec.config import RepairConfig
 from repro.obs import repair_output_hash
+from tests.oracles import scan_detection
 
 
 def small_relation(rows, numeric=()):
@@ -189,56 +186,24 @@ class TestFdViolationDetector:
         fd_attrs = {a for fd in CITIZENS_FDS for a in fd.attributes}
         assert flagged_attrs <= fd_attrs
 
-
-# ----------------------------------------------------------------------
-# Verdict merging and flag transport
-# ----------------------------------------------------------------------
-class TestMerging:
-    def verdicts(self):
-        return [
-            DetectorVerdict(
-                "null", 10, frozenset({(0, "A"), (1, "A")})
-            ),
-            DetectorVerdict(
-                "regex", 10, frozenset({(1, "A"), (2, "B")})
-            ),
-        ]
-
-    def test_overlapping_cells_union_names(self):
-        flags = merge_verdicts(self.verdicts())
-        assert flags[(1, "A")] == frozenset({"null", "regex"})
-        assert flags[(0, "A")] == frozenset({"null"})
-        assert flags[(2, "B")] == frozenset({"regex"})
-
-    def test_empty_verdicts_merge_empty(self):
-        assert merge_verdicts([]) == {}
-
-    def test_pack_unpack_roundtrip(self):
-        flags = merge_verdicts(self.verdicts())
-        assert unpack_flags(pack_flags(flags)) == flags
-
-    def test_graph_merge_marks_vertices(self):
+    def test_cells_are_the_scan_references_minority_side(self):
         relation = citizens_dirty()
-        repairer = Repairer(CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS)
-        model = repairer.build_model(relation)
-        thresholds = repairer.resolve_thresholds(relation, model)
-        fd = CITIZENS_FDS[0]
-        plain = ViolationGraph.build(relation, fd, model, thresholds[fd])
-        assert plain.flagged == {}
-        # flag the cells of the first pattern's first tuple
-        tid = next(iter(plain.patterns[0].tids))
-        flags = {
-            (tid, attr): frozenset({"x"}) for attr in fd.attributes
+        model = DistanceModel(relation)
+        context = DetectorContext(
+            fds=tuple(CITIZENS_FDS),
+            model=model,
+            thresholds=CITIZENS_THRESHOLDS,
+        )
+        verdict = FdViolationDetector().flag(relation, context)
+        reference = scan_detection(
+            relation, CITIZENS_FDS, model, CITIZENS_THRESHOLDS
+        )
+        assert verdict.cells == {
+            (tid, attribute)
+            for fd in CITIZENS_FDS
+            for tid in reference.likely_errors[fd.name]
+            for attribute in fd.attributes
         }
-        with install_flags(flags):
-            marked = ViolationGraph.build(
-                relation, fd, model, thresholds[fd]
-            )
-        assert 0 in marked.flagged
-        assert marked.flagged[0] == frozenset({"x"})
-        # annotations never change the graph structure
-        assert len(marked.patterns) == len(plain.patterns)
-        assert marked._adjacency == plain._adjacency
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Tests for detect-only mode."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.constraints import FD
 from repro.core.detection import detect
-from repro.core.distances import DistanceModel
+from repro.core.distances import DistanceModel, Weights
 from repro.core.engine import Repairer
+from repro.dataset.relation import Relation, Schema
+from repro.exec.config import RepairConfig
+from tests.oracles import scan_detection
 
 
 class TestDetect:
@@ -137,3 +142,57 @@ class TestLikelyErrors:
             citizens, citizens_fds, citizens_model, citizens_thresholds
         )
         assert "likely error" in report.summary()
+
+
+def _squared_gap(a, b):
+    """A custom numeric distance (module-level, so configs pickle)."""
+    return min(1.0, (float(a) - float(b)) ** 2 / 100.0)
+
+
+_FDS = [FD.parse("A -> B"), FD.parse("B -> N"), FD.parse("A, N -> B")]
+
+
+def _per_fd(report):
+    return {
+        name: (
+            set(report.violations[name]),
+            report.suspects[name],
+            report.likely_errors[name],
+        )
+        for name in report.violations
+    }
+
+
+class TestOneJoin:
+    """``detect``, ``Repairer.detect`` and the pair-scan reference agree
+    on every FD's violation set (distances included), suspects and
+    likely errors."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text("abc", min_size=0, max_size=6),  # empty strings in
+                st.text("xy", min_size=0, max_size=4),
+                st.integers(0, 12).map(float),
+            ),
+            min_size=1,
+            max_size=14,
+        ),
+        taus=st.tuples(*[st.floats(0.0, 1.1)] * len(_FDS)),
+        w_lhs=st.sampled_from([0.3, 0.5, 0.7]),
+        override=st.booleans(),
+    )
+    def test_three_paths_agree(self, rows, taus, w_lhs, override):
+        relation = Relation(Schema.of("A", "B", "N", numeric=("N",)), rows)
+        thresholds = dict(zip(_FDS, taus))
+        config = RepairConfig(
+            weights=Weights(w_lhs, round(1.0 - w_lhs, 12)),
+            thresholds=thresholds,
+            distance_overrides={"N": _squared_gap} if override else None,
+        )
+        repairer = Repairer(_FDS, config=config)
+        model = repairer.build_model(relation)
+        reference = _per_fd(scan_detection(relation, _FDS, model, thresholds))
+        assert _per_fd(detect(relation, _FDS, model, thresholds)) == reference
+        assert _per_fd(repairer.detect(relation)) == reference

@@ -19,7 +19,7 @@ def phi2_state(citizens, citizens_model, citizens_fds, citizens_thresholds):
     graph = ViolationGraph.build(
         citizens, fd, citizens_model, citizens_thresholds[fd]
     )
-    return _FDState(fd, graph, citizens)
+    return _FDState(fd, graph)
 
 
 class TestFDState:
@@ -137,7 +137,7 @@ def test_vector_conflict_weight_equals_distance_within_loop(data):
         relation, weights=Weights(weight, 1 - weight), overrides={"O": _override}
     )
     graph = ViolationGraph.build(relation, fd, model, 0.3)
-    state = _FDState(fd, graph, relation)
+    state = _FDState(fd, graph)
     novel = [
         tuple(data.draw(st.sampled_from(_POOLS[a])) for a in fd.attributes)
         for _ in range(4)
@@ -151,7 +151,7 @@ def test_vector_conflict_weight_equals_distance_within_loop(data):
         prepared = PreparedProjection(model, fd, values)
         exact = prepared.distance_within(pattern, 2.0, use_filters=False)
         for tau in (0.0, exact, prepared.length_lower_bound(pattern), 0.3, 1.0):
-            fresh = _FDState(fd, graph, relation)
+            fresh = _FDState(fd, graph)
             assert fresh.conflicts_of_values(values, model, tau) == _loop_weight(
                 fresh, model, values, tau
             )
@@ -181,6 +181,6 @@ def test_tau_at_a_length_bound_equal_to_the_exact_distance(weight, included_at_e
         (math.nextafter(min(bound, exact), 0.0), 0.0),
     )
     for tau, expected in cases:
-        state = _FDState(fd, graph, relation)
+        state = _FDState(fd, graph)
         got = state.conflicts_of_values(values, model, tau)
         assert got == _loop_weight(state, model, values, tau) == expected

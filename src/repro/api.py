@@ -36,12 +36,12 @@ violations; they differ only in how many candidate pairs they examine.
 
 Serving
 -------
-:class:`RepairService` (with :class:`ServeConfig`, the fingerprint-keyed
-:class:`ModelCache`, and the indexed :class:`IndexedRepairer` hot path)
-is the embeddable repair-as-a-service core behind ``repro serve`` —
-fit once, repair records over an async micro-batched pipeline with the
-same outputs as :meth:`IncrementalRepairer.repair_record`. See
-``docs/serving.md``.
+:class:`RepairService` (with :class:`ServeConfig` and the
+fingerprint-keyed :class:`ModelCache`) is the embeddable
+repair-as-a-service core behind ``repro serve`` — fit an
+:class:`IncrementalRepairer` once, then repair records through its
+:meth:`~IncrementalRepairer.repair_record` over an async micro-batched
+pipeline. See ``docs/serving.md``.
 
 Dataset substrate
 -----------------
@@ -94,7 +94,6 @@ from repro.exec import (
 )
 from repro.obs import RunReport
 from repro.serve import (
-    IndexedRepairer,
     ModelCache,
     RepairService,
     ServeConfig,
@@ -142,7 +141,6 @@ __all__ = [
     # serving (repair-as-a-service, docs/serving.md)
     "RepairService",
     "ServeConfig",
-    "IndexedRepairer",
     "ModelCache",
     "ServiceOverloadedError",
 ]

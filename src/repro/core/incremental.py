@@ -18,10 +18,30 @@ corrupt the model. With ``absorb=True``, a record whose patterns are
 FT-consistent with every fitted set (a genuinely new, clean entity) is
 *absorbed*: its patterns join the sets and the affected component's
 target tree is rebuilt, so later look-alikes repair toward it.
+
+That consistency check runs over per-FD candidate indexes
+(:class:`_FDIndex`) instead of scanning every fitted element: for each
+FD attribute with positive Eq. (2) weight, the per-attribute distance
+of a violating element is at most ``tau / weight``, which q-gram
+postings (strings) or the sorted band order (numbers) of the shared
+:class:`~repro.index.registry.AttributeIndexRegistry` answer. The
+per-attribute candidate sets are intersected and only the survivors are
+verified exactly, so the verdict equals the linear scan's
+(``tests/oracles.py``; ``tests/test_serve_equivalence.py`` checks it,
+absorb mode included). Counters (merged into ``repro.obs`` by the
+service):
+
+* ``serve_elements_total`` — elements the linear scan would examine;
+* ``serve_elements_examined`` — elements the indexed check verified;
+* ``serve_index_probes`` / ``serve_index_rebuilds`` — probe traffic,
+  and FD indexes rebuilt because absorb grew their elements;
+* ``target_tree_*`` — the components' tree searches
+  (:meth:`IncrementalRepairer.tree_counters`).
 """
 
 from __future__ import annotations
 
+import numbers
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.constraints import FD
@@ -31,11 +51,101 @@ from repro.core.multi.fdgraph import component_attributes, fd_components
 from repro.core.multi.target_tree import TargetTree
 from repro.core.repair import CellEdit
 from repro.core.violation import PreparedProjection
-from repro.dataset.relation import Relation, ValueDictionary
+from repro.dataset.relation import Attribute, Relation, Schema, ValueDictionary
+from repro.index.registry import AttributeIndexRegistry
+
+#: mirror of the blocker's float-budget slack (see index/blocking.py)
+_EPS = 1e-9
+#: what a numeric attribute accepts; the concrete types come first
+#: because the ``numbers.Real`` ABC check is slow
+_NUMBERS = (int, float, numbers.Real)
 
 
 class NotFittedError(RuntimeError):
     """repair_record was called before fit."""
+
+
+class InvalidRecordError(KeyError):
+    """A record lacks a constrained attribute or has a non-number in a
+    numeric one; raised before the record changes any state."""
+
+
+class _FDIndex:
+    """Per-FD candidate index over one component's fitted elements.
+
+    One filter per FD attribute with positive Eq. (2) weight and no
+    distance override: the attribute's distinct element values with
+    their element postings, probed through the shared registry.
+    """
+
+    def __init__(
+        self,
+        fd: FD,
+        elements: Sequence[Tuple],
+        model: DistanceModel,
+        registry: AttributeIndexRegistry,
+        namespace: str,
+    ) -> None:
+        self.n_elements = len(elements)
+        self._registry = registry
+        n_lhs = len(fd.lhs)
+        #: (FD position, registry key, weight, numeric spread or None,
+        #: distinct values, element postings per distinct value)
+        self._filters: List[
+            Tuple[int, str, float, Optional[float], List, List[List[int]]]
+        ] = []
+        for pos, attr in enumerate(fd.attributes):
+            weight = model.weights.lhs if pos < n_lhs else model.weights.rhs
+            usable = weight > 0.0 and not model.has_override(attr)
+            if not usable:
+                continue
+            spread = model.spread(attr) if model.is_numeric(attr) else None
+            distinct: List = []
+            postings: List[List[int]] = []
+            index_of: Dict = {}
+            for ei, element in enumerate(elements):
+                value = (
+                    str(element[pos]) if spread is None else float(element[pos])
+                )
+                vid = index_of.setdefault(value, len(distinct))
+                if vid == len(distinct):
+                    distinct.append(value)
+                    postings.append([])
+                postings[vid].append(ei)
+            self._filters.append(
+                (pos, f"{namespace}:{attr}", weight, spread, distinct, postings)
+            )
+
+    def candidates(
+        self, pattern: Tuple, tau: float
+    ) -> Optional[List[int]]:
+        """Element indexes possibly FT-violating *pattern*, or ``None``.
+
+        ``None`` means "no usable filter" — the caller scans linearly.
+        The returned list is a superset of the elements within *tau*
+        (per-attribute necessary conditions, intersected); the caller
+        verifies each exactly.
+        """
+        survivors: Optional[set] = None
+        for pos, key, weight, spread, distinct, postings in self._filters:
+            limit = tau / weight
+            if limit >= 1.0:
+                continue  # every value passes: no filtering power
+            if spread is None:
+                vids = self._registry.qgram_probe(
+                    key, distinct, str(pattern[pos]), limit
+                )
+            else:
+                vids = self._registry.band_probe(
+                    key, distinct, float(pattern[pos]), limit * spread + _EPS
+                )
+            hits: set = set()
+            for vid in vids:
+                hits.update(postings[vid])
+            survivors = hits if survivors is None else (survivors & hits)
+            if not survivors:
+                return []
+        return None if survivors is None else sorted(survivors)
 
 
 class _Component:
@@ -77,6 +187,11 @@ class _Component:
         self.tree = TargetTree(self.fds, self.elements_per_fd, model)
         #: search counters of the trees absorb has replaced
         self._retired_counters: Dict[str, int] = {}
+        #: attributes compared as numbers: a record must carry numbers there
+        self.numeric = tuple(a for a in self.attributes if model.is_numeric(a))
+        #: per-FD candidate indexes, built on the first probe and rebuilt
+        #: when absorb has grown that FD's elements
+        self._indexes: List[Optional[_FDIndex]] = [None] * len(self.fds)
 
     def tree_counters(self) -> Dict[str, int]:
         """Search counters summed over every tree this component built."""
@@ -135,24 +250,48 @@ class _Component:
         return True
 
     def consistent_everywhere(
-        self, record: Mapping[str, object], thresholds: Dict[FD, float]
+        self,
+        record: Mapping[str, object],
+        thresholds: Dict[FD, float],
+        registry: AttributeIndexRegistry,
+        counters: Dict[str, int],
     ) -> bool:
         """No fitted element FT-violates any of the record's patterns.
 
-        The record's pattern is prepared **once per FD**
+        Per FD, the candidate index narrows the fitted elements to a
+        superset of the violating ones, and each candidate is verified
+        with the record's pattern prepared **once per FD**
         (:class:`~repro.core.violation.PreparedProjection`: one Myers
-        PEQ table per attribute) and streamed over the fitted elements,
-        instead of paying a fresh kernel preparation per element. Same
-        accepted pairs and ``kernel_calls`` accounting as the pairwise
-        :func:`~repro.core.violation.projection_distance_within`.
+        PEQ table per attribute). The verdict equals a linear scan of
+        every element with the same exact predicate.
         """
-        for fd, elements in zip(self.fds, self.elements_per_fd):
+        for pos, (fd, elements) in enumerate(
+            zip(self.fds, self.elements_per_fd)
+        ):
             pattern = tuple(record[a] for a in fd.attributes)
             tau = thresholds[fd]
-            prepared = PreparedProjection(self._model, fd, pattern)
-            for element in elements:
+            counters["serve_elements_total"] += len(elements)
+            index = self._indexes[pos]
+            if index is None or index.n_elements != len(elements):
+                if index is not None:
+                    counters["serve_index_rebuilds"] += 1
+                # FD position + attribute is a unique registry key:
+                # distinct components share no attribute
+                index = _FDIndex(fd, elements, self._model, registry, f"fd{pos}")
+                self._indexes[pos] = index
+            found = index.candidates(pattern, tau)
+            candidate_ids: Sequence[int] = (
+                range(len(elements)) if found is None else found
+            )
+            counters["serve_elements_examined"] += len(candidate_ids)
+            counters["serve_index_probes"] += 1
+            prepared: Optional[PreparedProjection] = None
+            for ei in candidate_ids:
+                element = elements[ei]
                 if element == pattern:
                     continue
+                if prepared is None:
+                    prepared = PreparedProjection(self._model, fd, pattern)
                 if prepared.distance_within(element, tau) is not None:
                     return False
         return True
@@ -186,6 +325,16 @@ class IncrementalRepairer:
 
     Parameters mirror :class:`~repro.core.engine.Repairer` where they
     apply; set selection uses the (dominance-seeded) per-FD greedy.
+    Thread-confined, like the distance model it holds.
+
+    >>> from repro.dataset.citizens import (
+    ...     CITIZENS_FDS, CITIZENS_THRESHOLDS, citizens_clean)
+    >>> repairer = IncrementalRepairer(
+    ...     CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS
+    ... ).fit(citizens_clean())
+    >>> record = citizens_clean().as_record(0)
+    >>> repairer.repair_record(record) == (dict(record), [])
+    True
     """
 
     def __init__(
@@ -209,6 +358,17 @@ class IncrementalRepairer:
         self.records_seen = 0
         self.records_repaired = 0
         self.records_absorbed = 0
+        #: probe indexes behind the absorb-mode consistency check
+        self._registry = AttributeIndexRegistry()
+        self.counters: Dict[str, int] = dict.fromkeys(
+            (
+                "serve_elements_total",
+                "serve_elements_examined",
+                "serve_index_probes",
+                "serve_index_rebuilds",
+            ),
+            0,
+        )
 
     # ------------------------------------------------------------------
     def fit(self, relation: Relation) -> "IncrementalRepairer":
@@ -250,9 +410,41 @@ class IncrementalRepairer:
             "cache_misses": self._model.cache_misses - misses,
         }
 
+    def tree_counters(self) -> Dict[str, int]:
+        """Target-tree search counters summed over the fitted components."""
+        out: Dict[str, int] = {}
+        for component in self._components or ():
+            for name, value in component.tree_counters().items():
+                out[name] = out.get(name, 0) + value
+        return out
+
     @property
     def is_fitted(self) -> bool:
         return self._components is not None
+
+    def _check_record(
+        self, components: List[_Component], record: Mapping[str, object]
+    ) -> None:
+        """Raise :class:`InvalidRecordError` for a record no component
+        can take: a constrained attribute missing, or a non-number in a
+        numeric one."""
+        missing = [
+            a for c in components for a in c.attributes if a not in record
+        ]
+        if missing:
+            raise InvalidRecordError(
+                f"record is missing attribute(s): {missing}"
+            )
+        not_numbers = [
+            a
+            for c in components
+            for a in c.numeric
+            if not isinstance(record[a], _NUMBERS)
+        ]
+        if not_numbers:
+            raise InvalidRecordError(
+                f"record has non-numeric value(s) for: {not_numbers}"
+            )
 
     # ------------------------------------------------------------------
     def repair_record(
@@ -261,24 +453,24 @@ class IncrementalRepairer:
         """Repair one record; returns (repaired record, pseudo-edits).
 
         Edits use tid 0 (records have no tuple id); attributes outside
-        every constraint pass through untouched.
+        every constraint pass through untouched. A record missing a
+        constrained attribute, or carrying a non-number in a numeric
+        one, raises :class:`InvalidRecordError` and leaves the model
+        unchanged.
         """
-        if self._components is None:
+        components = self._components
+        if components is None:
             raise NotFittedError("call fit() before repair_record()")
         assert self._thresholds is not None
+        self._check_record(components, record)
         self.records_seen += 1
         repaired = dict(record)
         edits: List[CellEdit] = []
-        for component in self._components:
-            missing = [
-                a for a in component.attributes if a not in repaired
-            ]
-            if missing:
-                raise KeyError(f"record is missing attribute(s): {missing}")
+        for component in components:
             if component.resolved(repaired):
                 continue
             if self.absorb and component.consistent_everywhere(
-                repaired, self._thresholds
+                repaired, self._thresholds, self._registry, self.counters
             ):
                 component.absorb(repaired)
                 self.records_absorbed += 1
@@ -316,9 +508,7 @@ def _schema_to_spec(schema) -> List[List[str]]:
     return [[attr.name, attr.kind] for attr in schema]
 
 
-def _schema_from_spec(spec) -> "Schema":
-    from repro.dataset.relation import Attribute, Schema
-
+def _schema_from_spec(spec) -> Schema:
     return Schema(Attribute(name, kind) for name, kind in spec)
 
 

@@ -137,10 +137,10 @@ COUNTERS = tuple(Counter(*row) for row in (
     ("queue_wait_max_ms", "serve", "ms", "longest time a request waited for its batch", "timing"),
     ("queue_depth", "serve", "requests", "requests queued when the counters were read", "scheduling"),
     ("queue_depth_peak", "serve", "requests", "most requests ever queued at once", "scheduling"),
-    ("serve_elements_total", "serve", "elements", "fitted elements a linear consistency scan would have examined", "invariant"),
-    ("serve_elements_examined", "serve", "elements", "fitted elements the indexed consistency check verified", "invariant"),
-    ("serve_index_probes", "serve", "probes", "candidate-index probes of the consistency check", "invariant"),
-    ("serve_index_rebuilds", "serve", "indexes", "candidate indexes rebuilt after an absorb", "invariant"),
+    ("serve_elements_total", "serve", "elements", "fitted elements a linear scan of the absorb-mode consistency check would have examined (`IncrementalRepairer.counters`)", "invariant"),
+    ("serve_elements_examined", "serve", "elements", "fitted elements the candidate-indexed consistency check verified (`IncrementalRepairer.counters`)", "invariant"),
+    ("serve_index_probes", "serve", "probes", "per-FD candidate-index probes of the consistency check (`IncrementalRepairer.counters`)", "invariant"),
+    ("serve_index_rebuilds", "serve", "indexes", "per-FD candidate indexes rebuilt because an absorb grew their elements (`IncrementalRepairer.counters`)", "invariant"),
     ("serve_records_seen", "serve", "records", "records the served models received", "invariant"),
     ("serve_records_repaired", "serve", "records", "records the served models changed", "invariant"),
     ("serve_records_absorbed", "serve", "records", "records absorbed into a fitted model (`absorb=True`)", "invariant"),

@@ -5,9 +5,6 @@ The batch pipeline answers "repair this instance"; this package answers
 :class:`~repro.core.incremental.IncrementalRepairer` exposed as a
 long-lived service:
 
-* :mod:`repro.serve.fastpath` — :class:`IndexedRepairer`, the indexed
-  per-record hot path (q-gram / numeric-band candidate generation plus
-  prepared one-vs-many verification) with byte-identical verdicts;
 * :mod:`repro.serve.cache` — :class:`ModelCache`, fitted models keyed
   by dataset fingerprint + FD-set hash, LRU-evicted;
 * :mod:`repro.serve.batching` — :class:`MicroBatcher`, bounded-queue
@@ -30,7 +27,6 @@ from repro.serve.batching import (
     gather_submit,
 )
 from repro.serve.cache import ModelCache, model_key
-from repro.serve.fastpath import IndexedRepairer
 from repro.serve.http import ServeHTTP, run_server
 from repro.serve.latency import LatencyRecorder
 from repro.serve.service import (
@@ -42,7 +38,6 @@ from repro.serve.service import (
 
 __all__ = [
     "DEFAULT_MODEL",
-    "IndexedRepairer",
     "LatencyRecorder",
     "MicroBatcher",
     "ModelCache",

@@ -46,7 +46,9 @@ class MicroBatcher:
     ----------
     handler:
         ``handler(items) -> results`` — called with the batched request
-        payloads, must return one result per item (same order). Runs on
+        payloads, must return one result per item (same order). An
+        exception instance in an item's place fails that request alone;
+        an exception the handler raises fails the whole batch. Runs on
         the event loop: per-record repair at smoke scale is tens of
         microseconds, so handing a batch over costs less than a thread
         hop would.
@@ -115,7 +117,8 @@ class MicroBatcher:
         """Queue *item* and await its result.
 
         Raises :class:`ServiceOverloadedError` when the queue is full,
-        and re-raises whatever the handler raised for this batch.
+        and re-raises whatever the handler raised for this batch or
+        returned in this item's place.
         """
         if self._drain_task is None or self._drain_task.done():
             self.start()
@@ -173,6 +176,10 @@ class MicroBatcher:
             finished = time.perf_counter()
             recorder = self.recorder
             for pending, result in zip(batch, results):
+                if isinstance(result, Exception):
+                    if not pending.future.done():
+                        pending.future.set_exception(result)
+                    continue
                 if recorder is not None:
                     recorder.observe(
                         finished - pending.enqueued,

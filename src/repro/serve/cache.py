@@ -11,8 +11,8 @@ of the reference relation (the sampled content hash
 :func:`repro.obs.dataset_fingerprint` already computes for run reports)
 combined with a hash of the FD set, thresholds, weights, and absorb
 mode — everything that determines the fitted state. Values are
-:class:`~repro.serve.fastpath.IndexedRepairer` instances ready to
-serve. Eviction is least-recently-used at a fixed capacity.
+fitted :class:`~repro.core.incremental.IncrementalRepairer` instances
+ready to serve. Eviction is least-recently-used at a fixed capacity.
 
 Traffic is counted (``model_cache_hits`` / ``model_cache_misses`` /
 ``model_cache_evictions``) and surfaces through the service's
@@ -30,7 +30,6 @@ from repro.core.distances import Weights
 from repro.core.incremental import IncrementalRepairer
 from repro.dataset.relation import Relation
 from repro.obs import dataset_fingerprint
-from repro.serve.fastpath import IndexedRepairer
 
 
 def model_key(
@@ -68,7 +67,7 @@ def model_key(
 
 
 class ModelCache:
-    """LRU store of fitted :class:`IndexedRepairer` models.
+    """LRU store of fitted :class:`IncrementalRepairer` models.
 
     >>> cache = ModelCache(capacity=2)
     >>> cache.counters()["model_cache_hits"]
@@ -79,7 +78,7 @@ class ModelCache:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[str, IndexedRepairer]" = OrderedDict()
+        self._entries: "OrderedDict[str, IncrementalRepairer]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -90,7 +89,7 @@ class ModelCache:
     def __contains__(self, key: object) -> bool:
         return key in self._entries
 
-    def get(self, key: str) -> Optional[IndexedRepairer]:
+    def get(self, key: str) -> Optional[IncrementalRepairer]:
         """The cached model for *key*, refreshing recency; else ``None``."""
         entry = self._entries.get(key)
         if entry is None:
@@ -100,7 +99,7 @@ class ModelCache:
         self.hits += 1
         return entry
 
-    def put(self, key: str, model: IndexedRepairer) -> None:
+    def put(self, key: str, model: IncrementalRepairer) -> None:
         """Insert (or refresh) *model* under *key*, evicting past capacity."""
         self._entries[key] = model
         self._entries.move_to_end(key)
@@ -115,20 +114,19 @@ class ModelCache:
         thresholds=None,
         weights: Weights = Weights(),
         absorb: bool = False,
-    ) -> Tuple[str, IndexedRepairer]:
+    ) -> Tuple[str, IncrementalRepairer]:
         """The model for this (relation, FD set) — fitted at most once.
 
-        A hit skips the entire fit; a miss fits, indexes, caches, and
-        may evict the least-recently-used tenant.
+        A hit skips the entire fit; a miss fits, caches, and may evict
+        the least-recently-used tenant.
         """
         key = model_key(relation, fds, thresholds, weights, absorb)
         cached = self.get(key)
         if cached is not None:
             return key, cached
-        repairer = IncrementalRepairer(
+        model = IncrementalRepairer(
             fds, weights=weights, thresholds=thresholds, absorb=absorb
         ).fit(relation)
-        model = IndexedRepairer(repairer)
         self.put(key, model)
         return key, model
 

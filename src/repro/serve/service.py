@@ -4,13 +4,14 @@
 ``repro.serve`` (the HTTP layer in :mod:`repro.serve.http` is a thin
 adapter over it):
 
-* **models** — fitted :class:`~repro.serve.fastpath.IndexedRepairer`
+* **models** — fitted :class:`~repro.core.incremental.IncrementalRepairer`
   instances, either attached directly or fitted through the
   fingerprint-keyed :class:`~repro.serve.cache.ModelCache` so repeated
   tenants skip the fit entirely;
 * **micro-batching** — requests flow through a
   :class:`~repro.serve.batching.MicroBatcher`; the batch handler runs
-  the per-record indexed repair under a ``serve.batch`` span;
+  the per-record repair under a ``serve.batch`` span, and a record
+  that fails fails only its own request;
 * **latency** — every request's end-to-end latency and queue wait land
   in a :class:`~repro.serve.latency.LatencyRecorder`; p50/p95/p99 and
   the queue-depth gauge surface as ``repro.obs`` counters (the service
@@ -21,16 +22,15 @@ adapter over it):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.constraints import FD
 from repro.core.distances import Weights
-from repro.core.incremental import IncrementalRepairer
+from repro.core.incremental import IncrementalRepairer, NotFittedError
 from repro.dataset.relation import Relation
 from repro.obs import CounterRegistry, current_tracer, span
 from repro.serve.batching import MicroBatcher, ServiceOverloadedError
 from repro.serve.cache import ModelCache
-from repro.serve.fastpath import IndexedRepairer
 from repro.serve.latency import LatencyRecorder
 
 DEFAULT_MODEL = "default"
@@ -94,7 +94,7 @@ class RepairService:
         self.config = config or ServeConfig()
         self.cache = cache or ModelCache(capacity=self.config.cache_capacity)
         self.latency = LatencyRecorder()
-        self._models: Dict[str, IndexedRepairer] = {}
+        self._models: Dict[str, IncrementalRepairer] = {}
         self._default_key: Optional[str] = None
         self.batcher = MicroBatcher(
             self._handle_batch,
@@ -130,18 +130,18 @@ class RepairService:
 
     def attach_model(
         self,
-        model: Union[IndexedRepairer, IncrementalRepairer],
+        model: IncrementalRepairer,
         key: str = DEFAULT_MODEL,
     ) -> str:
         """Attach an already-fitted model under *key* (bypasses the cache)."""
-        if isinstance(model, IncrementalRepairer):
-            model = IndexedRepairer(model)
+        if not model.is_fitted:
+            raise NotFittedError("fit() the repairer before attaching it")
         self._models[key] = model
         if self._default_key is None:
             self._default_key = key
         return key
 
-    def model(self, key: Optional[str] = None) -> IndexedRepairer:
+    def model(self, key: Optional[str] = None) -> IncrementalRepairer:
         """The model for *key* (default model when ``None``)."""
         if key is None:
             key = self._default_key
@@ -183,8 +183,10 @@ class RepairService:
 
         Returns ``{"record", "edits", "repaired", "model"}`` where
         ``edits`` is a JSON-safe list of cell edits. Raises
-        :class:`ServiceOverloadedError` under backpressure and
-        :class:`UnknownModelError` for a bad model key.
+        :class:`ServiceOverloadedError` under backpressure,
+        :class:`UnknownModelError` for a bad model key, and
+        :class:`~repro.core.incremental.InvalidRecordError` for a record
+        the model cannot take.
         """
         key = model if model is not None else self._default_key
         if key is None or key not in self._models:
@@ -218,13 +220,20 @@ class RepairService:
 
     def _handle_batch(
         self, items: List[Tuple[str, Dict[str, Any]]]
-    ) -> List[Dict[str, Any]]:
-        """Repair one micro-batch (runs on the event loop)."""
+    ) -> List[Any]:
+        """Repair one micro-batch (runs on the event loop).
+
+        A record whose repair raises gets its exception in place of a
+        result, so it fails its own request and no other.
+        """
         with span("serve.batch", size=len(items)):
-            results: List[Dict[str, Any]] = []
+            results: List[Any] = []
             for key, record in items:
-                model = self._models[key]
-                repaired, edits = model.repair_record(record)
+                try:
+                    repaired, edits = self._models[key].repair_record(record)
+                except Exception as exc:  # noqa: BLE001 — this request only
+                    results.append(exc)
+                    continue
                 results.append(self._result(key, repaired, edits))
             return results
 
@@ -240,7 +249,7 @@ class RepairService:
             for counters in (
                 model.counters,
                 model.tree_counters(),
-                model.repairer.memo_counters(),
+                model.memo_counters(),
             ):
                 for name, value in counters.items():
                     out[name] = out.get(name, 0) + value

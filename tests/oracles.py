@@ -19,27 +19,48 @@ kept so differential suites can assert the fast path reproduces it:
 * :func:`scan_detection` — detection by the definition-level pair scan
   :func:`repro.core.violation.ft_violation_pairs`, against the
   similarity join every detection runs (``tests/test_detection.py``,
-  ``tests/test_detect.py``).
+  ``tests/test_detect.py``);
+* :func:`scan_consistent_everywhere` / :func:`scan_repair_record` — the
+  per-record repair with the linear consistency scan over every fitted
+  element, against the candidate-indexed check of
+  :class:`repro.core.incremental.IncrementalRepairer`
+  (``tests/test_serve_equivalence.py``, ``tests/test_serve.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.constraints import FD
 from repro.core.detection import DetectionReport, detection_report
 from repro.core.distances import DistanceModel
 from repro.core.graph import ViolationGraph
+from repro.core.incremental import IncrementalRepairer, _Component
 from repro.core.multi.fdgraph import component_attributes
 from repro.core.multi.targets import Target, TargetJoinError
+from repro.core.repair import CellEdit
 from repro.core.single.frontier import (
     ExpansionLimitError,
     ExpansionStats,
     min_outgoing_costs,
 )
-from repro.core.violation import ft_violation_pairs, group_patterns
+from repro.core.violation import (
+    PreparedProjection,
+    ft_violation_pairs,
+    group_patterns,
+)
 from repro.dataset.relation import Relation
 
 
@@ -479,3 +500,64 @@ def scan_detection(
             for fd in fds
         },
     )
+
+
+# ----------------------------------------------------------------------
+# Incremental repair
+# ----------------------------------------------------------------------
+def scan_consistent_everywhere(
+    component: _Component,
+    record: Mapping[str, Any],
+    thresholds: Dict[FD, float],
+) -> bool:
+    """No fitted element of *component* FT-violates the record's patterns.
+
+    The linear scan: every element of every FD, each verified with the
+    record's pattern prepared once per FD.
+    """
+    for fd, elements in zip(component.fds, component.elements_per_fd):
+        pattern = tuple(record[a] for a in fd.attributes)
+        tau = thresholds[fd]
+        prepared = PreparedProjection(component._model, fd, pattern)
+        for element in elements:
+            if element == pattern:
+                continue
+            if prepared.distance_within(element, tau) is not None:
+                return False
+    return True
+
+
+def scan_repair_record(
+    repairer: IncrementalRepairer, record: Mapping[str, Any]
+) -> Tuple[Dict[str, Any], List[CellEdit]]:
+    """:meth:`IncrementalRepairer.repair_record` with the linear scan.
+
+    Updates *repairer*'s fitted sets and record counters as the library
+    loop does, but decides each absorb by
+    :func:`scan_consistent_everywhere`; it never touches the repairer's
+    candidate indexes. Takes valid records only.
+    """
+    assert repairer._components is not None
+    assert repairer._thresholds is not None
+    repairer.records_seen += 1
+    repaired = dict(record)
+    edits: List[CellEdit] = []
+    for component in repairer._components:
+        if component.resolved(repaired):
+            continue
+        if repairer.absorb and scan_consistent_everywhere(
+            component, repaired, repairer._thresholds
+        ):
+            component.absorb(repaired)
+            repairer.records_absorbed += 1
+            continue
+        values = tuple(repaired[a] for a in component.attributes)
+        target, _cost = component.tree.nearest_target(values)
+        for attr, new in zip(component.attributes, target.values):
+            old = repaired[attr]
+            if old != new:
+                edits.append(CellEdit(0, attr, old, new))
+                repaired[attr] = new
+    if edits:
+        repairer.records_repaired += 1
+    return repaired, edits

@@ -6,24 +6,24 @@ import pytest
 
 import repro.core.constraints
 import repro.core.distances
+import repro.core.incremental
 import repro.core.multi.fdgraph
 import repro.core.thresholds
 import repro.dataset.relation
 import repro.generator.vocab
 import repro.serve.cache
-import repro.serve.fastpath
 import repro.serve.service
 import repro.utils.unionfind
 
 MODULES = [
     repro.core.constraints,
     repro.core.distances,
+    repro.core.incremental,
     repro.core.multi.fdgraph,
     repro.core.thresholds,
     repro.dataset.relation,
     repro.generator.vocab,
     repro.serve.cache,
-    repro.serve.fastpath,
     repro.serve.service,
     repro.utils.unionfind,
 ]

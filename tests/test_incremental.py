@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.incremental import IncrementalRepairer, NotFittedError
+from repro.core.incremental import (
+    IncrementalRepairer,
+    InvalidRecordError,
+    NotFittedError,
+)
 from repro.dataset.citizens import (
     CITIZENS_FDS,
     CITIZENS_THRESHOLDS,
@@ -41,6 +45,46 @@ class TestLifecycle:
         repairer, _ = fitted
         with pytest.raises(KeyError):
             repairer.repair_record({"ZipCode": "zp00000"})
+
+
+def _model_state(repairer):
+    return (
+        repairer.records_seen,
+        repairer.records_repaired,
+        repairer.records_absorbed,
+        [
+            [list(elements) for elements in component.elements_per_fd]
+            for component in repairer._components
+        ],
+        dict(repairer.counters),
+    )
+
+
+class TestRecordValidation:
+    """A bad record is rejected before it changes any state."""
+
+    @pytest.fixture
+    def absorbing(self):
+        return IncrementalRepairer(
+            CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS, absorb=True
+        ).fit(citizens_clean())
+
+    def test_missing_attribute_leaves_the_model_unchanged(self, absorbing):
+        # Education -> Level is the first component: a new Education
+        # value would be absorbed there before the City check failed
+        record = dict(citizens_clean().as_record(0), Education="Doctorate")
+        del record["City"]
+        before = _model_state(absorbing)
+        with pytest.raises(InvalidRecordError, match="City"):
+            absorbing.repair_record(record)
+        assert _model_state(absorbing) == before
+
+    def test_string_in_numeric_attribute_rejected(self, absorbing):
+        record = dict(citizens_clean().as_record(0), Level="three")
+        before = _model_state(absorbing)
+        with pytest.raises(InvalidRecordError, match="Level"):
+            absorbing.repair_record(record)
+        assert _model_state(absorbing) == before
 
 
 class TestServing:

@@ -2,12 +2,19 @@
 
 import asyncio
 import json
+import random
+import string
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.core.incremental import IncrementalRepairer, NotFittedError
+import repro.core.incremental as incremental
+from repro.core.incremental import (
+    IncrementalRepairer,
+    InvalidRecordError,
+    NotFittedError,
+)
 from repro.dataset.citizens import (
     CITIZENS_FDS,
     CITIZENS_THRESHOLDS,
@@ -16,7 +23,6 @@ from repro.dataset.citizens import (
 )
 from repro.obs import Tracer, activate, build_report
 from repro.serve import (
-    IndexedRepairer,
     LatencyRecorder,
     MicroBatcher,
     ModelCache,
@@ -99,6 +105,26 @@ class TestMicroBatcher:
 
         run(scenario())
 
+    def test_returned_exception_fails_only_its_request(self):
+        def handler(items):
+            return [ValueError(i) if i == "bad" else i for i in items]
+
+        batcher = MicroBatcher(handler, batch_timeout=0.05)
+
+        async def scenario():
+            try:
+                return await asyncio.gather(
+                    *(batcher.submit(i) for i in ("a", "bad", "c")),
+                    return_exceptions=True,
+                )
+            finally:
+                await batcher.stop()
+
+        first, bad, last = run(scenario())
+        assert (first, last) == ("a", "c")
+        assert isinstance(bad, ValueError)
+        assert batcher.batches == 1
+
     def test_handler_errors_reach_every_request(self):
         def handler(items):
             raise RuntimeError("boom")
@@ -176,7 +202,7 @@ class TestModelCache:
         fitted = IncrementalRepairer(
             CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS
         ).fit(relation)
-        model = IndexedRepairer(fitted)
+        model = fitted
         cache.put("a", model)
         cache.put("b", model)
         assert cache.get("a") is model  # refresh a's recency
@@ -230,21 +256,61 @@ class TestLatencyRecorder:
 
 
 # ----------------------------------------------------------------------
-# indexed hot path
+# the consistency check's counters
 # ----------------------------------------------------------------------
-class TestIndexedRepairer:
-    def test_requires_fitted_model(self):
-        with pytest.raises(NotFittedError):
-            IndexedRepairer(IncrementalRepairer(CITIZENS_FDS))
+def _new_entities(count, seed=3):
+    """*count* Citizens records far from every fitted value and each other."""
+    rng = random.Random(seed)
+    base = citizens_clean().as_record(0)
+    out = []
+    for n in range(count):
+        record = dict(base, Level=100.0 * (n + 2))
+        for attr in ("Education", "City", "Street", "District", "State"):
+            record[attr] = "".join(
+                rng.choice(string.ascii_lowercase) for _ in range(12)
+            )
+        out.append(record)
+    return out
 
+
+class TestServeCounters:
     def test_counter_shape(self):
         fitted = IncrementalRepairer(
             CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS
         ).fit(citizens_clean())
-        serving = IndexedRepairer(fitted)
-        assert serving.examined_fraction() == 0.0
-        serving.repair_record(citizens_clean().as_record(0))
-        assert serving.records_seen == fitted.records_seen == 1
+        assert set(fitted.counters) == {
+            "serve_elements_total",
+            "serve_elements_examined",
+            "serve_index_probes",
+            "serve_index_rebuilds",
+        }
+        assert not any(fitted.counters.values())
+        fitted.repair_record(citizens_clean().as_record(0))
+        assert fitted.records_seen == 1
+
+    def test_rebuilds_count_every_rebuild(self, monkeypatch):
+        """Absorbing new entities grows the fitted sets; every stale FD
+        index rebuilt afterwards is counted, and nothing else is."""
+        builds = []
+
+        class CountingIndex(incremental._FDIndex):
+            def __init__(self, fd, elements, *args):
+                super().__init__(fd, elements, *args)
+                builds.append(fd)
+
+        monkeypatch.setattr(incremental, "_FDIndex", CountingIndex)
+        repairer = IncrementalRepairer(
+            CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS, absorb=True
+        ).fit(citizens_clean())
+        entities = _new_entities(4)
+        for record in entities:
+            _, edits = repairer.repair_record(record)
+            assert edits == []
+        # each entity is new to both FD-graph components
+        assert repairer.records_absorbed == 2 * len(entities)
+        rebuilds = repairer.counters["serve_index_rebuilds"]
+        assert rebuilds == len(builds) - len(set(builds))
+        assert rebuilds > 0
 
 
 def _typo_records(count):
@@ -358,7 +424,7 @@ class TestRepairService:
             citizens_clean(), CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS,
             absorb=True,
         )
-        model = service.model().repairer._model
+        model = service.model()._model
         hits, misses = model.cache_hits, model.cache_misses
         dirty = citizens_dirty()
         for tid in range(10):
@@ -406,14 +472,41 @@ class TestRepairService:
         assert snapshot["config"]["batch_size"] == 64
         assert "latency_histogram" in snapshot
 
-    def test_attach_model_wraps_incremental(self):
+    def test_attach_model_holds_the_repairer(self):
         fitted = IncrementalRepairer(
             CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS
         ).fit(citizens_clean())
         service = RepairService()
         key = service.attach_model(fitted, key="tenant-a")
         assert key == "tenant-a"
-        assert isinstance(service.model("tenant-a"), IndexedRepairer)
+        assert service.model("tenant-a") is fitted
+
+    def test_attach_requires_fitted_model(self):
+        with pytest.raises(NotFittedError):
+            RepairService().attach_model(IncrementalRepairer(CITIZENS_FDS))
+
+    def test_bad_record_fails_only_its_request(self):
+        """good, bad, good in one micro-batch: only the bad one fails."""
+        service = RepairService(ServeConfig(batch_timeout=0.05))
+        service.fit(
+            citizens_clean(), CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS
+        )
+        good = dict(citizens_clean().as_record(0))
+        bad = dict(good, Level="three")
+
+        async def scenario():
+            async with service:
+                return await asyncio.gather(
+                    *(service.repair(r) for r in (good, bad, good)),
+                    return_exceptions=True,
+                )
+
+        first, failed, last = run(scenario())
+        assert isinstance(failed, InvalidRecordError)
+        assert first["record"] == last["record"] == good
+        counters = service.counters()
+        assert counters["serve_batches"] == 1
+        assert counters["serve_records_seen"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -488,6 +581,17 @@ class TestServeHTTP:
                 assert (
                     await loop.run_in_executor(
                         None, fetch_error, "/repair", b"{not json"
+                    )
+                    == 400
+                )
+                assert (
+                    await loop.run_in_executor(
+                        None,
+                        fetch_error,
+                        "/repair",
+                        json.dumps(
+                            {"record": dict(record, Level="three")}
+                        ).encode(),
                     )
                     == 400
                 )

@@ -1,18 +1,22 @@
-"""Property suite: the serve path is byte-identical to batch repair.
+"""Property suite: the candidate-indexed repair equals the linear scan.
 
-The serving contract of ``repro.serve`` is *exact equivalence* — the
-indexed hot path (:class:`IndexedRepairer`) and the micro-batched
+:meth:`IncrementalRepairer.repair_record` decides each absorb with a
+candidate-indexed consistency check; the micro-batched service and the
+serving benchmarks replay through that same method, so this suite is
+the independent check of its verdicts. Both the repairer and the
 service must produce the same repaired record, the same edits, and the
 same absorb decisions as a lockstep
-:meth:`IncrementalRepairer.repair_record`, for arbitrary records. The
-hypothesis suites below drive both paths with the same generated
-record stream (absorb mode included, where each absorb grows the
-fitted sets and forces index rebuilds) and assert equality at every
+:func:`tests.oracles.scan_repair_record`, which decides by scanning
+every fitted element. The hypothesis suites drive both with the same
+generated record stream (absorb mode included, where each absorb grows
+the fitted sets and forces index rebuilds) and assert equality at every
 step, plus the ``save_model``/``load_model`` roundtrip preserving the
 absorb counters.
 """
 
 import asyncio
+import random
+import string
 import tempfile
 from pathlib import Path
 
@@ -24,13 +28,16 @@ from repro.core.incremental import (
     load_model,
     save_model,
 )
+from repro.core.constraints import FD
 from repro.dataset.citizens import (
     CITIZENS_FDS,
     CITIZENS_THRESHOLDS,
     citizens_clean,
 )
+from repro.dataset.relation import Attribute, Relation, Schema
 from repro.generator.hosp import HOSP_FDS, generate_hosp, hosp_thresholds
-from repro.serve import IndexedRepairer, RepairService
+from repro.serve import RepairService
+from tests.oracles import scan_repair_record
 
 REFERENCE = generate_hosp(300, rng=44, n_facilities=10, n_measures=5)
 ATTRS = list(REFERENCE.schema.names)
@@ -45,28 +52,64 @@ _FACILITY_ATTRS = (
 )
 
 
-def fresh_pair():
-    """(batch, indexed) repairers fitted identically on the reference."""
-    batch = IncrementalRepairer(
+def fitted_hosp():
+    return IncrementalRepairer(
         HOSP_FDS, thresholds=hosp_thresholds(), absorb=True
     ).fit(REFERENCE)
-    indexed = IndexedRepairer(
-        IncrementalRepairer(
-            HOSP_FDS, thresholds=hosp_thresholds(), absorb=True
-        ).fit(REFERENCE)
-    )
-    return batch, indexed
 
 
-def assert_lockstep(batch, indexed, records):
+def fresh_pair():
+    """(scan reference, indexed) repairers fitted identically."""
+    return fitted_hosp(), fitted_hosp()
+
+
+def assert_lockstep(reference, indexed, records):
     """Drive both paths with *records*; equality must hold throughout."""
     for record in records:
-        expect = batch.repair_record(dict(record))
+        expect = scan_repair_record(reference, dict(record))
         got = indexed.repair_record(dict(record))
         assert got == expect
-    assert indexed.records_seen == batch.records_seen
-    assert indexed.records_repaired == batch.records_repaired
-    assert indexed.records_absorbed == batch.records_absorbed
+    assert indexed.records_seen == reference.records_seen
+    assert indexed.records_repaired == reference.records_repaired
+    assert indexed.records_absorbed == reference.records_absorbed
+
+
+def new_entity_stream(count, seed=7):
+    """*count* new facilities, each followed by a City-typo copy of it.
+
+    Every facility attribute carries a fresh random 10-letter suffix, so
+    each entity is far from the fitted sets and from the entities before
+    it: it is absorbed, and its typo copy repairs onto it.
+    """
+    rng = random.Random(seed)
+    records = []
+    for i in range(count):
+        fresh = dict(REFERENCE.as_record(i))
+        suffix = "".join(rng.choice(string.ascii_lowercase) for _ in range(10))
+        for attr in _FACILITY_ATTRS:
+            fresh[attr] = f"{fresh[attr]}-{suffix}"
+        corrupted = dict(fresh, City=fresh["City"][:-1] + "!")
+        records += [fresh, corrupted]
+    return records
+
+
+def served(service, records):
+    """Submit *records* concurrently; replies come back in order."""
+
+    async def scenario():
+        async with service:
+            return await asyncio.gather(*(service.repair(r) for r in records))
+
+    return asyncio.run(scenario())
+
+
+def assert_replies_match(reference, records, replies):
+    for record, response in zip(records, replies):
+        repaired, edits = scan_repair_record(reference, dict(record))
+        assert response["record"] == repaired
+        assert [
+            (e["attribute"], e["old"], e["new"]) for e in response["edits"]
+        ] == [(e.attribute, e.old, e.new) for e in edits]
 
 
 # one reusable record strategy: a reference row with arbitrary
@@ -121,8 +164,8 @@ class TestServeEqualsBatch:
     )
     @given(st.lists(mutated_records(), min_size=1, max_size=6))
     def test_arbitrary_record_streams(self, records):
-        batch, indexed = fresh_pair()
-        assert_lockstep(batch, indexed, records)
+        reference, indexed = fresh_pair()
+        assert_lockstep(reference, indexed, records)
 
     @settings(
         max_examples=20,
@@ -146,7 +189,7 @@ class TestServeEqualsBatch:
         sets and invalidating the serve indexes); a corrupted copy must
         then be repaired *onto the absorbed entity* by both paths.
         """
-        batch, indexed = fresh_pair()
+        reference, indexed = fresh_pair()
         fresh = dict(REFERENCE.as_record(0))
         for attr in _FACILITY_ATTRS:
             fresh[attr] = f"{fresh[attr]}-{suffix}"
@@ -154,20 +197,14 @@ class TestServeEqualsBatch:
         city = corrupted["City"]
         pos = min(typo_pos, len(city) - 1)
         corrupted["City"] = city[:pos] + "!" + city[pos + 1 :]
-        assert_lockstep(batch, indexed, [fresh, corrupted])
-        assert indexed.records_absorbed == batch.records_absorbed >= 1
+        assert_lockstep(reference, indexed, [fresh, corrupted])
+        assert indexed.records_absorbed == reference.records_absorbed >= 1
 
     def test_micro_batched_service_matches_batch(self):
         """The full async pipeline preserves per-record equivalence."""
-        batch = IncrementalRepairer(
-            HOSP_FDS, thresholds=hosp_thresholds(), absorb=True
-        ).fit(REFERENCE)
+        reference = fitted_hosp()
         service = RepairService()
-        service.attach_model(
-            IncrementalRepairer(
-                HOSP_FDS, thresholds=hosp_thresholds(), absorb=True
-            ).fit(REFERENCE)
-        )
+        service.attach_model(fitted_hosp())
         records = []
         for i in range(40):
             record = dict(REFERENCE.as_record(i % len(REFERENCE)))
@@ -176,21 +213,29 @@ class TestServeEqualsBatch:
             if i % 7 == 0:
                 record["ZipCode"] = record["ZipCode"] + "q"
             records.append(record)
+        assert_replies_match(reference, records, served(service, records))
 
-        async def scenario():
-            async with service:
-                return await asyncio.gather(
-                    *(service.repair(r) for r in records)
-                )
 
-        served = asyncio.run(scenario())
-        for record, response in zip(records, served):
-            repaired, edits = batch.repair_record(dict(record))
-            assert response["record"] == repaired
-            assert [
-                (e["attribute"], e["old"], e["new"])
-                for e in response["edits"]
-            ] == [(e.attribute, e.old, e.new) for e in edits]
+class TestNewEntityStream:
+    """A fixed stream of new entities: absorbs and index rebuilds happen."""
+
+    def test_repairer_matches_scan(self):
+        reference, indexed = fresh_pair()
+        records = new_entity_stream(12)
+        assert_lockstep(reference, indexed, records)
+        assert indexed.records_absorbed >= 12
+        assert indexed.records_repaired == 12
+        assert indexed.counters["serve_index_rebuilds"] > 0
+
+    def test_service_matches_scan(self):
+        reference = fitted_hosp()
+        service = RepairService()
+        service.attach_model(fitted_hosp())
+        records = new_entity_stream(12)
+        assert_replies_match(reference, records, served(service, records))
+        counters = service.counters()
+        assert counters["serve_records_absorbed"] == reference.records_absorbed
+        assert counters["serve_index_rebuilds"] > 0
 
 
 class TestPersistenceRoundtrip:
@@ -241,21 +286,19 @@ class TestPersistenceRoundtrip:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.json"
             save_model(live, path)
-            revived_indexed = IndexedRepairer(load_model(path))
-        assert_lockstep(live, revived_indexed, records)
+            revived = load_model(path)
+        assert_lockstep(live, revived, records)
 
 
 class TestCitizensSmoke:
     """A second schema keeps the equivalence claim dataset-independent."""
 
     def test_citizens_lockstep(self):
-        batch = IncrementalRepairer(
-            CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS
-        ).fit(citizens_clean())
-        indexed = IndexedRepairer(
+        reference, indexed = (
             IncrementalRepairer(
-                CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS
+                CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS, absorb=True
             ).fit(citizens_clean())
+            for _ in range(2)
         )
         relation = citizens_clean()
         records = []
@@ -264,4 +307,107 @@ class TestCitizensSmoke:
             records.append(dict(record))
             record["City"] = record["City"][:-1] + "x"
             records.append(record)
-        assert_lockstep(batch, indexed, records)
+        assert_lockstep(reference, indexed, records)
+
+
+# the catalog regime of the serving benchmark: distinct 12/14-letter
+# codes and names under a tight tau, where the candidate index prunes
+# (at HOSP's thresholds every filter passes everything)
+_CATALOG_RNG = random.Random(5)
+
+
+def _token(n, rng=_CATALOG_RNG):
+    return "".join(rng.choice(string.ascii_lowercase) for _ in range(n))
+
+
+CATALOG = [
+    {
+        "code": _token(12),
+        "name": _token(14),
+        "category": _token(10),
+        "price": float(_CATALOG_RNG.randrange(1000)),
+    }
+    for _ in range(60)
+]
+CATALOG_SCHEMA = Schema(
+    Attribute(name, "numeric" if name == "price" else "string")
+    for name in ("code", "name", "category", "price")
+)
+CATALOG_REFERENCE = Relation(
+    CATALOG_SCHEMA,
+    [tuple(CATALOG[i % len(CATALOG)].values()) for i in range(240)],
+)
+CATALOG_FDS = [
+    FD.parse("code -> name", name="c1"),
+    FD.parse("code -> category", name="c2"),
+    FD.parse("code -> price", name="c3"),
+]
+
+
+def fitted_catalog():
+    return IncrementalRepairer(
+        CATALOG_FDS,
+        thresholds={fd: 0.15 for fd in CATALOG_FDS},
+        absorb=True,
+    ).fit(CATALOG_REFERENCE)
+
+
+@st.composite
+def catalog_records(draw):
+    """A catalog entity, a typo'd or re-priced copy, or a new entity."""
+    letters = st.characters(min_codepoint=97, max_codepoint=122)
+    mode = draw(st.sampled_from(["clean", "typo", "price", "new"]))
+    if mode == "new":
+        return {
+            "code": draw(st.text(letters, min_size=12, max_size=12)),
+            "name": draw(st.text(letters, min_size=14, max_size=14)),
+            "category": draw(st.text(letters, min_size=10, max_size=10)),
+            "price": float(draw(st.integers(0, 999))),
+        }
+    record = dict(draw(st.sampled_from(CATALOG)))
+    if mode == "typo":
+        attr = draw(st.sampled_from(["code", "name", "category"]))
+        value = record[attr]
+        for _ in range(draw(st.integers(1, 3))):
+            pos = draw(st.integers(0, len(value) - 1))
+            value = value[:pos] + draw(letters) + value[pos + 1 :]
+        record[attr] = value
+    elif mode == "price":
+        record["price"] += float(draw(st.integers(-300, 300)))
+    return record
+
+
+class TestCatalogRegime:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(st.lists(catalog_records(), min_size=1, max_size=12))
+    def test_arbitrary_record_streams(self, records):
+        assert_lockstep(fitted_catalog(), fitted_catalog(), records)
+
+    def test_index_prunes_and_rebuilds(self):
+        """A fixed stream: new entities, then typo'd copies of them."""
+        rng = random.Random(11)
+        fresh = [
+            {
+                "code": _token(12, rng),
+                "name": _token(14, rng),
+                "category": _token(10, rng),
+                "price": float(rng.randrange(1000)),
+            }
+            for _ in range(8)
+        ]
+        records = fresh + [
+            dict(r, code=r["code"][:5] + "z" + r["code"][6:]) for r in fresh
+        ]
+        reference, indexed = fitted_catalog(), fitted_catalog()
+        assert_lockstep(reference, indexed, records)
+        counters = indexed.counters
+        assert indexed.records_absorbed > 0
+        assert counters["serve_index_rebuilds"] > 0
+        assert (
+            counters["serve_elements_examined"]
+            < counters["serve_elements_total"]
+        )

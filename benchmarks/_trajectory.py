@@ -21,20 +21,10 @@ noisy HOSP slice (detect-phase walls, the distinct-id counters), and the
 same sweep on a Tax substrate slice whose constant active domain is the
 regime dictionary-granularity filtering exists for.
 
-``--sched`` appends a ``skew_sched`` entry to ``BENCH_repair.json``: the
-exact-s winner-search split (``docs/parallelism.md``) measured on the
-skewed generator's one-giant-component workload. It repairs the same
-relation three ways — serial, statically scheduled at ``n_jobs=2``, and
-split into subtree tasks at ``n_jobs=2`` — in three interleaved rounds,
-and records the median, min and max wall clock of each setting; the
-``sched`` gate checks these measured medians. A five-algorithm hash
-sweep across serial and split settings pins the determinism contract:
-splitting may only re-order work, never change the repair.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/_trajectory.py \
-        {--substrate | --sched | --simjoin} [path/to/BENCH_*.json]
+        {--substrate | --simjoin} [path/to/BENCH_*.json]
 """
 
 from __future__ import annotations
@@ -53,7 +43,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from _harness import SCALE  # noqa: E402
 
-from repro.core.engine import Repairer  # noqa: E402
 from repro.core.distances import Weights  # noqa: E402
 from repro.generator.hosp import (  # noqa: E402
     HOSP_FDS,
@@ -73,8 +62,6 @@ TAX_SUBSTRATE_N = 1_000_000 if SCALE == "paper" else 125_000
 TAX_CATALOG = {"n_residences": 400, "n_employers": 300, "n_filings": 40}
 #: rows of the noisy slice the shipping measurement repairs at n_jobs=2
 TAX_SHIPPING_N = 2000
-#: the algorithms of the --sched hash sweep
-HASH_ALGORITHMS = ("appro-m", "exact-m", "exact-s", "greedy-m", "greedy-s")
 
 
 def workload():
@@ -294,169 +281,6 @@ def run_simjoin_entry() -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# --sched: exact-s winner-search splitting, measured wall clock
-# ----------------------------------------------------------------------
-#: the skewed workload: one giant path component of SCHED_CHAIN patterns.
-#: exact-s is the only algorithm whose search splits (its winner search);
-#: every other algorithm runs unsplit at any n_jobs.
-SCHED_CHAIN = 40
-SCHED_N = 600
-SCHED_DOMINANCE = 0.9
-SCHED_ALGORITHM = "exact-s"
-SCHED_JOBS = 2
-SCHED_SPLIT_THRESHOLD = 16
-#: interleaved runs per setting (serial, static, split, serial, ...)
-SCHED_RUNS = 3
-
-#: the smaller slice every algorithm's split determinism is hashed on
-#: (exact-s splits it into 16 subtree tasks at both split settings)
-SCHED_HASH_CHAIN = 14
-SCHED_HASH_N = 400
-#: (n_jobs, split_threshold) settings of the hash sweep
-SCHED_HASH_SETTINGS = ((1, None), (2, 8), (4, 8))
-
-
-def _sched_workload(n: int, chain: int):
-    from repro.generator.skew import generate_skew, skew_thresholds
-
-    relation = generate_skew(
-        n, dominance=SCHED_DOMINANCE, chain=chain, small_chains=2
-    )
-    thresholds = skew_thresholds(dominance=SCHED_DOMINANCE, chain=chain)
-    return relation, thresholds
-
-
-def _sched_run(n_jobs: int, split_threshold):
-    """One repair of the skewed workload: (result, wall, output hash)."""
-    from repro.generator.skew import SKEW_FDS
-    from repro.obs import repair_output_hash
-
-    relation, thresholds = _sched_workload(SCHED_N, SCHED_CHAIN)
-    repairer = Repairer(
-        SKEW_FDS,
-        algorithm=SCHED_ALGORITHM,
-        thresholds=thresholds,
-        max_nodes=None,  # the giant chain is the point; never degrade
-        n_jobs=n_jobs,
-        split_threshold=split_threshold,
-    )
-    start = time.perf_counter()
-    result = repairer.repair(relation)
-    wall = time.perf_counter() - start
-    return result, wall, repair_output_hash(result.edits, result.cost)
-
-
-def _sched_hash_sweep() -> dict:
-    """Every algorithm's output hash across serial and split settings.
-
-    The determinism contract under test: for each algorithm, the three
-    hashes (serial, 2 workers + splitting, 4 workers + splitting) must
-    be one value — bound exchange and subtree scheduling may only prune,
-    never change the selected repair.
-    """
-    from repro.generator.skew import SKEW_FDS
-    from repro.obs import repair_output_hash
-
-    relation, thresholds = _sched_workload(SCHED_HASH_N, SCHED_HASH_CHAIN)
-    hashes = {}
-    for algorithm in HASH_ALGORITHMS:
-        per_setting = []
-        for n_jobs, split in SCHED_HASH_SETTINGS:
-            repairer = Repairer(
-                SKEW_FDS,
-                algorithm=algorithm,
-                thresholds=thresholds,
-                max_nodes=None,
-                n_jobs=n_jobs,
-                split_threshold=split,
-            )
-            result = repairer.repair(relation)
-            per_setting.append(
-                repair_output_hash(result.edits, result.cost)
-            )
-        hashes[algorithm] = per_setting
-    return hashes
-
-
-def run_sched_entry() -> dict:
-    """The ``skew_sched`` trajectory entry (see module docstring).
-
-    Every number is a measured wall clock: ``SCHED_RUNS`` interleaved
-    rounds of serial, static (``n_jobs=SCHED_JOBS``, no split) and
-    split runs, reported as median, min and max per setting. The
-    wall clocks only show a speedup on a host with ``SCHED_JOBS`` free
-    cores; ``cpu_count`` records what the host exposed.
-    """
-    import os
-    import statistics
-
-    settings = {
-        "serial": (1, None),
-        "static": (SCHED_JOBS, None),
-        "split": (SCHED_JOBS, SCHED_SPLIT_THRESHOLD),
-    }
-    walls: dict = {mode: [] for mode in settings}
-    hashes: dict = {mode: set() for mode in settings}
-    last = {}
-    for _ in range(SCHED_RUNS):
-        for mode, (n_jobs, split) in settings.items():
-            result, wall, digest = _sched_run(n_jobs, split)
-            walls[mode].append(wall)
-            hashes[mode].add(digest)
-            last[mode] = result
-
-    def summary(mode: str) -> dict:
-        values = walls[mode]
-        return {
-            "wall_median": round(statistics.median(values), 4),
-            "wall_min": round(min(values), 4),
-            "wall_max": round(max(values), 4),
-            "walls": [round(v, 4) for v in values],
-            "output_hash": "/".join(sorted(hashes[mode])),
-        }
-
-    split_stats = last["split"].stats
-    sweep = _sched_hash_sweep()
-    return {
-        "workload": "skew_sched",
-        "scale": SCALE,
-        "cpu_count": len(os.sched_getaffinity(0)),
-        "config": {
-            "algorithm": SCHED_ALGORITHM,
-            "n_tuples": SCHED_N,
-            "chain": SCHED_CHAIN,
-            "dominance": SCHED_DOMINANCE,
-            "n_jobs": SCHED_JOBS,
-            "split_threshold": SCHED_SPLIT_THRESHOLD,
-            "runs": SCHED_RUNS,
-        },
-        "serial": summary("serial"),
-        "static": summary("static"),
-        "split": {
-            **summary("split"),
-            "tasks_split": split_stats.tasks_split,
-            "subtree_tasks": split_stats.subtree_tasks,
-            "steals": split_stats.steals,
-            "incumbent_publishes": split_stats.incumbent_publishes,
-            "bound_exchange_hits": split_stats.bound_exchange_hits,
-            "busy_skew_ratio": round(split_stats.busy_skew_ratio, 3),
-        },
-        "hash_slice": {
-            "n_tuples": SCHED_HASH_N,
-            "chain": SCHED_HASH_CHAIN,
-            "settings": [
-                f"n_jobs={jobs}" + (f" split={split}" if split else "")
-                for jobs, split in SCHED_HASH_SETTINGS
-            ],
-            "output_hashes": sweep,
-            "hashes_consistent": all(
-                len(set(values)) == 1 for values in sweep.values()
-            ),
-        },
-    }
-
-
 def _append(path: Path, entry: dict) -> int:
     """Append *entry* to the trajectory at *path*; the new length."""
     trajectory = json.loads(path.read_text()) if path.exists() else []
@@ -466,14 +290,14 @@ def _append(path: Path, entry: dict) -> int:
 
 
 def main(argv: list) -> int:
-    modes = {"--substrate", "--sched", "--simjoin"}
+    modes = {"--substrate", "--simjoin"}
     rest = list(argv[1:])
     if rest[:1] == ["--_substrate-point"] and len(rest) == 2:
         print(json.dumps(substrate_point(int(rest[1]))))
         return 0
     if len(rest) not in (1, 2) or rest[0] not in modes:
         print(
-            "usage: _trajectory.py {--substrate | --sched | --simjoin} "
+            "usage: _trajectory.py {--substrate | --simjoin} "
             "[path/to/BENCH_*.json]",
             file=sys.stderr,
         )
@@ -494,20 +318,6 @@ def main(argv: list) -> int:
             f"{hosp['vectorized']['distinct_pairs_examined']} distinct "
             f"pair(s) for {hosp['vectorized']['tuple_fanout']} tuple "
             f"pair(s)"
-        )
-    elif mode == "--sched":
-        entry = run_sched_entry()
-        split = entry["split"]
-        line = (
-            f"sched: {entry['config']['algorithm']} on a "
-            f"{entry['config']['chain']}-pattern giant component at "
-            f"n_jobs={entry['config']['n_jobs']} — median wall serial "
-            f"{entry['serial']['wall_median']}s, static "
-            f"{entry['static']['wall_median']}s, split "
-            f"{split['wall_median']}s over {entry['config']['runs']} "
-            f"interleaved run(s); {split['subtree_tasks']} subtree "
-            f"task(s), {split['steals']} steal(s), hashes "
-            f"{'consistent' if entry['hash_slice']['hashes_consistent'] else 'INCONSISTENT'}"
         )
     else:
         entry = run_substrate_entry()

@@ -125,18 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--split-threshold",
-        type=int,
-        default=None,
-        metavar="PATTERNS",
-        help=(
-            "split the exact-s search of dominant components with at "
-            "least PATTERNS violation-graph patterns into subtree tasks "
-            "shared across the pool (requires n-jobs > 1; default: never "
-            "split; output is identical either way)"
-        ),
-    )
-    parser.add_argument(
         "--detectors",
         default=None,
         metavar="NAMES",
@@ -369,7 +357,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fallback="greedy",
             n_jobs=args.n_jobs,
             component_budget=args.component_budget,
-            split_threshold=args.split_threshold,
             trace=trace,
             detectors=detectors or None,
         )

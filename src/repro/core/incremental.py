@@ -466,6 +466,7 @@ class IncrementalRepairer:
         self.records_seen += 1
         repaired = dict(record)
         edits: List[CellEdit] = []
+        absorbed = False
         for component in components:
             if component.resolved(repaired):
                 continue
@@ -473,7 +474,7 @@ class IncrementalRepairer:
                 repaired, self._thresholds, self._registry, self.counters
             ):
                 component.absorb(repaired)
-                self.records_absorbed += 1
+                absorbed = True
                 continue
             values = tuple(repaired[a] for a in component.attributes)
             target, _cost = component.tree.nearest_target(values)
@@ -482,6 +483,8 @@ class IncrementalRepairer:
                 if old != new:
                     edits.append(CellEdit(0, attr, old, new))
                     repaired[attr] = new
+        if absorbed:
+            self.records_absorbed += 1
         if edits:
             self.records_repaired += 1
         return repaired, edits

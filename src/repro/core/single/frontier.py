@@ -1,45 +1,32 @@
-"""Resumable branch-and-bound frontier kernel for MIS enumeration.
+"""The level-synchronous branch-and-bound kernel for MIS enumeration.
 
-This module factors the level-synchronous work-list loop out of
-:func:`repro.core.single.mis.enumerate_maximal_independent_sets` into a
-portable, *resumable* kernel:
+This module factors the work-list loop out of
+:func:`repro.core.single.mis.enumerate_maximal_independent_sets`:
 
 * :class:`SearchKernel` — the immutable search ingredients (adjacency
-  masks, multiplicities, Eq. (5) min-out terms, Eq. (6) cost rows). It
-  can be built from a :class:`~repro.core.graph.ViolationGraph` in the
-  parent process or rebuilt in a worker from plain shipped arrays — the
-  floats travel verbatim, so bounds and costs are bit-identical on both
-  sides.
-* :class:`FrontierState` — the complete mutable state of an enumeration
-  between two level boundaries: the frontier's parallel lists, the
-  incumbent upper bound, and the uppers pending their fold. A state can
-  be cut into contiguous chunks and each chunk explored independently:
-  ``lower`` and ``coverage`` are pure functions of ``(mask, level)``, so
-  equal masks at equal level are *identical* nodes, and concatenating
-  the chunks' final frontiers in chunk order (first occurrence kept)
-  reproduces the serial enumeration output exactly (``docs/search.md``,
-  ``docs/parallelism.md``).
-* :meth:`SearchKernel.advance` — the verbatim level loop, stoppable at
-  any level boundary (``stop_level``), after a cooperative node budget
-  (``yield_budget``: the work-stealing checkpoint), and wired for an
-  :class:`IncumbentBound` exchanged across processes at each boundary.
+  masks, multiplicities, Eq. (5) min-out terms, Eq. (6) cost rows),
+  built from a :class:`~repro.core.graph.ViolationGraph`.
+* :class:`FrontierState` — the mutable state of an enumeration between
+  two level boundaries: the frontier's parallel lists, the incumbent
+  upper bound, and the uppers pending their fold.
+* :meth:`SearchKernel.advance` — the level loop itself.
 
-The serial path through :meth:`advance` performs exactly the statistics
+The path through :meth:`advance` performs exactly the statistics
 accounting, emission order, pruning decisions and budget-trip point of
-the pre-refactor loop — the Hypothesis differential suite
+the set-based loop — the Hypothesis differential suite
 (``tests/test_search_bitset.py``) pins it against the set-based oracle.
 
-Determinism note: an incumbent bound may only *prune* — any exchanged
-value is the cost of a concrete candidate set, hence ``>=`` the
-optimum, and pruning is strict (``lower > best_upper``), so no
-optimal-cost set is ever dropped. Bounds change how much of the tree is
-explored, never which set wins.
+Determinism note: the incumbent bound may only *prune* — it is the cost
+of a concrete candidate set, hence ``>=`` the optimum, and pruning is
+strict (``lower > best_upper``), so no optimal-cost set is ever
+dropped. Bounds change how much of the tree is explored, never which
+set wins.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,9 +44,7 @@ class ExpansionLimitError(RuntimeError):
 
     Carries the configured *limit* and the *nodes_generated* count that
     tripped it (plus the level reached), so budget tuning can start from
-    the numbers in the message instead of guesswork. When the trip
-    happened inside a split subtree task, the executor attaches the
-    subtree's segment path as ``.subtree`` before re-raising.
+    the numbers in the message instead of guesswork.
     """
 
     def __init__(self, limit: int, nodes_generated: int, level: int) -> None:
@@ -70,18 +55,12 @@ class ExpansionLimitError(RuntimeError):
         self.limit = limit
         self.nodes_generated = nodes_generated
         self.level = level
-        self.subtree: Optional[Tuple[int, ...]] = None
 
     def __reduce__(self):
         # RuntimeError's default reduce passes args=(message,) to the
         # 3-argument __init__ and breaks unpickling across the process
-        # boundary; rebuild from the structured fields instead and carry
-        # any post-hoc attribution (``subtree``) through the state dict.
-        return (
-            type(self),
-            (self.limit, self.nodes_generated, self.level),
-            self.__dict__.copy(),
-        )
+        # boundary; rebuild from the structured fields instead.
+        return (type(self), (self.limit, self.nodes_generated, self.level))
 
 
 @dataclass
@@ -105,46 +84,15 @@ class ExpansionStats:
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
 
-    def merge_delta(self, other: "ExpansionStats", nodes_base: int) -> None:
-        """Fold a subtree run's counters into this (caller's) stats.
-
-        *other* started its node count at *nodes_base* (the shared
-        serial-prefix count), so only the delta is added; ``levels`` is
-        the deeper of the two, and every other counter adds up.
-        """
-        for name, theirs in asdict(other).items():
-            mine = getattr(self, name)
-            if name == "levels":
-                setattr(self, name, max(mine, theirs))
-            else:
-                base = nodes_base if name == "nodes_generated" else 0
-                setattr(self, name, mine + theirs - base)
-
-
-class IncumbentBound:
-    """Interface of a shared best-upper-bound cell (see ``exec/bounds.py``).
-
-    :meth:`tighten` merges the caller's incumbent with the shared cell:
-    it returns the smaller of the two, adopting a tighter published
-    value (a *hit*) or publishing the caller's improvement. Reads and
-    writes are lock-free; a lost update only loosens a bound, which is
-    always sound.
-    """
-
-    def tighten(self, current: float) -> float:  # pragma: no cover
-        raise NotImplementedError
-
 
 @dataclass
 class FrontierState:
-    """A resumable enumeration cut at a level boundary.
+    """The state of an enumeration at a level boundary.
 
     ``level`` is the next level to process; ``masks``/``lower``/
     ``coverage`` are the frontier's parallel lists; ``pending_upper``
     holds Eq. (6) uppers emitted at the previous level, folded into
-    ``best_upper`` at the next boundary (empty whenever the state is
-    shipped between processes — :meth:`SearchKernel.advance` folds
-    before yielding).
+    ``best_upper`` at the next boundary.
     """
 
     level: int
@@ -178,10 +126,8 @@ def min_outgoing_costs(
 class SearchKernel:
     """The immutable ingredients of one component's MIS search.
 
-    Built either from a live :class:`~repro.core.graph.ViolationGraph`
-    (:meth:`for_graph`) or from plain arrays shipped to a worker — the
-    two construct bit-identical bounds because the floats themselves are
-    shipped, never recomputed.
+    Built from a live :class:`~repro.core.graph.ViolationGraph` by
+    :meth:`for_graph`.
     """
 
     def __init__(
@@ -296,22 +242,16 @@ class SearchKernel:
                 total += min_out[index]
         return total
 
-    def fold_pending(
-        self, state: FrontierState, bound: Optional[IncumbentBound] = None
-    ) -> None:
+    def fold_pending(self, state: FrontierState) -> None:
         """Fold pending Eq. (6) uppers into the incumbent at a boundary.
 
-        Exactly the oracle's fold point; when a shared *bound* is wired,
-        this is also where the incumbent is exchanged (lock-free read,
-        publish on improvement) — the only cross-worker touch point.
+        Exactly the oracle's fold point.
         """
         best_upper = state.best_upper
         for value in state.pending_upper:
             if value < best_upper:
                 best_upper = value
         state.pending_upper = []
-        if bound is not None:
-            best_upper = bound.tighten(best_upper)
         state.best_upper = best_upper
 
     # ------------------------------------------------------------------
@@ -320,38 +260,24 @@ class SearchKernel:
         state: FrontierState,
         stats: ExpansionStats,
         max_nodes: Optional[int] = None,
-        stop_level: Optional[int] = None,
-        yield_budget: Optional[int] = None,
-        bound: Optional[IncumbentBound] = None,
-    ) -> bool:
-        """Run the level loop from ``state.level``; return True if done.
+    ) -> None:
+        """Run the level loop from ``state.level`` to the last level.
 
-        Stops early (returning False, state resumable) at the first
-        level boundary past *stop_level* or once *yield_budget* nodes
-        were generated by this call — the cooperative checkpoint the
-        work-stealing dispatcher re-splits stragglers at. Pending uppers
-        are always folded before an early return, so shipped states
-        carry ``pending_upper == []``.
+        Raises :class:`ExpansionLimitError` once more than *max_nodes*
+        nodes were generated in total.
         """
         n = self.n
         adjacency = self.adjacency
         prune = self.prune
         min_out = self.min_out
-        start_nodes = stats.nodes_generated
-        stop = n if stop_level is None else min(stop_level, n)
-        while state.level < stop:
+        while state.level < n:
             level = state.level
             stats.levels = level
             if prune:
                 # Fold the uppers of everything emitted into this
                 # frontier — the exact set the oracle folds at the top
                 # of the level, before any prune check reads it.
-                self.fold_pending(state, bound)
-            if (
-                yield_budget is not None
-                and stats.nodes_generated - start_nodes >= yield_budget
-            ):
-                return False
+                self.fold_pending(state)
             vertex_adjacency = adjacency[level]
             vertex_bit = 1 << level
             prefix_mask = (vertex_bit << 1) - 1
@@ -434,7 +360,6 @@ class SearchKernel:
             state.lower = next_lower
             state.coverage = next_coverage
             state.level = level + 1
-        return state.level >= n
 
     # ------------------------------------------------------------------
     def mask_assignment_cost(self, member_mask: int) -> float:
@@ -472,11 +397,7 @@ def better_candidate(
     """The winner comparator of ``best_maximal_independent_set``.
 
     Strictly-cheaper wins; within ``TIE_EPSILON`` the lexicographically
-    smaller sorted member list wins. Used identically by the serial
-    scan, by chunk-local scans in subtree workers, and by the parent's
-    segment-ordered reduction — the fold is associative whenever costs
-    are epsilon-separated, which is what keeps split winner selection
-    byte-identical to the serial scan (``docs/parallelism.md``).
+    smaller sorted member list wins.
     """
     if cost < best_cost - TIE_EPSILON:
         return True
@@ -486,23 +407,3 @@ def better_candidate(
         and members < best_members
     )
 
-
-def select_best_mask(
-    kernel: SearchKernel, masks: Sequence[int], order: Sequence[int]
-) -> Optional[Tuple[int, float, List[int]]]:
-    """Scan *masks* in order; return (mask, cost, sorted original members).
-
-    The chunk-local half of the winner reduction: the same comparator,
-    in frontier order, over the same floats as the serial scan.
-    """
-    best: Optional[Tuple[int, float, List[int]]] = None
-    best_cost = float("inf")
-    best_members: Optional[List[int]] = None
-    for mask in masks:
-        cost = kernel.mask_assignment_cost(mask)
-        members = sorted(order[i] for i in mask_bits(mask))
-        if better_candidate(cost, members, best_cost, best_members):
-            best = (mask, cost, members)
-            best_cost = cost
-            best_members = members
-    return best

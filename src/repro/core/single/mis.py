@@ -21,11 +21,7 @@ scores candidates.
 The production engine (:func:`enumerate_maximal_independent_sets`) runs
 the level-synchronous schedule as an explicit work-list branch-and-bound
 over the :class:`~repro.core.graph.ComponentMasks` bitset view; the
-loop itself lives in the resumable
-:class:`~repro.core.single.frontier.SearchKernel`, so the Exact-S
-winner search (:func:`best_maximal_independent_set`) can cut a giant
-component at a level boundary into independently explorable subtree
-tasks (:mod:`repro.core.single.subtree`, ``docs/parallelism.md``):
+loop itself lives in :class:`~repro.core.single.frontier.SearchKernel`:
 
 * each frontier node is one prefix-mask; FT-conflict, ``FTC``, and
   prefix-maximality checks are ``&``/``|`` word operations against a
@@ -49,10 +45,7 @@ reference implementation (the *oracle*). The oracle, and a brute-force
 subset enumerator, live in the test helpers (``tests/oracles.py``),
 next to the two-row Levenshtein DP that checks the Myers kernel; the
 Hypothesis differential suites (``tests/test_search_bitset.py``,
-``tests/test_mis.py``) cross-check the engine against them. When a
-subtree dispatcher splits the winner search, the selected set is the
-serial one (the winner is bound-independent) while counters reflect
-the extra duplicated exploration across chunks.
+``tests/test_mis.py``) cross-check the engine against them.
 """
 
 from __future__ import annotations
@@ -65,12 +58,6 @@ from repro.core.single.frontier import (
     ExpansionStats,
     SearchKernel,
     better_candidate,
-    select_best_mask,
-)
-from repro.core.single.subtree import (
-    SplitRequest,
-    SubtreeDispatcher,
-    current_dispatcher,
 )
 from repro.obs import span
 
@@ -99,8 +86,7 @@ def enumerate_maximal_independent_sets(
 
     This is the bitset engine (module docstring); results, statistics,
     and the budget-trip point are identical to the set-based oracle in
-    ``tests/oracles.py``. It never splits: only the winner search in
-    :func:`best_maximal_independent_set` does.
+    ``tests/oracles.py``.
     """
     order = list(vertices) if vertices is not None else list(range(len(graph)))
     if stats is None:
@@ -123,63 +109,6 @@ def enumerate_maximal_independent_sets(
     ]
 
 
-def _best_via_split(
-    graph: ViolationGraph,
-    order: List[int],
-    prune: bool,
-    max_nodes: Optional[int],
-    stats: ExpansionStats,
-    dispatcher: SubtreeDispatcher,
-) -> FrozenSet[int]:
-    """Winner search with the frontier split into subtree tasks.
-
-    Chunks score their own surviving candidates; the parent reduces the
-    chunk winners in segment order with the serial comparator. Shared
-    incumbent bounds may only prune provably-beaten sets, so the winner
-    matches the serial scan (``docs/parallelism.md``).
-    """
-    with span(
-        "mis/expand",
-        fd=graph.fd.name,
-        vertices=len(order),
-        prune=prune,
-        split=True,
-    ) as expand_span:
-        kernel = SearchKernel.for_graph(
-            graph, order, prune=prune, with_costs=True
-        )
-        state = kernel.seed(stats)
-        # Serial prefix: widen the frontier until it can feed the fanout.
-        target = dispatcher.fanout()
-        while True:
-            finished = kernel.advance(
-                state, stats, max_nodes=max_nodes, stop_level=state.level + 1
-            )
-            if finished or len(state.masks) >= target:
-                break
-        if finished:
-            # Too small to split: score locally — the same scan,
-            # comparator and floats as the unsplit path.
-            stats.sets_enumerated = len(state.masks)
-            winner = select_best_mask(kernel, state.masks, order)
-        else:
-            winner = dispatcher.explore(
-                SplitRequest(
-                    kernel=kernel,
-                    state=state,
-                    stats=stats,
-                    max_nodes=max_nodes,
-                    fd_name=graph.fd.name,
-                    order=list(order),
-                )
-            )
-        expand_span.set(**stats.as_dict())
-    if winner is None:
-        raise ValueError("no vertices to enumerate over")
-    mask = winner[0]
-    return frozenset(order[i] for i in mask_bits(mask))
-
-
 def best_maximal_independent_set(
     graph: ViolationGraph,
     vertices: Optional[Sequence[int]] = None,
@@ -191,11 +120,6 @@ def best_maximal_independent_set(
     order = list(vertices) if vertices is not None else list(range(len(graph)))
     if stats is None:
         stats = ExpansionStats()
-    dispatcher = current_dispatcher()
-    if order and dispatcher is not None and dispatcher.wants(len(order)):
-        return _best_via_split(
-            graph, order, prune, max_nodes, stats, dispatcher
-        )
     candidates = enumerate_maximal_independent_sets(
         graph, order, prune=prune, max_nodes=max_nodes, stats=stats
     )

@@ -12,7 +12,6 @@ from repro.exec.cache import (
     shared_model,
     worker_distance_cache,
 )
-from repro.exec.bounds import BoundExchange, SlotBound
 from repro.exec.config import RepairConfig
 from repro.exec.executor import (
     ComponentOutcome,
@@ -21,15 +20,9 @@ from repro.exec.executor import (
     component_size,
     repair_component,
 )
-from repro.exec.planner import SchedulePlan, estimate_task, plan_schedule
+from repro.exec.planner import estimate_task, plan_schedule
 from repro.exec.shipping import RelationRef, publish, resolve
 from repro.exec.stats import DegradedRepairWarning, ExecutionStats
-from repro.exec.subtrees import (
-    PoolSubtreeDispatcher,
-    SubtreeResult,
-    SubtreeSpec,
-    explore_subtree,
-)
 
 __all__ = [
     "RepairConfig",
@@ -47,13 +40,6 @@ __all__ = [
     "worker_distance_cache",
     "model_fingerprint",
     "clear_worker_caches",
-    "SchedulePlan",
     "estimate_task",
     "plan_schedule",
-    "BoundExchange",
-    "SlotBound",
-    "SubtreeSpec",
-    "SubtreeResult",
-    "PoolSubtreeDispatcher",
-    "explore_subtree",
 ]

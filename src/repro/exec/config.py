@@ -17,10 +17,6 @@ The execution-layer knobs are new in this layer:
   component (formalizing the anytime fallback per component instead of
   discovering the blow-up mid-search).
 * ``seed`` — RNG seed for threshold sampling.
-* ``split_threshold`` — with ``n_jobs > 1``, split the Exact-S winner
-  search of a dominant component with at least this many patterns into
-  subtree tasks shared across the pool (``None``, the default: never).
-  The output is identical either way.
 * ``trace`` — record the run through the observability layer
   (:mod:`repro.obs`): hierarchical phase spans, unified counters, and a
   structured JSON run report via ``Repairer.report()`` / the CLI
@@ -72,7 +68,6 @@ class RepairConfig:
     component_budget: Optional[int] = None
     seed: object = None
     trace: bool = False
-    split_threshold: Optional[int] = None
     #: error detectors to run ahead of repair/detection
     #: (``docs/scenarios.md``): names from the detector registry, e.g.
     #: ``("fd", "null", "outlier")``. ``"fd"`` denotes the built-in
@@ -105,11 +100,6 @@ class RepairConfig:
             raise ValueError("n_jobs must be >= 1, or exactly -1")
         if self.component_budget is not None and self.component_budget < 1:
             raise ValueError("component_budget must be a positive node count")
-        if self.split_threshold is not None and self.split_threshold < 2:
-            raise ValueError(
-                "split_threshold must be >= 2 vertices (or None to disable "
-                "component splitting)"
-            )
         if self.detectors is not None:
             # Registry import is deferred (repro.detect registers its
             # built-ins on package import); tuple coercion keeps the

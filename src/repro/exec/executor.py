@@ -60,7 +60,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import FD
 from repro.core.detection import (
@@ -77,20 +77,13 @@ from repro.core.repair import RepairResult, merge_results, squash_edits
 from repro.core.single.exact import repair_single_fd_exact
 from repro.core.single.greedy import repair_single_fd_greedy
 from repro.core.single.mis import ExpansionLimitError
-from repro.core.single.subtree import use_dispatcher
 from repro.core.violation import FTViolation, group_patterns
 from repro.dataset.relation import Relation
-from repro.exec import bounds, shipping
-from repro.exec.bounds import BoundExchange
+from repro.exec import shipping
 from repro.exec.cache import shared_model
 from repro.exec.config import RepairConfig
-from repro.exec.planner import (
-    SPLITTABLE_ALGORITHMS,
-    SchedulePlan,
-    plan_schedule,
-)
+from repro.exec.planner import plan_schedule
 from repro.exec.shipping import RelationRef
-from repro.exec.subtrees import PoolSubtreeDispatcher
 from repro.exec.stats import DegradedRepairWarning, ExecutionStats
 from repro.index.registry import AttributeIndexRegistry
 from repro.obs import CounterRegistry, Tracer, activate, current_tracer, span
@@ -265,21 +258,15 @@ def repair_component(
             "from": algorithm,
             "to": degraded_to,
         }
-        where = ""
         if isinstance(exc, ExpansionLimitError):
-            # Attribute the trip: which budget, how far the expansion
-            # got, and — when a split search degraded — which subtree
-            # chunk hit the wall (its lineage segment).
+            # Attribute the trip: which budget, and how far the
+            # expansion got.
             record["limit"] = exc.limit
             record["nodes_generated"] = exc.nodes_generated
             record["level"] = exc.level
-            if exc.subtree is not None:
-                record["subtree"] = list(exc.subtree)
-                lineage = "/".join(str(part) for part in exc.subtree)
-                where = f" in split subtree {lineage}"
         warnings.warn(
             f"{algorithm} exhausted its search budget on component {names}"
-            f"{where} ({type(exc).__name__}: {exc}); degrading to "
+            f" ({type(exc).__name__}: {exc}); degrading to "
             f"{degraded_to} for this component",
             DegradedRepairWarning,
             stacklevel=2,
@@ -440,9 +427,6 @@ def _component_outcome(task: ComponentTask) -> ComponentOutcome:
             task.config,
         )
     seconds = time.perf_counter() - start
-    # process_time of a coordinated task naturally excludes its subtree
-    # chunks' CPU — they burn cycles in worker processes — so per-unit
-    # CPU accounting stays additive under splitting.
     cpu_seconds = time.process_time() - cpu0
     result.stats["cache_hits"] = model.cache_hits - hits0
     result.stats["cache_misses"] = model.cache_misses - misses0
@@ -674,50 +658,21 @@ class RepairExecutor:
         The traffic dict records what actually crossed (or would cross,
         under ``fork``'s copy-on-write inheritance) the process boundary.
         """
-        capped = self.config.effective_jobs(len(tasks))
-        raw = self.config.effective_jobs()
-        splittable = (
-            runner is _run_component_task
-            and raw > 1
-            and self.config.split_threshold is not None
-            and self.config.algorithm in SPLITTABLE_ALGORITHMS
-        )
-        plan: Optional[SchedulePlan] = None
-        if raw > 1 and (len(tasks) > 1 or splittable):
-            plan = plan_schedule(
-                tasks, raw, self.config.split_threshold, splittable
-            )
-        coordinated = set(plan.coordinated) if plan is not None else set()
-        # A coordinated run keeps the full pool even with few tasks —
-        # the giant component's subtree tasks are what fill it.
-        workers = raw if coordinated else capped
-        use_pool = workers > 1 and (len(tasks) > 1 or bool(coordinated))
+        workers = self.config.effective_jobs(len(tasks))
         traffic: Dict[str, Any] = {
             "relations_shipped": 0,
             "relation_payload_bytes": 0,
             "relation_bytes_shipped": 0,
             "task_bytes_max": 0,
             "task_bytes_total": 0,
-            "tasks_coordinated": len(coordinated),
-            "tasks_split": 0,
-            "subtree_tasks": 0,
-            "steals": 0,
-            "incumbent_publishes": 0,
-            "bound_exchange_hits": 0,
-            "subtree_bytes_total": 0,
-            "subtree_bytes_max": 0,
             "busy_skew_ratio": 1.0,
         }
         start = time.perf_counter()
         with span("execute", tasks=len(tasks)) as execute_span:
-            if not use_pool:
-                workers = 1
-                outcomes = [runner(task) for task in tasks]
+            if workers > 1:
+                outcomes = self._run_pool(tasks, runner, workers, traffic)
             else:
-                assert plan is not None
-                outcomes = self._run_pool(
-                    tasks, runner, workers, plan, coordinated, traffic
-                )
+                outcomes = [runner(task) for task in tasks]
             execute_span.set(n_jobs=workers, **traffic)
             tracer = current_tracer()
             if tracer is not None and tracer.enabled:
@@ -735,20 +690,13 @@ class RepairExecutor:
         tasks,
         runner,
         workers: int,
-        plan: SchedulePlan,
-        coordinated: Set[int],
         traffic: Dict[str, Any],
     ) -> List[Any]:
-        """The pool path: planned submission plus coordinated execution.
+        """The pool path: tasks submitted largest-estimated-first.
 
-        Plain tasks are submitted largest-estimated-first so the long
-        pole starts immediately instead of wherever discovery order put
-        it. Coordinated tasks (a dominant Exact-S component) run in the
-        parent under a :class:`PoolSubtreeDispatcher` — their winner
-        searches are cut into subtree tasks that interleave with the
-        plain queue on the same pool. The shared incumbent array must
-        be allocated and installed *before* the pool exists so forked
-        workers inherit it.
+        The long pole starts immediately instead of wherever discovery
+        order put it (:func:`~repro.exec.planner.plan_schedule`);
+        outcomes come back in task order.
         """
         payload = shipping.pack([task.relation_ref for task in tasks])
         sizes = [len(pickle.dumps(task, protocol=5)) for task in tasks]
@@ -761,11 +709,6 @@ class RepairExecutor:
             task_bytes_total=sum(sizes),
         )
         lean = _LEAN_RUNNERS.get(runner, runner)
-        exchange: Optional[BoundExchange] = None
-        if coordinated:
-            exchange = BoundExchange()
-            bounds.install(exchange.array)
-        dispatcher: Optional[PoolSubtreeDispatcher] = None
         try:
             with ProcessPoolExecutor(
                 max_workers=workers,
@@ -774,22 +717,10 @@ class RepairExecutor:
             ) as pool:
                 futures = {
                     position: pool.submit(lean, tasks[position])
-                    for position in plan.order
-                    if position not in coordinated
+                    for position in plan_schedule(tasks)
                 }
-                parented: Dict[int, Any] = {}
-                if coordinated:
-                    dispatcher = PoolSubtreeDispatcher(
-                        pool, self.config, exchange, traffic
-                    )
-                    with use_dispatcher(dispatcher):
-                        for position in plan.order:
-                            if position in coordinated:
-                                parented[position] = runner(tasks[position])
                 outcomes = [
-                    parented[position]
-                    if position in parented
-                    else futures[position].result()
+                    futures[position].result()
                     for position in range(len(tasks))
                 ]
         except (TypeError, AttributeError) as exc:  # unpicklable
@@ -798,9 +729,7 @@ class RepairExecutor:
                 "relations and distance overrides (module-level "
                 f"functions, not lambdas); underlying error: {exc}"
             ) from exc
-        finally:
-            bounds.clear()
-        traffic["busy_skew_ratio"] = _busy_skew(outcomes, dispatcher)
+        traffic["busy_skew_ratio"] = _busy_skew(outcomes)
         return outcomes
 
     def _merge(
@@ -883,33 +812,15 @@ def _utilization(outcomes, elapsed: float, workers: int) -> float:
     return min(1.0, busy / (elapsed * workers))
 
 
-def _busy_skew(outcomes, dispatcher) -> float:
-    """Max/mean busy seconds across the processes that did the work.
+def _busy_skew(outcomes) -> float:
+    """Max/mean busy seconds across the worker processes that did the work.
 
-    1.0 is a perfectly balanced run; a static schedule with one giant
-    component approaches the worker count. Subtree busy time (tracked by
-    the dispatcher per worker pid) is added to the pid that ran it, and
-    the parent's coordinated time excludes the seconds it merely spent
-    waiting on subtree futures.
+    1.0 is a perfectly balanced run; a schedule with one giant
+    component approaches the worker count.
     """
-    parent = os.getpid()
     busy: Dict[int, float] = {}
-    parent_busy = 0.0
     for outcome in outcomes:
-        pid = getattr(outcome, "pid", 0)
-        seconds = getattr(outcome, "seconds", 0.0)
-        if pid == parent:
-            parent_busy += seconds
-        elif pid:
-            busy[pid] = busy.get(pid, 0.0) + seconds
-    if dispatcher is not None:
-        for pid, seconds in dispatcher.busy.items():
-            busy[pid] = busy.get(pid, 0.0) + seconds
-        parent_busy = max(0.0, parent_busy - dispatcher.wait_seconds)
-    if parent_busy > 0.0:
-        busy[parent] = busy.get(parent, 0.0) + parent_busy
-    if not busy:
-        return 1.0
+        busy[outcome.pid] = busy.get(outcome.pid, 0.0) + outcome.seconds
     values = list(busy.values())
     mean = sum(values) / len(values)
     if mean <= 0.0:

@@ -142,17 +142,6 @@ class ExecutionStats(dict):
                 f"shipped {self.relation_bytes_shipped / 1024:.0f}KiB "
                 f"(max task {self.task_bytes_max}B)"
             )
-        if self.tasks_split:
-            bits.append(
-                f"split {self.tasks_split} search(es) into "
-                f"{self.subtree_tasks} subtree task(s), "
-                f"{self.steals} steal(s)"
-            )
-        if self.bound_exchange_hits or self.incumbent_publishes:
-            bits.append(
-                f"bound exchange {self.bound_exchange_hits} hit(s)/"
-                f"{self.incumbent_publishes} publish(es)"
-            )
         if self.degraded:
             bits.append(f"degraded x{len(self.degraded_components)}")
         return ", ".join(bits)

@@ -4,9 +4,9 @@ The HOSP/Tax generators produce many similarly-sized components — the
 friendly case for component-sharded parallelism. This module generates
 its adversary: a relation whose violation graph has **one giant
 connected component** holding a configurable fraction of the vertices,
-plus a fringe of small ones. Static component scheduling flatlines on it
-(the giant is a single task); it exists to exercise — and benchmark —
-the adaptive subtree splitting in :mod:`repro.exec`
+plus a fringe of small ones. Component scheduling flatlines on it (the
+giant is a single task); it exercises the executor's schedule
+determinism and largest-first submission in :mod:`repro.exec`
 (``docs/parallelism.md``).
 
 Construction: every FD's LHS attribute is populated with *staircase
@@ -30,7 +30,7 @@ vertices plus small chains totalling ``round(chain * (1 - f) / f)``
 vertices, so the giant holds fraction ``f`` of that FD's graph. The two
 satellite FDs (attribute-disjoint, hence separate FD-graph components)
 carry only small chains — their tasks exist so largest-first submission
-and subtree interleaving have something to overlap with.
+has something to overlap with the giant.
 """
 
 from __future__ import annotations

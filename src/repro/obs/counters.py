@@ -111,14 +111,6 @@ COUNTERS = tuple(Counter(*row) for row in (
     ("relation_bytes_shipped", "exec", "bytes", "payload bytes times workers: what crosses the process boundary", "scheduling"),
     ("task_bytes_max", "exec", "bytes", "largest pickled task message", "scheduling"),
     ("task_bytes_total", "exec", "bytes", "pickled task messages, summed", "scheduling"),
-    ("tasks_coordinated", "exec", "tasks", "tasks the planner ran in the parent to split their search", "scheduling"),
-    ("tasks_split", "exec", "searches", "Exact-S winner searches cut into subtree tasks", "scheduling"),
-    ("subtree_tasks", "exec", "tasks", "subtree tasks dispatched, re-splits included", "scheduling"),
-    ("steals", "exec", "tasks", "cooperative yields re-split into fresh subtree tasks", "scheduling"),
-    ("incumbent_publishes", "exec", "bounds", "improved upper bounds written to the shared incumbent slots", "scheduling"),
-    ("bound_exchange_hits", "exec", "bounds", "times a search adopted a tighter bound another process published", "scheduling"),
-    ("subtree_bytes_total", "exec", "bytes", "pickled subtree task messages, summed", "scheduling"),
-    ("subtree_bytes_max", "exec", "bytes", "largest pickled subtree task message", "scheduling"),
     ("serve_requests", "serve", "requests", "requests submitted to the micro-batcher", "invariant"),
     ("serve_batches", "serve", "batches", "micro-batches drained; how requests group follows their arrival", "scheduling"),
     ("serve_batch_mean_size", "serve", "requests", "requests per drained micro-batch", "scheduling"),
@@ -143,7 +135,7 @@ COUNTERS = tuple(Counter(*row) for row in (
     ("serve_index_rebuilds", "serve", "indexes", "per-FD candidate indexes rebuilt because an absorb grew their elements (`IncrementalRepairer.counters`)", "invariant"),
     ("serve_records_seen", "serve", "records", "records the served models received", "invariant"),
     ("serve_records_repaired", "serve", "records", "records the served models changed", "invariant"),
-    ("serve_records_absorbed", "serve", "records", "records absorbed into a fitted model (`absorb=True`)", "invariant"),
+    ("serve_records_absorbed", "serve", "records", "records absorbed into a fitted model (`absorb=True`), each counted once however many components absorbed it", "invariant"),
 ))
 
 #: name -> its :class:`Counter`

@@ -542,6 +542,7 @@ def scan_repair_record(
     repairer.records_seen += 1
     repaired = dict(record)
     edits: List[CellEdit] = []
+    absorbed = False
     for component in repairer._components:
         if component.resolved(repaired):
             continue
@@ -549,7 +550,7 @@ def scan_repair_record(
             component, repaired, repairer._thresholds
         ):
             component.absorb(repaired)
-            repairer.records_absorbed += 1
+            absorbed = True
             continue
         values = tuple(repaired[a] for a in component.attributes)
         target, _cost = component.tree.nearest_target(values)
@@ -558,6 +559,8 @@ def scan_repair_record(
             if old != new:
                 edits.append(CellEdit(0, attr, old, new))
                 repaired[attr] = new
+    if absorbed:
+        repairer.records_absorbed += 1
     if edits:
         repairer.records_repaired += 1
     return repaired, edits

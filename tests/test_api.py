@@ -70,7 +70,7 @@ class TestFacade:
 
 
 class TestDeprecationPolicy:
-    """Spellings removed in 2.1, 2.2 and 2.4 raise instead of warning."""
+    """Spellings removed in 2.1, 2.2, 2.4 and 2.6 raise instead of warning."""
 
     @pytest.mark.parametrize(
         "build,argument",
@@ -84,10 +84,19 @@ class TestDeprecationPolicy:
                 lambda fds: repro.RepairConfig(bound_exchange=False),
                 "bound_exchange",
             ),
+            (
+                lambda fds: repro.RepairConfig(split_threshold=8),
+                "split_threshold",
+            ),
+            (
+                lambda fds: repro.Repairer(fds, split_threshold=8),
+                "split_threshold",
+            ),
         ],
         ids=["config-kernel", "repairer-kernel", "repairer-rng",
              "repairer-positional", "config-max-subtasks",
-             "config-bound-exchange"],
+             "config-bound-exchange", "config-split-threshold",
+             "repairer-split-threshold"],
     )
     def test_removed_arguments_raise(self, build, argument):
         fds = [repro.FD.parse("K -> V")]

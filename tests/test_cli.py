@@ -46,10 +46,15 @@ class TestParser:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "flags", [["--max-subtasks", "4"], ["--no-bound-exchange"]]
+        "flags",
+        [
+            ["--max-subtasks", "4"],
+            ["--no-bound-exchange"],
+            ["--split-threshold", "8"],
+        ],
     )
     def test_removed_scheduler_flags_exit(self, csv_path, flags):
-        # the split fanout is a constant and bound exchange always on in 2.2
+        # the split knobs left in 2.2; the split itself in 2.6
         with pytest.raises(SystemExit) as exc:
             main([str(csv_path), "--fd", "sku -> product", *flags])
         assert exc.value.code == 2

@@ -47,15 +47,6 @@ BREAKS = {
         ("hosp", "vectorized", "distinct_pairs_examined"),
         lambda v: v["tuple_fanout"] + 1,
     ),
-    ("sched", "split speedup over serial (median walls)"): _set(
-        ("split", "wall_median"), lambda split: split["wall_median"] * 10
-    ),
-    ("sched", "static speedup over serial (median walls)"): _set(
-        ("static", "wall_median"), lambda static: static["wall_median"] / 10
-    ),
-    ("sched", "output hashes differing across schedules"): _set(
-        ("split", "output_hash"), "0" * 16
-    ),
     ("serve", "requests/s"): _set(("requests_per_second",), 999.0),
     ("serve", "p99 latency ms"): _set(("latency_p99_ms",), 25.5),
     ("serve", "model-cache speedup"): _set(("cache_speedup",), 49.0),
@@ -143,7 +134,7 @@ def test_breaking_one_row_fails_only_that_row(bench_root, row):
 def test_missing_file_exits_2(bench_root):
     (bench_root / "BENCH_serve.json").unlink()
     assert gates.main(["x", "--gates", "serve"], bench_root) == EXIT_MISSING
-    assert gates.main(["x", "--gates", "sched"], bench_root) == EXIT_PASS
+    assert gates.main(["x", "--gates", "substrate"], bench_root) == EXIT_PASS
 
 
 def test_malformed_entry_exits_2(bench_root):
@@ -170,7 +161,7 @@ def test_bad_arguments_exit_2(argv):
 def test_step_summary_gets_one_table(bench_root, tmp_path, monkeypatch):
     summary = tmp_path / "summary.md"
     monkeypatch.setenv("GITHUB_STEP_SUMMARY", str(summary))
-    assert gates.main(["x", "--gates", "sched,serve"], bench_root) == EXIT_PASS
+    assert gates.main(["x", "--gates", "substrate,serve"], bench_root) == EXIT_PASS
     text = summary.read_text()
     assert text.count("| gate | check |") == 1
-    assert text.count("| sched |") == len(GATES["sched"].checks)
+    assert text.count("| substrate |") == len(GATES["substrate"].checks)

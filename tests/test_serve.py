@@ -306,11 +306,34 @@ class TestServeCounters:
         for record in entities:
             _, edits = repairer.repair_record(record)
             assert edits == []
-        # each entity is new to both FD-graph components
-        assert repairer.records_absorbed == 2 * len(entities)
+        # each entity is new to both FD-graph components, and is one
+        # absorbed record
+        assert repairer.records_absorbed == len(entities)
         rebuilds = repairer.counters["serve_index_rebuilds"]
         assert rebuilds == len(builds) - len(set(builds))
         assert rebuilds > 0
+
+
+    def test_absorbed_and_repaired_record_counts_once(self):
+        """A record one component absorbs and the other repairs is one
+        absorbed record and one repaired record."""
+        repairer = IncrementalRepairer(
+            CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS, absorb=True
+        ).fit(citizens_clean())
+        base = citizens_clean().as_record(0)
+        (entity,) = _new_entities(1)
+        # a new Education/Level entity, and a City typo of a fitted one
+        record = dict(
+            base,
+            Education=entity["Education"],
+            Level=entity["Level"],
+            City=base["City"] + "x",
+        )
+        repaired, edits = repairer.repair_record(record)
+        assert [edit.attribute for edit in edits] == ["City"]
+        assert repaired["Education"] == entity["Education"]
+        assert repairer.records_absorbed == 1
+        assert repairer.records_repaired == 1
 
 
 def _typo_records(count):

@@ -202,9 +202,9 @@ def _simjoin_detect_sweep(relation, fds, thresholds, rounds: int = 2) -> dict:
     """Detect-phase walls and counters: naive vs vectorized.
 
     Mirrors the ablation bench's measurement discipline — a fresh
-    distance model per run (no cache leakage between strategies), one
-    shared attribute-index registry per run, best wall of *rounds* —
-    and asserts the two strategies emit identical violation triples.
+    distance model per run, one shared attribute-index registry per
+    run, best wall of *rounds* — and asserts the two strategies emit
+    identical violation triples.
     """
     from repro.core.distances import DistanceModel
     from repro.core.violation import group_patterns

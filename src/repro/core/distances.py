@@ -17,25 +17,15 @@ one projection into another (Eq. 3) is the plain, unweighted sum of
 per-attribute distances.
 
 :class:`DistanceModel` binds these formulas to a concrete relation: it
-resolves attribute kinds, holds the numeric normalizers, and memoizes
-per-attribute value-pair distances (the same string pairs are compared
-many times during graph construction and repair search).
+resolves attribute kinds and holds the numeric normalizers. It keeps no
+per-value state: every distance is computed from the two values, so a
+model is a pure function of its schema, spreads, weights and overrides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    MutableMapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dataset.relation import NUMERIC, Relation, Schema
 
@@ -306,17 +296,9 @@ class DistanceModel:
     overrides:
         Optional per-attribute distance functions, e.g.
         ``{"Name": jaccard_distance}``. Overrides receive the two raw
-        values and must return a normalized distance in [0, 1].
-    cache:
-        Memoize per-attribute value-pair distances. ``True`` (default)
-        uses a private dictionary, ``False`` disables memoization, and a
-        mutable mapping plugs in an external store — e.g. the
-        worker-persistent cache of :mod:`repro.exec.cache`, which keeps
-        distances warm across repairs within one process.
-
-    The model counts its memo traffic: :attr:`cache_hits` /
-    :attr:`cache_misses` (see :meth:`cache_info`) feed the execution
-    statistics of :class:`repro.exec.RepairExecutor`.
+        values and must return a normalized distance in [0, 1]. Like
+        Eq. (1), an override must be symmetric: callers compare in
+        whichever order suits them.
     """
 
     def __init__(
@@ -324,7 +306,6 @@ class DistanceModel:
         relation: Relation,
         weights: Weights = Weights(),
         overrides: Optional[Dict[str, DistanceFn]] = None,
-        cache: "Union[bool, MutableMapping]" = True,
     ) -> None:
         self.schema: Schema = relation.schema
         self.weights = weights
@@ -337,18 +318,9 @@ class DistanceModel:
             for attr in self.schema
             if attr.kind == NUMERIC
         }
-        if isinstance(cache, bool):
-            self._cache: Optional[MutableMapping] = {} if cache else None
-        else:
-            self._cache = cache
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: edit-distance kernel invocations (cache misses that reached a
-        #: string kernel); feeds the ``kernel_calls`` execution counter
+        #: edit-distance kernel invocations (every string pair that
+        #: differs); feeds the ``kernel_calls`` execution counter
         self.kernel_calls = 0
-        # interned Myers preparations: identical strings (across
-        # attributes, FDs and probe directions) share one PEQ table
-        self._prepared: Dict[str, PreparedKernel] = {}
 
     @classmethod
     def from_parts(
@@ -357,7 +329,6 @@ class DistanceModel:
         spreads: Dict[str, float],
         weights: Weights = Weights(),
         overrides: Optional[Dict[str, DistanceFn]] = None,
-        cache: bool = True,
     ) -> "DistanceModel":
         """Rebuild a model from persisted parts (schema + numeric spreads).
 
@@ -367,7 +338,7 @@ class DistanceModel:
         """
         from repro.dataset.relation import Relation
 
-        model = cls(Relation(schema), weights, overrides, cache)
+        model = cls(Relation(schema), weights, overrides)
         unknown = [a for a in spreads if a not in model._spreads]
         if unknown:
             raise KeyError(f"spreads for non-numeric attribute(s): {unknown}")
@@ -380,52 +351,8 @@ class DistanceModel:
         return dict(self._spreads)
 
     # ------------------------------------------------------------------
-    def _prepared_kernel(self, text: str) -> PreparedKernel:
-        """The interned Myers preparation for *text* (built once)."""
-        prepared = self._prepared.get(text)
-        if prepared is None:
-            prepared = PreparedKernel(text)
-            self._prepared[text] = prepared
-        return prepared
-
-    def _string_distance(self, a: str, b: str) -> float:
-        """Normalized edit distance through the interned Myers kernel."""
-        if a == b:
-            return 0.0
-        longest = max(len(a), len(b))
-        if longest == 0:
-            return 0.0
-        self.kernel_calls += 1
-        if len(a) > len(b):
-            a, b = b, a
-        return self._prepared_kernel(a).compare(b) / longest
-
     def attribute_distance(self, attribute: str, v1: Any, v2: Any) -> float:
         """Normalized distance between two values of *attribute* (Eq. 1)."""
-        if v1 == v2:
-            return 0.0
-        if self._cache is not None:
-            # Two-way probe instead of canonical ordering: hashing the
-            # values twice is far cheaper than repr-based normalization.
-            key = (attribute, v1, v2)
-            hit = self._cache.get(key)
-            if hit is None:
-                hit = self._cache.get((attribute, v2, v1))
-            if hit is not None:
-                self.cache_hits += 1
-                return hit
-            self.cache_misses += 1
-        value = self.uncached_distance(attribute, v1, v2)
-        if self._cache is not None:
-            self._cache[key] = value
-        return value
-
-    def uncached_distance(self, attribute: str, v1: Any, v2: Any) -> float:
-        """:meth:`attribute_distance` without the memo: it neither reads
-        nor writes the cache, nor counts cache traffic. Callers that
-        keep their own store (the target tree's distance vectors) use it
-        so their queries do not grow the model's memo.
-        """
         if v1 == v2:
             return 0.0
         override = self._overrides.get(attribute)
@@ -434,7 +361,11 @@ class DistanceModel:
         elif attribute in self._spreads:
             value = normalized_euclidean(float(v1), float(v2), self._spreads[attribute])
         else:
-            value = self._string_distance(str(v1), str(v2))
+            a, b = str(v1), str(v2)
+            if a == b:
+                return 0.0
+            self.kernel_calls += 1
+            value = levenshtein(a, b) / max(len(a), len(b))
         if not 0.0 <= value <= 1.0 + 1e-9:
             raise ValueError(
                 f"distance for {attribute!r} out of [0,1]: {value} "
@@ -447,41 +378,23 @@ class DistanceModel:
 
         Fixes the left *value* and returns ``compare(other) -> float``.
         For plain string attributes the Myers PEQ table is prepared once
-        (interned on the model, so identical strings across attributes
-        and FDs share one preparation) and reused by every call — cache
-        probes, counters, and returned values are identical to the
-        pairwise method.
+        per returned comparer and reused by every call; counters and
+        returned values are identical to the pairwise method.
         """
         if attribute in self._overrides or attribute in self._spreads:
             return lambda other: self.attribute_distance(attribute, value, other)
         left = str(value)
         llen = len(left)
+        kernel = PreparedKernel(left)
 
         def compare(other: Any) -> float:
             if value == other:
                 return 0.0
-            if self._cache is not None:
-                key = (attribute, value, other)
-                hit = self._cache.get(key)
-                if hit is None:
-                    hit = self._cache.get((attribute, other, value))
-                if hit is not None:
-                    self.cache_hits += 1
-                    return hit
-                self.cache_misses += 1
             b = str(other)
             if left == b:
-                result = 0.0
-            else:
-                longest = llen if llen >= len(b) else len(b)
-                if longest == 0:
-                    result = 0.0
-                else:
-                    self.kernel_calls += 1
-                    result = self._prepared_kernel(left).compare(b) / longest
-            if self._cache is not None:
-                self._cache[key] = result
-            return result
+                return 0.0
+            self.kernel_calls += 1
+            return kernel.compare(b) / (llen if llen >= len(b) else len(b))
 
         return compare
 
@@ -531,17 +444,3 @@ class DistanceModel:
     def spread(self, attribute: str) -> float:
         """The Euclidean normalizer captured for a numeric attribute."""
         return self._spreads[attribute]
-
-    def cache_size(self) -> int:
-        """Number of memoized value pairs (0 when caching is off)."""
-        return len(self._cache) if self._cache is not None else 0
-
-    def cache_info(self) -> Dict[str, float]:
-        """Memo traffic of this model: hits, misses, size, hit rate."""
-        probes = self.cache_hits + self.cache_misses
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "size": self.cache_size(),
-            "hit_rate": self.cache_hits / probes if probes else 0.0,
-        }

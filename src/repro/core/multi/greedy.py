@@ -133,8 +133,7 @@ class _FDState:
         length lower bound ``w * |len(a) - len(b)| / longest`` (the exact
         distance off plain string attributes) and the weighted exact sum,
         both accumulated in attribute order, must each stay ``<= tau``.
-        Vectors come from :meth:`_ValueTable.distances`, which bypasses
-        the model's memo.
+        Vectors come from :meth:`_ValueTable.distances`.
         """
         if self._columns is None:
             self._columns = []

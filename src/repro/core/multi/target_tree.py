@@ -128,10 +128,10 @@ class _ValueTable:
     def distances_many(self, queries: Sequence) -> np.ndarray:
         """:meth:`distances` of every query, as the rows of one matrix.
 
-        Exactly :meth:`DistanceModel.attribute_distance` per pair, but
-        without touching the model's memo: strings through one batched
-        Myers call (scalar Myers for values over one machine word),
-        numerics as one expression per query, the rest pair by pair.
+        Exactly :meth:`DistanceModel.attribute_distance` per pair:
+        strings through one batched Myers call (scalar Myers for values
+        over one machine word), numerics as one expression per query,
+        the rest pair by pair.
         """
         if self.kind == "string":
             return self._strings(queries)
@@ -139,7 +139,7 @@ class _ValueTable:
         for row, query in enumerate(queries):
             vector = self._numeric(query) if self.kind == "numeric" else None
             if vector is None:
-                distance, attr = self._model.uncached_distance, self.attribute
+                distance, attr = self._model.attribute_distance, self.attribute
                 # + 0.0 turns an override's -0.0 into the 0.0 a sum starts from
                 vector = np.array(
                     [distance(attr, query, v) for v in self.values], dtype=np.float64

@@ -51,7 +51,7 @@ class RepairResult:
         produced by the :class:`repro.exec.RepairExecutor` carry an
         :class:`repro.exec.ExecutionStats` here — a dict subclass, so
         every existing ``stats["..."]`` consumer keeps working, with
-        typed accessors (``stats.degraded``, ``stats.cache_hit_rate``,
+        typed accessors (``stats.degraded``, ``stats.pairs_examined``,
         ``stats.components``...) on top.
     timings:
         Phase name -> wall seconds (``model``, ``thresholds``,

@@ -2,16 +2,9 @@
 
 The paper's decomposition theorems make repair embarrassingly parallel;
 this package is where the library exploits that. See
-``docs/parallelism.md`` for the determinism guarantee and the cache
-semantics.
+``docs/parallelism.md`` for the determinism guarantee.
 """
 
-from repro.exec.cache import (
-    clear_worker_caches,
-    model_fingerprint,
-    shared_model,
-    worker_distance_cache,
-)
 from repro.exec.config import RepairConfig
 from repro.exec.executor import (
     ComponentOutcome,
@@ -36,10 +29,6 @@ __all__ = [
     "ComponentOutcome",
     "component_size",
     "repair_component",
-    "shared_model",
-    "worker_distance_cache",
-    "model_fingerprint",
-    "clear_worker_caches",
     "estimate_task",
     "plan_schedule",
 ]

@@ -80,7 +80,6 @@ from repro.core.single.mis import ExpansionLimitError
 from repro.core.violation import FTViolation, group_patterns
 from repro.dataset.relation import Relation
 from repro.exec import shipping
-from repro.exec.cache import shared_model
 from repro.exec.config import RepairConfig
 from repro.exec.planner import plan_schedule
 from repro.exec.shipping import RelationRef
@@ -174,7 +173,7 @@ class DetectionOutcome:
     fd_name: str
     violations: List[FTViolation]
     seconds: float
-    #: ``SimilarityJoin.counters()`` plus the task's distance-memo probes
+    #: ``SimilarityJoin.counters()``
     counters: Dict[str, Any]
     #: executing process and CPU time (see ComponentOutcome)
     pid: int = 0
@@ -411,10 +410,9 @@ def _run_component_task(task: ComponentTask) -> ComponentOutcome:
 
 
 def _component_outcome(task: ComponentTask) -> ComponentOutcome:
-    model = shared_model(
+    model = DistanceModel(
         task.relation, task.config.weights, task.config.distance_overrides
     )
-    hits0, misses0 = model.cache_hits, model.cache_misses
     start = time.perf_counter()
     cpu0 = time.process_time()
     with warnings.catch_warnings(record=True) as caught:
@@ -428,8 +426,6 @@ def _component_outcome(task: ComponentTask) -> ComponentOutcome:
         )
     seconds = time.perf_counter() - start
     cpu_seconds = time.process_time() - cpu0
-    result.stats["cache_hits"] = model.cache_hits - hits0
-    result.stats["cache_misses"] = model.cache_misses - misses0
     return ComponentOutcome(
         index=task.index,
         group=task.group,
@@ -455,10 +451,9 @@ def _run_detection_task(task: DetectionTask) -> DetectionOutcome:
 
 
 def _detection_outcome(task: DetectionTask) -> DetectionOutcome:
-    model = shared_model(
+    model = DistanceModel(
         task.relation, task.config.weights, task.config.distance_overrides
     )
-    hits0, misses0 = model.cache_hits, model.cache_misses
     start = time.perf_counter()
     cpu0 = time.process_time()
     violations, counters = fd_violations(
@@ -470,11 +465,7 @@ def _detection_outcome(task: DetectionTask) -> DetectionOutcome:
         fd_name=task.fd.name,
         violations=violations,
         seconds=time.perf_counter() - start,
-        counters={
-            **counters,
-            "cache_hits": model.cache_hits - hits0,
-            "cache_misses": model.cache_misses - misses0,
-        },
+        counters=counters,
         pid=os.getpid(),
         cpu_seconds=cpu_seconds,
     )
@@ -626,7 +617,7 @@ class RepairExecutor:
                 "violations": sum(len(o.violations) for o in outcomes),
             }
         )
-        sum_layers(stats, (o.counters for o in outcomes), "distances", "index")
+        sum_layers(stats, (o.counters for o in outcomes), "index")
         stats.update(traffic)
         stats.update(snapshot)
         _register_stats(stats)

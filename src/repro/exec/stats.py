@@ -9,7 +9,6 @@ schema — and the execution-layer views the
 
 * per-component outcomes (``components``: algorithm used, wall seconds,
   graph size, degradation),
-* distance-cache effectiveness (``cache_hit_rate``),
 * the detection and search work counters (``pruning``),
 * the degradation flag (``degraded`` / ``degraded_components``) set when
   an exact algorithm ran out of budget and fell back to greedy.
@@ -49,7 +48,6 @@ class ExecutionStats(dict):
         result = Repairer(fds, config=cfg).repair(relation)
         result.stats.degraded          # -> bool
         result.stats.pairs_examined    # -> int, 0 when unrecorded
-        result.stats.cache_hit_rate    # -> float in [0, 1]
         result.stats["algorithm"]      # -> "greedy-m", as before
     """
 
@@ -68,12 +66,6 @@ class ExecutionStats(dict):
     def components(self) -> List[Dict[str, Any]]:
         """Per-component records: index, fds, algorithm, seconds, size."""
         return list(self.get("components", ()))
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Hits over probes of the memoized distance cache (0 when idle)."""
-        probes = self.cache_hits + self.cache_misses
-        return self.cache_hits / probes if probes else 0.0
 
     # -- degradation ----------------------------------------------------
     @property
@@ -126,9 +118,6 @@ class ExecutionStats(dict):
             bits.append(f"{len(self.components)} component(s)")
         if self.wall_seconds:
             bits.append(f"{self.wall_seconds:.3f}s")
-        probes = self.cache_hits + self.cache_misses
-        if probes:
-            bits.append(f"cache hit rate {self.cache_hit_rate:.0%}")
         if self.possible_pairs:
             bits.append(f"pair reduction {self.reduction_ratio:.0%}")
         if self.distinct_pairs_examined:

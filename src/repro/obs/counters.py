@@ -8,8 +8,7 @@ report's ``counters``) is declared once, in :data:`COUNTERS`, as a
 * ``invariant`` — a function of the input and the config alone: equal
   across reruns and for every ``n_jobs``;
 * ``scheduling`` — depends on how the work was scheduled: the worker
-  count, which process ran which task (and so how warm its distance
-  memo was), or when serve requests arrived;
+  count, which process ran which task, or when serve requests arrived;
 * ``timing`` — a wall-clock measurement; :meth:`RunReport.normalized`
   zeroes these.
 
@@ -63,14 +62,12 @@ COUNTERS = tuple(Counter(*row) for row in (
     ("pairs_examined", "index", "pattern pairs", "pattern pairs the join inspected (equals `candidates_generated`); counts pattern pairs, not value pairs", "invariant"),
     ("pairs_filtered", "index", "pattern pairs", "examined pattern pairs a sound filter rejected before exact Eq. (2) verification (0 on `naive`)", "invariant"),
     ("pairs_verified", "index", "pattern pairs", "pattern pairs that reached the exact Eq. (2) accumulation (`pairs_examined − pairs_filtered`)", "invariant"),
-    ("kernel_calls", "index", "calls", "Levenshtein evaluations the join ran: every distinct string pair the vectorized join settles or verifies, none skipped by a cache, plus the scans' distance-memo misses, which follow memo warmth", "scheduling"),
+    ("kernel_calls", "index", "calls", "Levenshtein evaluations the join ran: every distinct string pair the vectorized join settles or verifies, plus every differing string pair a scan compares", "invariant"),
     ("index_builds", "index", "indexes", "attribute indexes the join's registry built from scratch", "invariant"),
     ("index_reuses", "index", "indexes", "attribute indexes served from an earlier FD's work in the same registry", "invariant"),
     ("distinct_pairs_examined", "index", "value pairs", "distinct-value pairs per attribute that reached an exact settle or a verification batch; counts value pairs, not pattern pairs (0 on scans)", "invariant"),
     ("tuple_fanout", "index", "tuple pairs", "tuple pairs the candidate pattern pairs stand for (`Σ mult_i·mult_j`): a logical count, not work done (0 on scans)", "invariant"),
     ("vector_filter_passes", "index", "passes", "numpy filter passes the blocker union ran: length-band, q-gram count and band-window slices (0 on scans)", "invariant"),
-    ("cache_hits", "distances", "probes", "distance-memo probes answered from the memo (a served model counts its probes since `fit`)", "scheduling"),
-    ("cache_misses", "distances", "probes", "distance-memo probes that computed the distance (a served model counts its probes since `fit`)", "scheduling"),
     ("graph_vertices", "graph", "vertices", "violation-graph vertices (distinct patterns) the single-FD algorithms searched, summed over FDs", "invariant"),
     ("graph_edges", "graph", "edges", "violation-graph edges (FT-violating pattern pairs) the single-FD algorithms searched, summed over FDs", "invariant"),
     ("levels", "single", "levels", "last expansion level of the MIS enumeration (Sec. 3.1), summed over components", "invariant"),

@@ -130,9 +130,7 @@ class TestEveryReportedCounterIsRegistered:
         report = build_report(tracer, operation="serve", config={}, relation=dirty)
         assert _unregistered(service.counters()) == []
         assert _unregistered(report.counters) == []
-        assert {"serve_requests", "target_tree_searches", "cache_hits"} <= set(
-            report.counters
-        )
+        assert {"serve_requests", "target_tree_searches"} <= set(report.counters)
 
 
 class TestInvariantCountersIgnoreNJobs:

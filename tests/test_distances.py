@@ -239,16 +239,6 @@ class TestDistanceModel:
     def test_equal_values_are_zero(self, model):
         assert model.attribute_distance("A", "x1", "x1") == 0.0
 
-    def test_cache_fills(self, model):
-        model.attribute_distance("A", "x1", "x2")
-        model.attribute_distance("A", "x2", "x1")
-        assert model.cache_size() == 1
-
-    def test_cache_disabled(self, simple_relation):
-        model = DistanceModel(simple_relation, cache=False)
-        model.attribute_distance("A", "x1", "x2")
-        assert model.cache_size() == 0
-
     def test_override(self, simple_relation):
         model = DistanceModel(
             simple_relation, overrides={"A": lambda a, b: 0.25}

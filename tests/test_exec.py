@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from repro.core.constraints import FD
 from repro.core.engine import Repairer
+from repro.dataset.relation import Relation, Schema
 from repro.eval.explain import repair_report
 from repro.eval.review import ReviewQueue
 from repro.exec import (
@@ -16,12 +19,6 @@ from repro.exec import (
     RepairConfig,
     RepairExecutor,
     component_size,
-)
-from repro.exec.cache import (
-    clear_worker_caches,
-    model_fingerprint,
-    retained_fingerprints,
-    shared_model,
 )
 
 
@@ -213,8 +210,6 @@ class TestExecutionStats:
             assert component["seconds"] >= 0
             assert component["patterns"] > 0
             assert component["algorithm"] == "greedy-m"
-        assert stats.cache_hits + stats.cache_misses > 0
-        assert 0.0 <= stats.cache_hit_rate <= 1.0
         assert "n_jobs=1" in stats.describe()
         assert "component(s)" in stats.describe()
 
@@ -275,43 +270,49 @@ class TestComponentSharding:
         assert second.stats["fd_components"] >= 1
 
 
-class TestWorkerCache:
-    def test_fingerprint_ignores_weights(self, citizens):
-        from repro.core.distances import Weights
+def _constant_distance(value):
+    def distance(a, b):
+        return value
 
-        clear_worker_caches()
-        a = shared_model(citizens, Weights(), None)
-        b = shared_model(citizens, Weights(0.3, 0.7), None)
-        # per-attribute distances don't depend on weights, so both
-        # models share one memoization table
-        assert a._cache is b._cache
-        assert retained_fingerprints() == 1
+    return distance
 
-    def test_fingerprint_distinguishes_schemas(
-        self, citizens, simple_relation
-    ):
-        from repro.core.distances import Weights
 
-        clear_worker_caches()
-        shared_model(citizens, Weights(), None)
-        shared_model(simple_relation, Weights(), None)
-        assert retained_fingerprints() == 2
+def override_cost(value):
+    """exact-s cost on a 4-row relation under FD ``A -> B`` whose B
+    distance is the constant *value*: rows 3 and 4 disagree with the
+    majority B, so they violate only when the distance exceeds 0.5."""
+    relation = Relation(
+        Schema.of("A", "B"), [("a", "x"), ("a", "x"), ("a", "y"), ("a", "z")]
+    )
+    fd = FD.parse("A -> B")
+    return Repairer(
+        [fd],
+        algorithm="exact-s",
+        thresholds={fd: 0.5},
+        distance_overrides={"B": _constant_distance(value)},
+    ).repair(relation).cost
 
-    def test_cache_reuse_across_repairs(
-        self, citizens, citizens_fds, citizens_thresholds
-    ):
-        clear_worker_caches()
-        first = _repair(citizens_fds, citizens_thresholds, citizens)
-        second = _repair(citizens_fds, citizens_thresholds, citizens)
-        assert second.edits == first.edits
-        # the second run answers (almost) everything from the warm cache
-        assert second.stats.cache_hit_rate >= first.stats.cache_hit_rate
 
-    def test_fingerprint_is_stable(self, citizens):
-        spreads = {"N": 1.0}
-        fp1 = model_fingerprint(citizens.schema, spreads, None)
-        fp2 = model_fingerprint(citizens.schema, spreads, None)
-        assert fp1 == fp2
+class TestDistanceOverrides:
+    def test_override_closures_do_not_share_distances(self):
+        """Two overrides from one factory share a ``__qualname__``; the
+        second repair must still see its own distances, exactly as a
+        fresh process does."""
+        assert override_cost(0.0) == 0.0
+        warm = override_cost(1.0)
+        cold = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from tests.test_exec import override_cost; "
+                "print(override_cost(1.0))",
+            ],
+            cwd=Path(__file__).resolve().parents[1],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert warm == float(cold.stdout) == 2.0
 
 
 class TestCLI:

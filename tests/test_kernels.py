@@ -186,8 +186,8 @@ def _twin_models():
 
 class TestPreparedModelEquivalence:
     """model.prepare_distance must be drop-in for the pairwise method:
-    same values, same cache traffic, same kernel-call count — on twin
-    models fed the same comparison stream."""
+    same values and the same kernel-call count — on twin models fed the
+    same comparison stream."""
 
     VALUES = ["Boston", "Boton", "Bostn", "Chicago", "", "Bos"]
 
@@ -199,8 +199,6 @@ class TestPreparedModelEquivalence:
                 assert compare(right) == pairwise.attribute_distance(
                     "A", left, right
                 )
-        assert prepared_model.cache_hits == pairwise.cache_hits
-        assert prepared_model.cache_misses == pairwise.cache_misses
         assert prepared_model.kernel_calls == pairwise.kernel_calls
 
 

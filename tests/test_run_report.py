@@ -180,10 +180,9 @@ class TestParallelMerge:
 
     def test_no_double_counting_in_counters(self, serial_and_parallel):
         # shipping traffic is n_jobs-dependent by definition (serial runs
-        # never cross a process boundary), and cache and kernel counters
-        # follow the warmth of the worker-persistent memo: the schema
-        # marks those "scheduling" and wall clocks "timing". The
-        # invariant counters must match exactly.
+        # never cross a process boundary): the schema marks it
+        # "scheduling" and wall clocks "timing". The invariant counters
+        # must match exactly.
         serial, parallel = (
             {
                 k: v

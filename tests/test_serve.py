@@ -342,23 +342,40 @@ def _typo_records(count):
     return [dict(base, City=base["City"] + "x" * n) for n in range(1, count + 1)]
 
 
+def _sized_state(model):
+    """The size of every sized attribute of *model* (its dicts, lists...)."""
+    return {
+        name: len(value)
+        for name, value in vars(model).items()
+        if hasattr(value, "__len__")
+    }
+
+
 class TestServingMemory:
-    def test_tree_search_leaves_the_model_memo_alone(self):
-        """Distinct typos must not grow the fitted model's distance memo;
-        the tree's own vector memo stays within its value tables."""
+    """300 distinct typos must not grow any store of the fitted distance
+    model, whether or not repaired records are absorbed; the trees' own
+    vector memos stay within their value tables."""
+
+    def _stream_typos(self, absorb):
         fitted = IncrementalRepairer(
-            CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS
+            CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS, absorb=absorb
         ).fit(citizens_clean())
         model = fitted._model
-        before = model.cache_size()
-        for record in _typo_records(40):
+        before = _sized_state(model)
+        for record in _typo_records(300):
             _, edits = fitted.repair_record(record)
             assert edits  # each typo is repaired through a tree search
-        assert model.cache_size() == before
+        assert _sized_state(model) == before
         trees = [component.tree for component in fitted._components]
-        assert sum(tree.searches for tree in trees) == 40
+        assert sum(tree.searches for tree in trees) == 300
         for tree in trees:
             assert tree.memo_size <= tree.memo_capacity
+
+    def test_typo_stream_leaves_the_model_alone(self):
+        self._stream_typos(absorb=False)
+
+    def test_absorbed_typo_stream_leaves_the_model_alone(self):
+        self._stream_typos(absorb=True)
 
 
 # ----------------------------------------------------------------------
@@ -438,24 +455,6 @@ class TestRepairService:
         assert counters["target_tree_nodes_visited"] > 0
         assert counters["target_tree_vectors"] > 0
         assert "target_tree_edist_hits" in counters
-
-    def test_counters_report_model_memo_probes(self):
-        """The absorb-mode consistency check probes the fitted model's
-        distance memo; the service reports those probes since fit."""
-        service = RepairService()
-        service.fit(
-            citizens_clean(), CITIZENS_FDS, thresholds=CITIZENS_THRESHOLDS,
-            absorb=True,
-        )
-        model = service.model()._model
-        hits, misses = model.cache_hits, model.cache_misses
-        dirty = citizens_dirty()
-        for tid in range(10):
-            service.repair_sync(dirty.as_record(tid))
-        counters = service.counters()
-        assert counters["cache_hits"] == model.cache_hits - hits
-        assert counters["cache_misses"] == model.cache_misses - misses
-        assert counters["cache_hits"] + counters["cache_misses"] > 0
 
     def test_traced_runs_normalize_equal(self):
         """Latency and queue-wait counters are timing: normalized() zeroes

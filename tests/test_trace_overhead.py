@@ -15,15 +15,22 @@ comparable to the 5% being asserted:
 * CPU seconds (``time.process_time``), not wall clock — everything
   tracing adds is CPU work, and scheduler preemption would otherwise
   dominate the signal;
-* samples batch several repairs, traced/untraced samples interleave,
-  and each attempt compares the per-side minima, so one-off
-  interruptions cannot bias a side;
+* each round times one traced and one untraced sample back to back,
+  in alternating order, and an attempt takes the median of the
+  ``ROUNDS`` per-round ratios. Host speed on a shared runner drifts by
+  10% and more within seconds, which both samples of a round share, so
+  it cancels in their ratio; a one-off interruption moves one ratio,
+  not the median. (Per-side minima over the whole attempt did not
+  settle: on a shared 2-vCPU host their ratio still spread from 0.94x
+  to 1.51x at 15-30 rounds, while this median stayed within
+  0.94x-1.08x);
 * up to ``ATTEMPTS`` independent attempts, passing on the first clean
   one. Noise spikes are uncorrelated across attempts, so a flaky
   machine converges to a pass — while a genuine >5% regression shifts
   every attempt and still fails all of them.
 """
 
+import statistics
 import time
 
 import pytest
@@ -33,8 +40,8 @@ from repro.generator.hosp import HOSP_FDS, generate_hosp, hosp_thresholds
 from repro.generator.noise import NoiseConfig, inject_noise
 
 ATTEMPTS = 3
-ROUNDS = 5
-REPAIRS_PER_SAMPLE = 3
+ROUNDS = 21
+REPAIRS_PER_SAMPLE = 1
 MAX_OVERHEAD = 0.05
 
 
@@ -55,12 +62,16 @@ def _repair_cpu_seconds(dirty, trace: bool) -> float:
 
 
 def _overhead_ratio(dirty) -> float:
-    untraced = float("inf")
-    traced = float("inf")
-    for _ in range(ROUNDS):
-        untraced = min(untraced, _repair_cpu_seconds(dirty, False))
-        traced = min(traced, _repair_cpu_seconds(dirty, True))
-    return traced / untraced
+    ratios = []
+    for round_ in range(ROUNDS):
+        if round_ % 2:
+            traced = _repair_cpu_seconds(dirty, True)
+            untraced = _repair_cpu_seconds(dirty, False)
+        else:
+            untraced = _repair_cpu_seconds(dirty, False)
+            traced = _repair_cpu_seconds(dirty, True)
+        ratios.append(traced / untraced)
+    return statistics.median(ratios)
 
 
 def test_trace_overhead_below_five_percent(hosp_slice):

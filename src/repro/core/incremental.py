@@ -11,7 +11,10 @@ repairer splits the paper's pipeline at its natural seam:
   this one tuple look" by checking its per-FD patterns against the
   fitted sets and, if any is unresolved, rewriting the component
   attributes to the nearest fitted target (the same rule the batch
-  algorithms apply).
+  algorithms apply);
+* :meth:`IncrementalRepairer.repair_records` serves a batch: it
+  prefetches the batch's distance vectors per component, then calls
+  ``repair_record`` per record.
 
 The fitted sets are read-only by default — arriving garbage cannot
 corrupt the model. With ``absorb=True``, a record whose patterns are
@@ -42,17 +45,19 @@ service):
 from __future__ import annotations
 
 import numbers
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from contextlib import ExitStack
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel, Weights
 from repro.core.engine import Repairer
 from repro.core.multi.fdgraph import component_attributes, fd_components
-from repro.core.multi.target_tree import TargetTree
+from repro.core.multi.target_tree import _BATCH_QUERIES, TargetTree
 from repro.core.repair import CellEdit
 from repro.core.violation import PreparedProjection
-from repro.dataset.relation import Attribute, Relation, Schema, ValueDictionary
+from repro.dataset.relation import Attribute, Relation, Schema
 from repro.index.registry import AttributeIndexRegistry
+from repro.obs import span
 
 #: mirror of the blocker's float-budget slack (see index/blocking.py)
 _EPS = 1e-9
@@ -149,41 +154,19 @@ class _FDIndex:
 
 
 class _Component:
-    """Fitted state for one connected FD-graph component.
-
-    When the fitted relation's per-attribute intern tables
-    (:class:`~repro.dataset.relation.ValueDictionary`, PR 6) are passed
-    in, element membership is keyed on dense value-id tuples instead of
-    raw value tuples: ``resolved`` hashes a handful of small ints per FD
-    rather than re-hashing the record's strings, and the fitted state
-    shares the batch substrate's intern tables instead of duplicating
-    every string. Records carrying values the fit never saw (and
-    patterns absorbed from such records) fall back to the raw-value
-    sets, which stay complete alongside the id sets.
-    """
+    """Fitted state for one connected FD-graph component."""
 
     def __init__(
         self,
         fds: Sequence[FD],
         elements_per_fd: List[List[Tuple]],
         model: DistanceModel,
-        dictionaries: Optional[Mapping[str, ValueDictionary]] = None,
     ) -> None:
         self.fds = list(fds)
         self.attributes: Tuple[str, ...] = tuple(component_attributes(fds))
         self.elements_per_fd = [list(e) for e in elements_per_fd]
         self._element_sets = [set(e) for e in elements_per_fd]
         self._model = model
-        self._dictionaries = dict(dictionaries) if dictionaries else None
-        #: per-FD sets of element id tuples; an entry is ``None`` when
-        #: some element of that FD is not encodable (no dictionaries, or
-        #: a value outside the intern tables)
-        self._element_ids: Optional[List[Optional[set]]] = None
-        if self._dictionaries is not None:
-            self._element_ids = [
-                self._encode_all(fd, elements)
-                for fd, elements in zip(self.fds, self.elements_per_fd)
-            ]
         self.tree = TargetTree(self.fds, self.elements_per_fd, model)
         #: search counters of the trees absorb has replaced
         self._retired_counters: Dict[str, int] = {}
@@ -200,52 +183,10 @@ class _Component:
             out[name] = out.get(name, 0) + value
         return out
 
-    # -- dictionary-id keying ------------------------------------------
-    def _encode(self, fd: FD, values: Tuple) -> Optional[Tuple[int, ...]]:
-        """*values* as dense value ids, or ``None`` on any unseen value.
-
-        Equal values intern to equal ids (the PR-6 invariant), so id
-        tuples are equal iff the value tuples are — id-set membership is
-        exactly raw-set membership for encodable patterns.
-        """
-        dicts = self._dictionaries
-        if dicts is None:
-            return None
-        try:
-            return tuple(
-                dicts[attr].id_of(value)
-                for attr, value in zip(fd.attributes, values)
-            )
-        except (KeyError, TypeError):
-            return None
-
-    def _encode_all(
-        self, fd: FD, elements: Sequence[Tuple]
-    ) -> Optional[set]:
-        encoded = set()
-        for element in elements:
-            key = self._encode(fd, element)
-            if key is None:
-                return None
-            encoded.add(key)
-        return encoded
-
     def resolved(self, record: Mapping[str, object]) -> bool:
-        ids = self._element_ids
-        for pos, (fd, members) in enumerate(
-            zip(self.fds, self._element_sets)
-        ):
-            pattern = tuple(record[a] for a in fd.attributes)
-            id_set = ids[pos] if ids is not None else None
-            if id_set is not None:
-                key = self._encode(fd, pattern)
-                if key is not None:
-                    # id sets are complete for encodable patterns, so
-                    # the verdict is exact — no raw-set re-check needed
-                    if key not in id_set:
-                        return False
-                    continue
-            if pattern not in members:
+        """Every one of the record's patterns is a fitted element."""
+        for fd, members in zip(self.fds, self._element_sets):
+            if tuple(record[a] for a in fd.attributes) not in members:
                 return False
         return True
 
@@ -298,22 +239,13 @@ class _Component:
 
     def absorb(self, record: Mapping[str, object]) -> None:
         changed = False
-        for pos, (fd, elements, members) in enumerate(
-            zip(self.fds, self.elements_per_fd, self._element_sets)
+        for fd, elements, members in zip(
+            self.fds, self.elements_per_fd, self._element_sets
         ):
             pattern = tuple(record[a] for a in fd.attributes)
             if pattern not in members:
                 elements.append(pattern)
                 members.add(pattern)
-                if self._element_ids is not None:
-                    id_set = self._element_ids[pos]
-                    if id_set is not None:
-                        key = self._encode(fd, pattern)
-                        if key is not None:
-                            id_set.add(key)
-                        # unseen values stay raw-only; dictionaries are
-                        # shared with the fitted relation and absorb
-                        # must not grow them behind its back
                 changed = True
         if changed:
             self._retired_counters = self.tree_counters()
@@ -383,15 +315,7 @@ class IncrementalRepairer:
             _, elements = greedy_sets_per_fd(
                 relation, component_fds, model, thresholds, seed_dominant=True
             )
-            # share the fitted relation's intern tables so membership
-            # tests run on dense value ids (PR-6 columnar substrate)
-            dictionaries = {
-                attr: relation.dictionary(attr)
-                for attr in component_attributes(component_fds)
-            }
-            components.append(
-                _Component(component_fds, elements, model, dictionaries)
-            )
+            components.append(_Component(component_fds, elements, model))
         self._components = components
         self._model = model
         self._thresholds = thresholds
@@ -476,14 +400,65 @@ class IncrementalRepairer:
             self.records_repaired += 1
         return repaired, edits
 
+    def repair_records(
+        self, records: Sequence[Mapping[str, object]]
+    ) -> List[Union[Tuple[Dict[str, object], List[CellEdit]], Exception]]:
+        """:meth:`repair_record` of every record, in order; each slot
+        holds ``(repaired record, edits)`` or the exception that record
+        raised. Per chunk of ``_BATCH_QUERIES`` records, each component
+        first prefetches (:meth:`TargetTree.prefetched`) the vectors of
+        the valid records it does not resolve. Results equal a sequential
+        :meth:`repair_record` loop: an absorb that replaces a tree only
+        drops its prefetch, and the new tree computes on demand.
+        """
+        components = self._components
+        if components is None:
+            raise NotFittedError("call fit() before repair_records()")
+        results: List = []
+        for start in range(0, len(records), _BATCH_QUERIES):
+            chunk = records[start: start + _BATCH_QUERIES]
+            with ExitStack() as prefetches:
+                with span("serve.prefetch", records=len(chunk)):
+                    valid = []
+                    for record in chunk:
+                        try:
+                            self._check_record(components, record)
+                        except InvalidRecordError:
+                            continue
+                        valid.append(record)
+                    for component in components:
+                        try:
+                            queries = [
+                                tuple(record[a] for a in component.attributes)
+                                for record in valid
+                                if not component.resolved(record)
+                            ]
+                            if queries:
+                                prefetches.enter_context(
+                                    component.tree.prefetched(queries)
+                                )
+                        except Exception:  # noqa: BLE001
+                            pass  # the record at fault raises it in its own repair
+                for record in chunk:
+                    try:
+                        results.append(self.repair_record(record))
+                    except Exception as exc:  # noqa: BLE001 — this record only
+                        results.append(exc)
+        return results
+
     def repair_batch(self, relation: Relation) -> Relation:
-        """Repair every tuple of *relation* through the fitted model."""
-        if self._components is None:
-            raise NotFittedError("call fit() before repair_batch()")
+        """Repair every tuple of *relation* through :meth:`repair_records`.
+
+        When a tuple's repair fails, the first such error is raised
+        after every tuple has been served.
+        """
         out = Relation(relation.schema)
         names = relation.schema.names
-        for tid in relation.tids():
-            repaired, _ = self.repair_record(relation.as_record(tid))
+        records = [relation.as_record(tid) for tid in relation.tids()]
+        for result in self.repair_records(records):
+            if isinstance(result, Exception):
+                raise result
+            repaired, _ = result
             out.append([repaired[a] for a in names])
         return out
 

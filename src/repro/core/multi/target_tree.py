@@ -25,14 +25,14 @@ contiguous), and per attribute still open at that level a CSR list of
 the value ids in each node's subtree. A search reads one distance
 vector per attribute against its value table; RDIST is then a gather
 and EDIST an ``np.minimum.reduceat`` over the CSR slices.
-:meth:`TargetTree.nearest_targets` computes the vectors of many queries
-with one batched kernel call per attribute before searching.
+:meth:`TargetTree.prefetched` computes the vectors of many queries with
+one batched kernel call per attribute before they are searched.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
+from contextlib import contextmanager
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,11 +46,6 @@ from repro.obs import current_tracer
 
 #: max recorded f-values of the first traced search (keeps reports small)
 _TRAJECTORY_CAP = 512
-#: a string value table with at most this many value pairs (64 values)
-#: computes all its in-table distance vectors at its first in-table
-#: single-query miss: numpy's per-call overhead dominates there, so one
-#: batched Myers call over every value costs a few rows' worth
-_MATRIX_PAIRS = 4096
 #: queries per :meth:`TargetTree.nearest_targets` chunk: bounds how many
 #: out-of-table distance vectors are held at once
 _BATCH_QUERIES = 1024
@@ -258,7 +253,7 @@ class TargetTree:
         #: (attribute, query value) -> distance vector, for query values
         #: in the attribute's value table only: bounded by the tree
         self._memo: Dict[Tuple[str, object], np.ndarray] = {}
-        #: out-of-table vectors of the current :meth:`nearest_targets` chunk
+        #: out-of-table vectors of the open :meth:`prefetched` block
         self._batch: Dict[Tuple[str, object], np.ndarray] = {}
         self.searches = 0
         self.nodes_visited = 0
@@ -444,28 +439,11 @@ class TargetTree:
             self.edist_hits += 1
             return vector
         table = self._tables[attr]
-        if value not in table.ids:
-            self.vectors += 1
-            return table.distances(value)
-        if table.kind == "string" and len(table.values) ** 2 <= _MATRIX_PAIRS:
-            self._fill(attr, table.values)
-            return self._memo[key]
-        vector = self._memo[key] = table.distances(value)
         self.vectors += 1
+        vector = table.distances(value)
+        if value in table.ids:
+            self._memo[key] = vector
         return vector
-
-    def _fill(self, attr: str, values: Sequence) -> None:
-        """Compute the vectors of *values* with one batched call: the
-        in-table ones go to the memo, the rest to the current batch."""
-        table = self._tables[attr]
-        rows = table.distances_many(values)
-        self.vectors += len(values)
-        for value, row in zip(values, rows):
-            if value in table.ids:
-                # a copy: a view would keep the whole matrix alive
-                self._memo[(attr, value)] = row.copy()
-            else:
-                self._batch[(attr, value)] = row
 
     def _check_arity(self, tuple_values: Sequence) -> None:
         if len(tuple_values) != len(self.attributes):
@@ -473,34 +451,50 @@ class TargetTree:
                 f"expected {len(self.attributes)} values, got {len(tuple_values)}"
             )
 
-    def nearest_targets(
-        self, queries: Sequence[Sequence]
-    ) -> List[Tuple[Target, float]]:
-        """:meth:`nearest_target` of every query, in order.
-
-        Per chunk of ``_BATCH_QUERIES`` queries and per attribute, the
-        distinct values missing from the memo get their distance vectors
-        from one batched call first. Out-of-table vectors live only for
-        the chunk. Each search then runs through :meth:`nearest_target`
-        and reads every vector it needs.
+    @contextmanager
+    def prefetched(self, queries: Sequence[Sequence]):
+        """Compute the distance vectors *queries* need before they are
+        searched: per attribute, the distinct values missing from the
+        memo get their vectors from one batched call. In-table vectors
+        join the memo; out-of-table ones are dropped when the block
+        exits. Searches inside the block read them ready-made and return
+        exactly what they return without the prefetch.
         """
         for query in queries:
             self._check_arity(query)
+        try:
+            for pos, attr in enumerate(self.attributes):
+                table = self._tables[attr]
+                missing = [
+                    value
+                    for value in dict.fromkeys(query[pos] for query in queries)
+                    if (attr, value) not in self._memo
+                ]
+                if not missing:
+                    continue
+                rows = table.distances_many(missing)
+                self.vectors += len(missing)
+                for value, row in zip(missing, rows):
+                    if value in table.ids:
+                        # a copy: a view would keep the whole matrix alive
+                        self._memo[(attr, value)] = row.copy()
+                    else:
+                        self._batch[(attr, value)] = row
+            yield
+        finally:
+            self._batch.clear()
+
+    def nearest_targets(
+        self, queries: Sequence[Sequence]
+    ) -> List[Tuple[Target, float]]:
+        """:meth:`nearest_target` of every query, in order: per chunk of
+        ``_BATCH_QUERIES`` queries, a :meth:`prefetched` block, so at
+        most one chunk's out-of-table vectors are held at once."""
         out: List[Tuple[Target, float]] = []
         for start in range(0, len(queries), _BATCH_QUERIES):
             chunk = queries[start: start + _BATCH_QUERIES]
-            for pos, attr in enumerate(self.attributes):
-                missing = [
-                    value
-                    for value in dict.fromkeys(query[pos] for query in chunk)
-                    if (attr, value) not in self._memo
-                ]
-                if missing:
-                    self._fill(attr, missing)
-            try:
+            with self.prefetched(chunk):
                 out.extend(self.nearest_target(query) for query in chunk)
-            finally:
-                self._batch.clear()
         return out
 
     def nearest_target(
@@ -510,6 +504,12 @@ class TargetTree:
 
         *tuple_values* follow :attr:`attributes` order. Returns the
         target and the exact repair cost over the component attributes.
+
+        Siblings enter the heap lazily: an expansion sorts its children
+        by ``(f, child index)`` and pushes only the first, and popping a
+        child pushes its next sibling. A heap key is ``(f, expansion
+        ordinal, child index)``, the order eager pushes under a global
+        push counter give, so the pop sequence is the same.
         """
         self._check_arity(tuple_values)
         self.searches += 1
@@ -519,12 +519,16 @@ class TargetTree:
         ])
         levels = self._levels
         last = len(levels) - 1
-        counter = itertools.count()
-        heap: List[Tuple[float, int, int, int]] = [(0.0, next(counter), 0, 0)]
+        # per expansion: its first child's node index, its children in
+        # (f, child index) order, and their f values; the root is
+        # expansion 0's only child
+        expansions: List[Tuple[int, List[int], List[float]]] = [(0, [0], [0.0])]
+        # (f, expansion ordinal, node, depth, rank among its siblings)
+        heap: List[Tuple[float, int, int, int, int]] = [(0.0, 0, 0, 0, 0)]
         record = self._record_trajectory and self.searches == 1
         trajectory = self.f_trajectory
         while heap:
-            f_value, _, depth, node = heapq.heappop(heap)
+            f_value, ordinal, node, depth, rank = heapq.heappop(heap)
             if record and len(trajectory) < _TRAJECTORY_CAP:
                 trajectory.append(f_value)
             self.nodes_visited += 1
@@ -532,16 +536,28 @@ class TargetTree:
                 # A leaf's f is its exact cost, and nothing left in the
                 # queue is cheaper: it is C_min.
                 return self._target(node), f_value
+            first, order, f_values = expansions[ordinal]
+            rank += 1
+            if rank < len(order):
+                sibling = order[rank]
+                heapq.heappush(
+                    heap, (f_values[sibling], ordinal, first + sibling, depth, rank)
+                )
             indptr = levels[depth].children
             assert indptr is not None
             lo, hi = int(indptr[node]), int(indptr[node + 1])
             f_children = self._f(levels[depth + 1], vectors, lo, hi)
-            for child, f_child in enumerate(f_children, lo):
-                heapq.heappush(heap, (f_child, next(counter), depth + 1, child))
+            order = f_children.argsort(kind="stable").tolist()
+            f_values = f_children.tolist()
+            expansions.append((lo, order, f_values))
+            best = order[0]
+            heapq.heappush(
+                heap, (f_values[best], len(expansions) - 1, lo + best, depth + 1, 0)
+            )
         raise TargetJoinError("target tree is empty")
 
     @staticmethod
-    def _f(level: _Level, vectors: np.ndarray, lo: int, hi: int) -> List[float]:
+    def _f(level: _Level, vectors: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """RDIST + EDIST of the nodes ``lo:hi`` of *level*: exact cost of
         the fixed attributes plus a lower bound over attributes still
         open below each node.
@@ -555,11 +571,11 @@ class TargetTree:
         rdist = np.cumsum(vectors[level.rdist_ids[lo:hi]], axis=1)[:, -1]
         width = len(level.open)
         if not width:
-            return rdist.tolist()
+            return rdist
         ptr = level.edist_ptr
         start, stop = ptr[lo * width], ptr[hi * width]
         bounds = np.minimum.reduceat(
             vectors[level.edist_ids[start:stop]], ptr[lo * width: hi * width] - start
         )
         edist = np.cumsum(bounds.reshape(-1, width), axis=1)[:, -1]
-        return (rdist + edist).tolist()
+        return rdist + edist

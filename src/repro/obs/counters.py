@@ -94,8 +94,8 @@ COUNTERS = tuple(Counter(*row) for row in (
     ("targets_materialized", "multi", "targets", "targets the naive target join materialized (`use_tree=False`)", "invariant"),
     ("target_tree_searches", "multi", "searches", "`TargetTree.nearest_target` calls", "invariant"),
     ("target_tree_nodes_visited", "multi", "nodes", "nodes popped from the best-first heap, the leaf that ends each search included", "invariant"),
-    ("target_tree_vectors", "multi", "vectors", "per-attribute distance vectors the target trees computed: one per distinct value a `nearest_targets` chunk was missing from the memo, one per memo miss of a single `nearest_target` (the whole table on a small string table's first in-table miss)", "invariant"),
-    ("target_tree_edist_hits", "multi", "vectors", "distance vectors a search read ready-made: from the tree's memo, or computed beforehand for its `nearest_targets` chunk", "invariant"),
+    ("target_tree_vectors", "multi", "vectors", "per-attribute distance vectors the target trees computed: one per distinct value a `TargetTree.prefetched` block (a `nearest_targets` or `repair_records` chunk) was missing from the memo, one per memo miss of a search outside such a block; in a served model the split between this and `target_tree_edist_hits` follows the micro-batch grouping", "invariant"),
+    ("target_tree_edist_hits", "multi", "vectors", "distance vectors a search read ready-made: from the tree's memo, or computed beforehand by a `TargetTree.prefetched` block; in a served model the split between this and `target_tree_vectors` follows the micro-batch grouping", "invariant"),
     ("violations", "detect", "pattern pairs", "FT-violating pattern pairs `detect` found, summed over FDs", "invariant"),
     ("detector_cells_flagged", "detect", "cells", "cells a detector flagged (reported only, never read by repair); a run report holds one `detector_cells_flagged.<detector>` entry per detector", "invariant"),
     ("fd_components", "exec", "components", "FD-graph components repaired (Theorem 5's independent work units)", "invariant"),

@@ -9,9 +9,10 @@ adapter over it):
   fingerprint-keyed :class:`~repro.serve.cache.ModelCache` so repeated
   tenants skip the fit entirely;
 * **micro-batching** — requests flow through a
-  :class:`~repro.serve.batching.MicroBatcher`; the batch handler runs
-  the per-record repair under a ``serve.batch`` span, and a record
-  that fails fails only its own request;
+  :class:`~repro.serve.batching.MicroBatcher`; the batch handler hands
+  each model its records in one ``repair_records`` call under a
+  ``serve.batch`` span, and a record that fails fails only its own
+  request;
 * **latency** — every request's end-to-end latency and queue wait land
   in a :class:`~repro.serve.latency.LatencyRecorder`; p50/p95/p99 and
   the queue-depth gauge surface as ``repro.obs`` counters (the service
@@ -223,18 +224,25 @@ class RepairService:
     ) -> List[Any]:
         """Repair one micro-batch (runs on the event loop).
 
-        A record whose repair raises gets its exception in place of a
-        result, so it fails its own request and no other.
+        Each model repairs its records with one
+        :meth:`~repro.core.incremental.IncrementalRepairer.repair_records`
+        call, in slot order. A record whose repair raises gets its
+        exception in place of a result, so it fails its own request and
+        no other.
         """
         with span("serve.batch", size=len(items)):
-            results: List[Any] = []
-            for key, record in items:
-                try:
-                    repaired, edits = self._models[key].repair_record(record)
-                except Exception as exc:  # noqa: BLE001 — this request only
-                    results.append(exc)
-                    continue
-                results.append(self._result(key, repaired, edits))
+            results: List[Any] = [None] * len(items)
+            # keyed by model: one attached under two keys keeps slot order
+            slots: Dict[IncrementalRepairer, List[int]] = {}
+            for slot, (key, _) in enumerate(items):
+                slots.setdefault(self._models[key], []).append(slot)
+            for model, positions in slots.items():
+                served = model.repair_records([items[s][1] for s in positions])
+                for slot, result in zip(positions, served):
+                    results[slot] = (
+                        result if isinstance(result, Exception)
+                        else self._result(items[slot][0], *result)
+                    )
             return results
 
     # -- observability --------------------------------------------------

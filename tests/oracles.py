@@ -358,7 +358,8 @@ class ScalarTargetTree:
     search on ``f = RDIST + EDIST`` — heap, push-order tie-break and
     float summation order — as the array tree, with one
     :meth:`DistanceModel.prepare_distance` comparison per (attribute,
-    node value). ``nodes_visited`` counts as the array tree counts it.
+    node value). ``nodes_visited`` counts as the array tree counts it,
+    and ``f_trajectory`` holds the f values the latest search popped.
     The search keeps Algorithm 5's ``f >= C_min`` child prune and counts
     it in ``nodes_pruned``; the array tree has no such branch, because
     ``C_min`` is only set by the leaf that ends the search, and the
@@ -378,6 +379,7 @@ class ScalarTargetTree:
         self.root = _Node(None, None, None)
         self.nodes_visited = 0
         self.nodes_pruned = 0
+        self.f_trajectory: List[float] = []
         frontier = [self.root]
         placed: Set[str] = set()
         for fd, elements in zip(self.fds, [list(elements_per_fd[i]) for i in order]):
@@ -458,10 +460,12 @@ class ScalarTargetTree:
         heap: List[Tuple[float, int, int, _Node]] = [(0.0, next(counter), 0, self.root)]
         c_min = float("inf")
         best: Optional[_Node] = None
+        self.f_trajectory = []
         while heap:
             f_value, _, depth, node = heapq.heappop(heap)
             if f_value >= c_min:
                 break
+            self.f_trajectory.append(f_value)
             self.nodes_visited += 1
             if depth == len(self.fds):
                 c_min, best = f_value, node

@@ -11,7 +11,9 @@ every fitted element. The hypothesis suites drive both with the same
 generated record stream (absorb mode included, where each absorb grows
 the fitted sets and forces index rebuilds) and assert equality at every
 step, plus the ``save_model``/``load_model`` roundtrip preserving the
-absorb counters.
+absorb counters. :class:`TestRepairRecords` checks that batches served
+through :meth:`IncrementalRepairer.repair_records` equal a sequential
+``repair_record`` replay.
 """
 
 import asyncio
@@ -20,9 +22,11 @@ import string
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import incremental
 from repro.core.incremental import (
     IncrementalRepairer,
     load_model,
@@ -411,3 +415,163 @@ class TestCatalogRegime:
             counters["serve_elements_examined"]
             < counters["serve_elements_total"]
         )
+
+
+# ----------------------------------------------------------------------
+# repair_records: a micro-batch equals a sequential repair_record replay
+# ----------------------------------------------------------------------
+def _outcome(result):
+    """A comparable form of one repair result or raised error."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return result
+
+
+def _sequential(repairer, records):
+    out = []
+    for record in records:
+        try:
+            out.append(repairer.repair_record(dict(record)))
+        except Exception as exc:  # noqa: BLE001 — compared per record
+            out.append(exc)
+    return out
+
+
+def _state(repairer):
+    """Every counter the batch path must leave as the replay does."""
+    trees = repairer.tree_counters()
+    return (
+        repairer.records_seen,
+        repairer.records_repaired,
+        repairer.records_absorbed,
+        dict(repairer.counters),
+        trees["target_tree_searches"],
+        trees["target_tree_nodes_visited"],
+    )
+
+
+def assert_batches_match_replay(make, records, sizes):
+    """Split *records* into batches of *sizes* (cycled) on one repairer,
+    replay them one by one on another; everything must be equal."""
+    batched, replay = make(), make()
+    got, start, turn = [], 0, 0
+    while start < len(records):
+        size = sizes[turn % len(sizes)]
+        got += batched.repair_records([dict(r) for r in records[start: start + size]])
+        start, turn = start + size, turn + 1
+    expect = _sequential(replay, records)
+    assert [_outcome(r) for r in got] == [_outcome(r) for r in expect]
+    assert _state(batched) == _state(replay)
+    assert [c.elements_per_fd for c in batched._components] == [
+        c.elements_per_fd for c in replay._components
+    ]
+
+
+def _invalid(record, attr):
+    """*record* made invalid at *attr*: a string in a numeric attribute,
+    or the attribute dropped."""
+    record = dict(record)
+    if attr in NUMERIC_ATTRS:
+        record[attr] = "n/a"
+    else:
+        record.pop(attr, None)
+    return record
+
+
+#: constrained attributes an invalid record breaks, numeric ones included
+_BREAKABLE = sorted(
+    NUMERIC_ATTRS & {a for fd in HOSP_FDS for a in fd.attributes}
+) + ["City", "ZipCode", "State"]
+
+
+@st.composite
+def batched_streams(draw):
+    """A record stream (typos, new entities that absorb, invalid records
+    anywhere) and the batch sizes to split it by."""
+    records = draw(st.lists(mutated_records(), min_size=1, max_size=10))
+    entities = new_entity_stream(draw(st.integers(0, 3)), seed=draw(st.integers(0, 99)))
+    for record in entities:
+        records.insert(draw(st.integers(0, len(records))), record)
+    for _ in range(draw(st.integers(0, 3))):
+        bad = _invalid(draw(st.sampled_from(records)), draw(st.sampled_from(_BREAKABLE)))
+        records.insert(draw(st.integers(0, len(records))), bad)
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    return records, sizes
+
+
+class TestRepairRecords:
+    """HOSP's FDs form two components, so every batch prefetches for two
+    target trees; new entities absorb mid-batch and replace a tree."""
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(batched_streams())
+    def test_batches_equal_sequential_replay(self, case):
+        records, sizes = case
+        assert_batches_match_replay(fitted_hosp, records, sizes)
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.lists(catalog_records(), min_size=1, max_size=16),
+        st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    )
+    def test_catalog_batches_equal_sequential_replay(self, records, sizes):
+        assert_batches_match_replay(fitted_catalog, records, sizes)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_invalid_record_fails_only_its_slot(self, where):
+        records = new_entity_stream(2) + [dict(REFERENCE.as_record(3))]
+        bad = _invalid(records[1], "City")
+        records.insert({"first": 0, "middle": 2, "last": len(records)}[where], bad)
+        assert_batches_match_replay(fitted_hosp, records, [len(records)])
+        results = fitted_hosp().repair_records(records)
+        assert [isinstance(r, incremental.InvalidRecordError) for r in results] == [
+            r is bad for r in records
+        ]
+
+    def test_unhashable_value_fails_only_its_slot(self):
+        """A value that passes validation but cannot be looked up fails
+        its own repair; the rest of the batch is served as usual."""
+        records = [dict(REFERENCE.as_record(i)) for i in range(4)]
+        records[1]["City"] = records[1]["City"][:-1] + "x"
+        records[2]["City"] = ["not", "hashable"]
+        records[3]["ZipCode"] = records[3]["ZipCode"] + "q"
+        assert_batches_match_replay(fitted_hosp, records, [4])
+        results = fitted_hosp().repair_records(records)
+        assert isinstance(results[2], TypeError)
+        assert results[1][1] and results[3][1]
+
+    def test_chunks_equal_sequential_replay(self, monkeypatch):
+        """A batch longer than one prefetch chunk prefetches per chunk."""
+        monkeypatch.setattr(incremental, "_BATCH_QUERIES", 3)
+        records = new_entity_stream(4)
+        for i in range(8):
+            record = dict(REFERENCE.as_record(i))
+            record["City"] = record["City"][:-1] + "x"
+            records.append(record)
+        assert_batches_match_replay(fitted_hosp, records, [len(records)])
+
+    def test_batch_searches_read_prefetched_vectors(self):
+        """Without an absorb, every vector a batch's searches read was
+        computed beforehand: the prefetch covers them all."""
+        records = []
+        for i in range(30):
+            record = dict(REFERENCE.as_record(i))
+            record["City"] = record["City"][:-1] + "x"
+            records.append(record)
+        repairer = IncrementalRepairer(
+            HOSP_FDS, thresholds=hosp_thresholds()
+        ).fit(REFERENCE)
+        repairer.repair_records(records)
+        reads = sum(
+            c.tree.searches * len(c.attributes) for c in repairer._components
+        )
+        assert reads > 0
+        assert repairer.tree_counters()["target_tree_edist_hits"] == reads

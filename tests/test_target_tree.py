@@ -1,5 +1,6 @@
 """Tests for the target tree (Section 5): structure + search correctness."""
 
+import heapq
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.multi.targets import (
 )
 from repro.dataset.relation import Relation, Schema
 from repro.index import qgram
+from repro.obs import Tracer, activate
 from tests.oracles import ScalarTargetTree
 
 
@@ -354,7 +356,7 @@ def test_batched_search_equals_one_search_per_query(case, chunked):
 
 
 def test_wide_value_table_equals_scalar_search_exactly():
-    """Past 64 values a table computes in-table vectors one at a time."""
+    """Lone searches over an 80-value table equal the scalar search."""
     rng = random.Random(7)
     words = sorted({
         "".join(rng.choice("abcde") for _ in range(rng.randint(1, 9)))
@@ -373,3 +375,69 @@ def test_wide_value_table_equals_scalar_search_exactly():
         assert (target.values, cost) == (expected.values, expected_cost)
     assert tree.nodes_visited == oracle.nodes_visited
     assert tree.memo_size <= tree.memo_capacity
+
+
+def _wide_tie_case(seed):
+    """A root with 300 children and 61 grandchildren each, over length-6
+    strings of a three-letter alphabet: distances come in sixths, so
+    most ``f`` values tie."""
+    rng = random.Random(seed)
+    words = sorted({
+        "".join(rng.choice("abc") for _ in range(6)) for _ in range(600)
+    })
+    a_values = rng.sample(words, 300)
+    b_values = ["bbbb", "bbba", "bbab", "babb", "abbb"]
+    c_values = sorted({"".join(rng.choice("xyz") for _ in range(4))
+                       for _ in range(200)})[:61]
+    fds = parse_fds(["A -> B", "B -> C"])
+    sets = [
+        [(a, b_values[i % 5]) for i, a in enumerate(a_values)],
+        [(b, c) for b in b_values for c in c_values],
+    ]
+    relation = Relation(Schema.of("A", "B", "C"),
+                        [(a, "bbbb", "xxxx") for a in a_values])
+    queries = [
+        (rng.choice(words if rng.random() < 0.5 else a_values),
+         rng.choice(b_values + ["aaaa", "bb"]),
+         rng.choice(c_values + ["zzzz", "x"]))
+        for _ in range(8)
+    ]
+    return fds, sets, DistanceModel(relation), queries
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_wide_tied_fan_out_equals_scalar_search_exactly(seed):
+    """Lazy sibling expansion pops what eager pushes popped: same target,
+    cost, ``nodes_visited`` and popped ``f`` sequence, with ==."""
+    fds, sets, model, queries = _wide_tie_case(seed)
+    oracle = ScalarTargetTree(fds, sets, model)
+    for query in queries:
+        # the trajectory is recorded for a traced tree's first search
+        with activate(Tracer()):
+            tree = TargetTree(fds, sets, model)
+        assert len(tree.levels()[0].elements) == 300
+        target, cost = tree.nearest_target(query)
+        expected, expected_cost = oracle.nearest_target(query)
+        assert (target.values, cost) == (expected.values, expected_cost)
+        assert tree.nodes_visited == len(oracle.f_trajectory)
+        assert tree.f_trajectory == oracle.f_trajectory[: target_tree._TRAJECTORY_CAP]
+    assert oracle.nodes_pruned == 0
+
+
+def test_sibling_expansion_stays_lazy(monkeypatch):
+    """Each pop pushes at most its next sibling and its first child."""
+    fds, sets, model, queries = _wide_tie_case(3)
+    tree = TargetTree(fds, sets, model)
+    pushes = []
+    push = heapq.heappush
+
+    def counting_push(heap, item):
+        pushes.append(item)
+        push(heap, item)
+
+    monkeypatch.setattr(heapq, "heappush", counting_push)
+    for query in queries:
+        before, visited = len(pushes), tree.nodes_visited
+        tree.nearest_target(query)
+        assert len(pushes) - before <= 2 * (tree.nodes_visited - visited)
+    assert tree.nodes_visited < 300  # an eager root expansion pushes 300

@@ -16,7 +16,9 @@ sizes, and the row-major bytes the pre-1.2 substrate would have pickled
 per task).
 
 ``--simjoin`` appends a ``vectorized_simjoin`` entry to
-``BENCH_simjoin.json``: the vectorized-vs-naive detection sweep on the
+``BENCH_simjoin.json``: the detection sweep of the library join
+(``vectorized``) against the definition-level scan oracle (``naive``,
+``tests.oracles.ScanJoin``) on the
 noisy HOSP slice (detect-phase walls, the distinct-id counters), and the
 same sweep on a Tax substrate slice whose constant active domain is the
 regime dictionary-granularity filtering exists for.
@@ -40,6 +42,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# the repository root, for the test oracles (``tests.oracles``)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from _harness import SCALE  # noqa: E402
 
@@ -210,12 +214,16 @@ def _simjoin_detect_sweep(relation, fds, thresholds, rounds: int = 2) -> dict:
     from repro.core.violation import group_patterns
     from repro.index.registry import AttributeIndexRegistry
     from repro.index.simjoin import SimilarityJoin
+    from tests.oracles import ScanJoin
 
     weights = Weights(0.5, 0.5)
     patterns = {fd: group_patterns(relation, fd) for fd in fds}
     out: dict = {"n_tuples": len(relation), "n_fds": len(fds)}
     signatures = {}
-    for strategy in ("naive", "vectorized"):
+    for strategy, join_class in (
+        ("naive", ScanJoin),
+        ("vectorized", SimilarityJoin),
+    ):
         best_wall = None
         best_counters: dict = {}
         signature = None
@@ -226,12 +234,8 @@ def _simjoin_detect_sweep(relation, fds, thresholds, rounds: int = 2) -> dict:
             signature = []
             start = time.perf_counter()
             for fd in fds:
-                join = SimilarityJoin(
-                    fd,
-                    model,
-                    thresholds[fd],
-                    strategy=strategy,
-                    registry=registry,
+                join = join_class(
+                    fd, model, thresholds[fd], registry=registry
                 )
                 signature.append(
                     [

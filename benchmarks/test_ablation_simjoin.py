@@ -1,14 +1,16 @@
-"""Ablation: the vectorized similarity join against the naive oracle.
+"""Ablation: the similarity join against the naive scan oracle.
 
-Both strategies return identical violation sets; ``vectorized`` trades
-blocking, length/count filters and distinct-value batching against the
-naive scan's edit-distance dynamic program on every pair. This bench
+The library's join (``vectorized``) and the definition-level scan
+(``naive``, :class:`tests.oracles.ScanJoin`) return identical violation
+sets; the join trades blocking, length/count filters and distinct-value
+batching against the scan's edit-distance dynamic program on every
+pair. This bench
 measures detection over *long* values — 25-character strings, the
 regime of real HOSP hospital names and addresses — where skipping the
 DP pays most.
 
 ``test_hosp_slice_trajectory`` additionally times end-to-end detection
-of both strategies on a noisy generated HOSP slice (5k tuples at
+of both on a noisy generated HOSP slice (5k tuples at
 ``REPRO_BENCH_SCALE=paper``, 800 at smoke) and appends the wall clocks
 and candidate counters to the ``BENCH_simjoin.json`` trajectory file at
 the repository root. (The ``simjoin`` gate of
@@ -33,14 +35,17 @@ from repro.generator.hosp import HOSP_FDS, generate_hosp, hosp_thresholds
 from repro.generator.noise import NoiseConfig, inject_noise
 from repro.generator.vocab import build_vocabulary
 from repro.index.registry import AttributeIndexRegistry
-from repro.index.simjoin import STRATEGIES, SimilarityJoin
+from repro.index.simjoin import SimilarityJoin
 from repro.utils.rng import make_rng
+from tests.oracles import ScanJoin
 
 TRIAL = Trial(dataset="hosp", n=400, error_rate=0.06, seed=402)
 N_ENTITIES = 120
 FD_LONG = FD.parse("LongKey -> LongName")
 HOSP_SLICE_N = 5000 if SCALE == "paper" else 800
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_simjoin.json"
+#: label -> join class; the labels name the BENCH_simjoin.json rows
+STRATEGIES = {"naive": ScanJoin, "vectorized": SimilarityJoin}
 
 
 def _long_string_relation() -> Relation:
@@ -72,7 +77,7 @@ def test_ablation_simjoin(benchmark, strategy):
         # fresh model per run: the distance cache must not leak between
         # strategies or the later ones get a free ride
         model = DistanceModel(relation)
-        join = SimilarityJoin(FD_LONG, model, tau, strategy=strategy)
+        join = STRATEGIES[strategy](FD_LONG, model, tau)
         return join, join.join(patterns)
 
     start = time.perf_counter()
@@ -94,9 +99,9 @@ def test_strategies_agree_on_long_strings(benchmark):
 
     def all_strategies():
         results = []
-        for strategy in STRATEGIES:
+        for join_class in STRATEGIES.values():
             model = DistanceModel(relation)
-            join = SimilarityJoin(FD_LONG, model, 0.15, strategy=strategy)
+            join = join_class(FD_LONG, model, 0.15)
             results.append(
                 {
                     frozenset((v.left.values, v.right.values))
@@ -146,9 +151,8 @@ def test_hosp_slice_trajectory(benchmark):
         out = []
         start = time.perf_counter()
         for fd in HOSP_FDS:
-            join = SimilarityJoin(
-                fd, model, thresholds[fd], strategy=strategy,
-                registry=registry,
+            join = STRATEGIES[strategy](
+                fd, model, thresholds[fd], registry=registry
             )
             out.append(
                 [

@@ -53,7 +53,7 @@ from repro.exec import (
     RepairExecutor,
 )
 
-__version__ = "2.8.0"
+__version__ = "2.9.0"
 
 __all__ = [
     "FD",

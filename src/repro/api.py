@@ -24,15 +24,12 @@ config field          CLI flag                 meaning
 ``algorithm``         ``--algorithm``          repair algorithm (:data:`ALGORITHMS`)
 ``thresholds``        ``--tau``                similarity threshold(s)
 ``weights``           ``--lhs-weight``         projection-distance weights
-``join_strategy``     ``--join-strategy``      detection strategy
 ``n_jobs``            ``--n-jobs``             executor worker processes
 ``component_budget``  ``--component-budget``   exact-search degradation budget
 ``trace``             ``--trace``              observability recording
 ====================  =======================  =================================
 
-The two join strategies — the numpy-batched ``"vectorized"`` default
-and the unfiltered ``"naive"`` reference scan — emit identical
-violations; they differ only in how many candidate pairs they examine.
+Detection runs one similarity join (``docs/detection.md``).
 
 Serving
 -------

@@ -39,8 +39,18 @@ from repro.core.engine import ALGORITHMS, Repairer
 from repro.core.distances import Weights
 from repro.dataset.csvio import read_csv, write_csv
 from repro.exec import RepairConfig
-from repro.index.simjoin import DEFAULT_JOIN, STRATEGIES
 from repro.obs import format_phase_table
+
+
+def _tau(text: str) -> float:
+    """A ``--tau`` value: a finite or infinite number >= 0 (not NaN)."""
+    try:
+        tau = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not tau >= 0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text!r}")
+    return tau
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tau",
-        type=float,
+        type=_tau,
         default=None,
         help="one threshold for every FD (default: derived from the data)",
     )
@@ -91,17 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="COLUMN",
         help="treat COLUMN as numeric (Euclidean distance); repeatable",
-    )
-    parser.add_argument(
-        "--join-strategy",
-        choices=list(STRATEGIES),
-        default=DEFAULT_JOIN,
-        help=(
-            "FT-violation detection strategy; sets "
-            f"RepairConfig.join_strategy (default: {DEFAULT_JOIN} — "
-            "numpy-batched blocking; naive is the unfiltered reference "
-            "scan and returns identical violations)"
-        ),
     )
     parser.add_argument(
         "--n-jobs",
@@ -194,7 +193,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tau",
-        type=float,
+        type=_tau,
         default=None,
         help="one threshold for every FD (default: derived from the data)",
     )
@@ -353,7 +352,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 args.lhs_weight, round(1.0 - args.lhs_weight, 12)
             ),
             thresholds=args.tau,
-            join_strategy=args.join_strategy,
             fallback="greedy",
             n_jobs=args.n_jobs,
             component_budget=args.component_budget,
@@ -391,7 +389,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  {phase}: {secs:.3f}s")
         pruning = getattr(result.stats, "pruning", None)
         if pruning:
-            print(f"detection ({args.join_strategy}):")
+            print("detection:")
             for key, value in pruning.items():
                 print(f"  {key}: {value}")
             reduction = getattr(result.stats, "reduction_ratio", None)

@@ -18,12 +18,9 @@ from repro.core.thresholds import suggest_threshold, suggest_thresholds
 from repro.core.violation import (
     FTViolation,
     Pattern,
-    ft_violation_pairs,
     group_patterns,
     is_consistent,
     is_consistent_all,
-    is_ft_consistent,
-    is_ft_consistent_all,
 )
 
 __all__ = [
@@ -51,9 +48,6 @@ __all__ = [
     "Pattern",
     "FTViolation",
     "group_patterns",
-    "ft_violation_pairs",
-    "is_ft_consistent",
-    "is_ft_consistent_all",
     "is_consistent",
     "is_consistent_all",
 ]

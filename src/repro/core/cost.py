@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
-from repro.core.violation import is_ft_consistent_all
+from repro.core.detection import fd_violations
 from repro.dataset.relation import Relation
 
 
@@ -94,4 +94,6 @@ def is_valid_database_repair(
     """Section 2.2's "valid database repair": closed-world + FT-consistent."""
     if invalid_repair_tids(original, repaired, fds):
         return False
-    return is_ft_consistent_all(repaired, list(fds), model, thresholds)
+    return not any(
+        fd_violations(repaired, fd, model, thresholds[fd])[0] for fd in fds
+    )

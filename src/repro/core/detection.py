@@ -9,9 +9,7 @@ text summary. Produced by :func:`detect` or
 
 Both run one FD at a time through :func:`fd_violations` — the
 similarity join every repair uses — and assemble the report with
-:func:`detection_report`. The quadratic
-:func:`~repro.core.violation.ft_violation_pairs` scan is the
-definition-level reference the tests compare against.
+:func:`detection_report`.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from repro.core.distances import DistanceModel
 from repro.core.violation import FTViolation, group_patterns
 from repro.dataset.relation import Cell, Relation
 from repro.detect.base import DetectorVerdict
-from repro.index.simjoin import DEFAULT_JOIN, SimilarityJoin
+from repro.index.simjoin import SimilarityJoin
 
 
 @dataclass
@@ -146,7 +144,6 @@ def fd_violations(
     fd: FD,
     model: DistanceModel,
     tau: float,
-    join_strategy: str = DEFAULT_JOIN,
 ) -> Tuple[List[FTViolation], Dict[str, object]]:
     """FT-violations of one FD and the counters of the join that found them.
 
@@ -154,7 +151,7 @@ def fd_violations(
     :class:`~repro.index.simjoin.SimilarityJoin` every repair runs, so
     detection and repair see the same violations.
     """
-    join = SimilarityJoin(fd, model, tau, strategy=join_strategy)
+    join = SimilarityJoin(fd, model, tau)
     violations = join.join(group_patterns(relation, fd))
     return violations, join.counters()
 

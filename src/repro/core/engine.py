@@ -115,14 +115,6 @@ class Repairer:
         Use the Section 5 target tree for multi-FD repairs (the
         "-Tree" variants of the experiments). Naive target joins
         otherwise.
-    join_strategy:
-        Violation-detection strategy (see
-        :class:`repro.index.simjoin.SimilarityJoin`): ``"vectorized"``
-        (default — a numpy-batched blocker union at
-        distinct-dictionary-id granularity that falls back to a
-        length-filtered pair scan when no sound blocker exists,
-        ``docs/detection.md``) or ``"naive"`` (the unfiltered reference
-        scan). Both return identical violations.
     fallback:
         For exact algorithms only: ``"error"`` propagates budget
         overruns, ``"greedy"`` degrades to the corresponding greedy
@@ -172,10 +164,6 @@ class Repairer:
     @property
     def use_tree(self) -> bool:
         return self.config.use_tree
-
-    @property
-    def join_strategy(self) -> str:
-        return self.config.join_strategy
 
     @property
     def fallback(self) -> str:

@@ -43,7 +43,7 @@ from repro.core.distances import DistanceModel
 from repro.core.violation import Pattern, group_patterns
 from repro.dataset.relation import Relation
 from repro.index.registry import AttributeIndexRegistry
-from repro.index.simjoin import DEFAULT_JOIN, SimilarityJoin
+from repro.index.simjoin import SimilarityJoin
 from repro.obs import span
 
 
@@ -182,7 +182,6 @@ class ViolationGraph:
         fd: FD,
         model: DistanceModel,
         tau: float,
-        join_strategy: str = DEFAULT_JOIN,
         grouping: bool = True,
         registry: Optional["AttributeIndexRegistry"] = None,
     ) -> "ViolationGraph":
@@ -204,9 +203,7 @@ class ViolationGraph:
                     Pattern(relation.project_indexes(tid, bound.indexes), (tid,))
                     for tid in relation.tids()
                 ]
-            join = SimilarityJoin(
-                fd, model, tau, strategy=join_strategy, registry=registry
-            )
+            join = SimilarityJoin(fd, model, tau, registry=registry)
             position = {id(p): i for i, p in enumerate(patterns)}
             edges = [
                 (position[id(v.left)], position[id(v.right)], v.distance)

@@ -24,7 +24,6 @@ from repro.core.repair import RepairResult, apply_edits
 from repro.core.single.greedy import greedy_independent_set
 from repro.dataset.relation import Relation
 from repro.index.registry import AttributeIndexRegistry
-from repro.index.simjoin import DEFAULT_JOIN
 from repro.obs.counters import sum_layers
 
 
@@ -33,7 +32,6 @@ def greedy_sets_per_fd(
     fds: Sequence[FD],
     model: DistanceModel,
     thresholds: Dict[FD, float],
-    join_strategy: str = DEFAULT_JOIN,
     seed_dominant: bool = True,
     registry: Optional[AttributeIndexRegistry] = None,
     counters: Optional[Dict[str, int]] = None,
@@ -58,7 +56,6 @@ def greedy_sets_per_fd(
             fd,
             model,
             thresholds[fd],
-            join_strategy=join_strategy,
             registry=registry,
         )
         chosen = greedy_independent_set(
@@ -75,21 +72,19 @@ def repair_multi_fd_appro(
     model: DistanceModel,
     thresholds: Dict[FD, float],
     use_tree: bool = True,
-    join_strategy: str = DEFAULT_JOIN,
 ) -> RepairResult:
     """Appro-M repair of one FD-graph component."""
     fds = list(fds)
     search_counters: Dict[str, int] = {}
     graphs, elements = greedy_sets_per_fd(
-        relation, fds, model, thresholds, join_strategy=join_strategy,
-        counters=search_counters,
+        relation, fds, model, thresholds, counters=search_counters
     )
     try:
         edits, cost, repair_stats = repair_with_sets(
             relation, fds, model, elements, use_tree=use_tree
         )
     except TargetJoinError:
-        return _sequential_fallback(relation, fds, model, thresholds, join_strategy)
+        return _sequential_fallback(relation, fds, model, thresholds)
     repaired = apply_edits(relation, edits)
     stats: Dict[str, object] = {
         "algorithm": "appro-m", **search_counters, **repair_stats
@@ -103,7 +98,6 @@ def _sequential_fallback(
     fds: Sequence[FD],
     model: DistanceModel,
     thresholds: Dict[FD, float],
-    join_strategy: str,
 ) -> RepairResult:
     """Independent, sequential Greedy-S repairs when no joint target exists."""
     from repro.core.single.greedy import repair_single_fd_greedy
@@ -112,9 +106,7 @@ def _sequential_fallback(
     edits = []
     total = 0.0
     for fd in fds:
-        result = repair_single_fd_greedy(
-            current, fd, model, thresholds[fd], join_strategy=join_strategy
-        )
+        result = repair_single_fd_greedy(current, fd, model, thresholds[fd])
         current = result.relation
         edits.extend(result.edits)
         total += result.cost

@@ -39,7 +39,6 @@ from repro.core.single.mis import (
 )
 from repro.dataset.relation import Relation
 from repro.index.registry import AttributeIndexRegistry
-from repro.index.simjoin import DEFAULT_JOIN
 from repro.obs import span
 from repro.obs.counters import sum_layers
 
@@ -180,7 +179,6 @@ def repair_multi_fd_exact(
     max_nodes: Optional[int] = 200_000,
     max_combinations: int = 1_000_000,
     max_sets_per_fd: int = 64,
-    join_strategy: str = DEFAULT_JOIN,
 ) -> RepairResult:
     """Optimal joint repair of one FD-graph component.
 
@@ -199,7 +197,6 @@ def repair_multi_fd_exact(
             fd,
             model,
             thresholds[fd],
-            join_strategy=join_strategy,
             registry=registry,
         )
         for fd in fds

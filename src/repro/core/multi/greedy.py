@@ -47,7 +47,6 @@ from repro.core.multi.targets import TargetJoinError
 from repro.core.repair import RepairResult, apply_edits
 from repro.dataset.relation import Relation
 from repro.index.registry import AttributeIndexRegistry
-from repro.index.simjoin import DEFAULT_JOIN
 from repro.obs import span
 from repro.obs.counters import sum_layers
 
@@ -166,7 +165,6 @@ def repair_multi_fd_greedy(
     model: DistanceModel,
     thresholds: Dict[FD, float],
     use_tree: bool = True,
-    join_strategy: str = DEFAULT_JOIN,
 ) -> RepairResult:
     """Greedy-M repair of one FD-graph component."""
     fds = list(fds)
@@ -179,7 +177,6 @@ def repair_multi_fd_greedy(
                 fd,
                 model,
                 thresholds[fd],
-                join_strategy=join_strategy,
                 registry=registry,
             ),
         )
@@ -374,7 +371,7 @@ def repair_multi_fd_greedy(
     except TargetJoinError:
         from repro.core.multi.appro import _sequential_fallback
 
-        return _sequential_fallback(relation, fds, model, thresholds, join_strategy)
+        return _sequential_fallback(relation, fds, model, thresholds)
     repaired = apply_edits(relation, edits)
     stats: Dict[str, object] = {
         "algorithm": "greedy-m",

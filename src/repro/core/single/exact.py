@@ -22,7 +22,6 @@ from repro.core.graph import ViolationGraph
 from repro.core.repair import RepairResult, apply_edits, edits_from_assignment
 from repro.core.single.mis import ExpansionStats, best_maximal_independent_set
 from repro.dataset.relation import Relation
-from repro.index.simjoin import DEFAULT_JOIN
 from repro.obs.counters import sum_layers
 
 
@@ -33,23 +32,20 @@ def repair_single_fd_exact(
     tau: float,
     prune: bool = True,
     max_nodes: Optional[int] = 200_000,
-    join_strategy: str = DEFAULT_JOIN,
     grouping: bool = True,
     registry=None,
 ) -> RepairResult:
     """Optimal repair of *relation* w.r.t. a single FD.
 
     Parameters mirror the paper's knobs: *prune* toggles the Eq. (5)/(6)
-    bounds, *grouping* the Section 3.1 tuple grouping, *join_strategy*
-    the violation-detection filter stack. *registry* shares detection
-    indexes with other joins of the same run.
+    bounds, *grouping* the Section 3.1 tuple grouping. *registry*
+    shares detection indexes with other joins of the same run.
     """
     graph = ViolationGraph.build(
         relation,
         fd,
         model,
         tau,
-        join_strategy=join_strategy,
         grouping=grouping,
         registry=registry,
     )

@@ -26,7 +26,6 @@ from repro.core.graph import ViolationGraph
 from repro.core.repair import RepairResult, apply_edits
 from repro.core.single.exact import materialize_pattern_assignment
 from repro.dataset.relation import Relation
-from repro.index.simjoin import DEFAULT_JOIN
 from repro.obs import span
 from repro.obs.counters import sum_layers
 
@@ -202,7 +201,6 @@ def repair_single_fd_greedy(
     fd: FD,
     model: DistanceModel,
     tau: float,
-    join_strategy: str = DEFAULT_JOIN,
     grouping: bool = True,
     registry=None,
 ) -> RepairResult:
@@ -216,7 +214,6 @@ def repair_single_fd_greedy(
         fd,
         model,
         tau,
-        join_strategy=join_strategy,
         grouping=grouping,
         registry=registry,
     )

@@ -8,7 +8,9 @@ Two tuples are in an **FT-violation** w.r.t. an FD ``phi: X -> Y`` when
 
 A database is **FT-consistent** w.r.t. ``phi`` when no FT-violating pair
 exists, and FT-consistent w.r.t. a set of FDs when it is FT-consistent
-w.r.t. each.
+w.r.t. each. The library finds violations with one similarity join
+(:func:`repro.core.detection.fd_violations`); the definition-level pair
+scan it is tested against lives in the test suite.
 
 Tuples sharing the exact projection behave identically, so detection
 works on grouped **patterns** (distinct projections with their
@@ -22,7 +24,7 @@ baselines and for Theorem 1 checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel
@@ -99,72 +101,16 @@ def group_patterns(relation: Relation, fd: FD) -> List[Pattern]:
 # ----------------------------------------------------------------------
 # Distance with sound cheap filters
 # ----------------------------------------------------------------------
-def _length_lower_bound(model: DistanceModel, fd: FD, v1: Tuple, v2: Tuple) -> float:
-    """A cheap lower bound on the weighted projection distance.
-
-    For string attributes ``ned >= |len_a - len_b| / max(len_a, len_b)``;
-    numerics and attributes with a distance override (which the length
-    bound says nothing about) contribute their exact distance. Summing the
-    weighted per-attribute lower bounds lower-bounds Eq. (2), so a pair
-    whose bound exceeds tau can be skipped without any edit-distance
-    computation.
-    """
-    total = 0.0
-    n_lhs = len(fd.lhs)
-    for pos, attr in enumerate(fd.attributes):
-        a, b = v1[pos], v2[pos]
-        if a == b:
-            continue
-        weight = model.weights.lhs if pos < n_lhs else model.weights.rhs
-        if isinstance(a, str) and not model.has_override(attr):
-            la, lb = len(a), len(b)
-            longest = la if la > lb else lb
-            if longest:
-                total += weight * abs(la - lb) / longest
-        else:
-            total += weight * model.attribute_distance(attr, a, b)
-    return total
-
-
-def projection_distance_within(
-    model: DistanceModel,
-    fd: FD,
-    v1: Tuple,
-    v2: Tuple,
-    tau: float,
-    use_filters: bool = True,
-) -> Optional[float]:
-    """Eq. (2) distance if it is ``<= tau``, else ``None``.
-
-    With *use_filters* the length lower bound rejects hopeless pairs
-    before any edit-distance work, and the exact accumulation aborts as
-    soon as the running weighted sum exceeds *tau*.
-    """
-    if use_filters and _length_lower_bound(model, fd, v1, v2) > tau:
-        return None
-    total = 0.0
-    n_lhs = len(fd.lhs)
-    for pos, attr in enumerate(fd.attributes):
-        a, b = v1[pos], v2[pos]
-        if a == b:
-            continue
-        weight = model.weights.lhs if pos < n_lhs else model.weights.rhs
-        total += weight * model.attribute_distance(attr, a, b)
-        if total > tau:
-            return None
-    return total
-
-
 class PreparedProjection:
     """One-vs-many Eq. (2): fix the left projection, stream the rights.
 
     Wraps :meth:`DistanceModel.prepare_distance` comparers — one per FD
     attribute, each with its Myers PEQ table prepared once — so
     verifying one pattern against a whole candidate list (the shape of
-    the scan fallback and the greedy conflict loops) pays the per-value
-    preparation once instead of per pair. Returned distances, accepted
-    pairs, and cache/counter traffic are identical to the pairwise
-    :func:`projection_distance_within`.
+    the join's scan fallback, the greedy conflict loops and the serving
+    consistency check) pays the per-value preparation once instead of
+    per pair. Returned distances are bit-identical to
+    :meth:`DistanceModel.projection_distance` (same accumulation order).
     """
 
     __slots__ = ("model", "fd", "values", "_weights", "_exact", "_bound")
@@ -198,8 +144,15 @@ class PreparedProjection:
         )
 
     def length_lower_bound(self, other: Tuple) -> float:
-        """Prepared :func:`_length_lower_bound` — identical arithmetic
-        (same accumulation order), with the left lengths precomputed."""
+        """A cheap lower bound on the Eq. (2) distance to *other*.
+
+        For string attributes ``ned >= |len_a - len_b| / max(len_a,
+        len_b)``; numerics and attributes with a distance override
+        (which the length bound says nothing about) contribute their
+        exact distance. Summing the weighted per-attribute bounds
+        lower-bounds Eq. (2), so a pair whose bound exceeds ``tau`` can
+        be skipped without any edit-distance computation.
+        """
         total = 0.0
         model = self.model
         for pos, attr, weight, a, la in self._bound:
@@ -218,7 +171,12 @@ class PreparedProjection:
     def distance_within(
         self, other: Tuple, tau: float, use_filters: bool = True
     ) -> Optional[float]:
-        """One-vs-many :func:`projection_distance_within`."""
+        """Eq. (2) distance to *other* if it is ``<= tau``, else ``None``.
+
+        With *use_filters* the length lower bound rejects hopeless pairs
+        before any edit-distance work; the exact accumulation aborts as
+        soon as the running weighted sum exceeds *tau*.
+        """
         if use_filters and self.length_lower_bound(other) > tau:
             return None
         total = 0.0
@@ -242,79 +200,6 @@ class FTViolation:
     left: Pattern
     right: Pattern
     distance: float
-
-
-def ft_violation_pairs(
-    patterns: Sequence[Pattern],
-    fd: FD,
-    model: DistanceModel,
-    tau: float,
-    use_filters: bool = True,
-) -> List[FTViolation]:
-    """All FT-violating pairs among *patterns* (Section 2.1).
-
-    Distinct patterns necessarily differ somewhere, so condition (1) of
-    the definition holds by construction; only the distance test remains.
-    """
-    violations: List[FTViolation] = []
-    for i, left in enumerate(patterns):
-        for right in patterns[i + 1 :]:
-            dist = projection_distance_within(
-                model, fd, left.values, right.values, tau, use_filters
-            )
-            if dist is not None:
-                violations.append(FTViolation(left, right, dist))
-    return violations
-
-
-def iter_tuple_violations(
-    relation: Relation,
-    fd: FD,
-    model: DistanceModel,
-    tau: float,
-) -> Iterator[Tuple[int, int, float]]:
-    """Tuple-level FT-violations ``(tid1, tid2, distance)``, tid1 < tid2.
-
-    Expands pattern-level violations back to tuples; useful for
-    reporting and for small examples. Quadratic in group sizes — prefer
-    the pattern level for algorithmic work.
-    """
-    patterns = group_patterns(relation, fd)
-    for violation in ft_violation_pairs(patterns, fd, model, tau):
-        for t1 in violation.left.tids:
-            for t2 in violation.right.tids:
-                lo, hi = (t1, t2) if t1 < t2 else (t2, t1)
-                yield lo, hi, violation.distance
-
-
-def is_ft_consistent(
-    relation: Relation,
-    fd: FD,
-    model: DistanceModel,
-    tau: float,
-) -> bool:
-    """Whether *relation* is FT-consistent w.r.t. *fd* at threshold *tau*."""
-    patterns = group_patterns(relation, fd)
-    for i, left in enumerate(patterns):
-        for right in patterns[i + 1 :]:
-            if (
-                projection_distance_within(model, fd, left.values, right.values, tau)
-                is not None
-            ):
-                return False
-    return True
-
-
-def is_ft_consistent_all(
-    relation: Relation,
-    fds: Sequence[FD],
-    model: DistanceModel,
-    thresholds: Dict[FD, float],
-) -> bool:
-    """FT-consistency w.r.t. a whole set of FDs (``D |= Sigma``)."""
-    return all(
-        is_ft_consistent(relation, fd, model, thresholds[fd]) for fd in fds
-    )
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,9 @@ The execution-layer knobs are new in this layer:
   ``--trace`` / ``--report out.json``. Off by default; the
   instrumentation points stay no-ops (see ``docs/observability.md``).
 
-``join_strategy`` defaults to ``"vectorized"`` — the numpy-batched
-blocker union at distinct-dictionary-id granularity (see
-``docs/detection.md``), which falls back to a length-filtered pair scan
-when no sound blocker exists. ``"naive"`` is the unfiltered reference
-scan; both return exactly the same violations.
+``join_strategy`` accepts only ``"vectorized"``, the one similarity
+join (``docs/detection.md``); no library code reads it. It stays as a
+field for callers that still pass it and goes in a later release.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.distances import DistanceFn, Weights
-from repro.index.simjoin import DEFAULT_JOIN, STRATEGIES
 
 #: per-FD tau mapping, one scalar for every FD, or None (derive from data)
 ThresholdsLike = Union[None, float, Mapping[Any, float]]
@@ -58,7 +55,7 @@ class RepairConfig:
     weights: Weights = field(default_factory=Weights)
     thresholds: ThresholdsLike = None
     use_tree: bool = True
-    join_strategy: str = DEFAULT_JOIN
+    join_strategy: str = "vectorized"
     fallback: str = "error"
     max_nodes: Optional[int] = 200_000
     max_combinations: int = 1_000_000
@@ -87,10 +84,11 @@ class RepairConfig:
             )
         if self.fallback not in ("error", "greedy"):
             raise ValueError("fallback must be 'error' or 'greedy'")
-        if self.join_strategy not in STRATEGIES:
+        if self.join_strategy != "vectorized":
             raise ValueError(
-                f"unknown join_strategy {self.join_strategy!r}; expected "
-                f"one of {list(STRATEGIES)}"
+                f"join_strategy {self.join_strategy!r} is not accepted: "
+                "'vectorized' is the only join, and the unfiltered "
+                "reference scan moved to the test suite (tests/oracles.py)"
             )
         if self.n_jobs == 0 or not isinstance(self.n_jobs, int):
             raise ValueError(

@@ -297,7 +297,6 @@ def _dispatch(
             model,
             thresholds,
             use_tree=config.use_tree,
-            join_strategy=config.join_strategy,
         )
     if algorithm == "greedy-m":
         return repair_multi_fd_greedy(
@@ -306,7 +305,6 @@ def _dispatch(
             model,
             thresholds,
             use_tree=config.use_tree,
-            join_strategy=config.join_strategy,
         )
     # exact-m
     return repair_multi_fd_exact(
@@ -317,7 +315,6 @@ def _dispatch(
         use_tree=config.use_tree,
         max_nodes=config.max_nodes,
         max_combinations=config.max_combinations,
-        join_strategy=config.join_strategy,
     )
 
 
@@ -351,7 +348,6 @@ def _repair_sequential(
                 model,
                 thresholds[fd],
                 max_nodes=config.max_nodes,
-                join_strategy=config.join_strategy,
                 registry=registry,
             )
         else:
@@ -360,7 +356,6 @@ def _repair_sequential(
                 fd,
                 model,
                 thresholds[fd],
-                join_strategy=config.join_strategy,
                 registry=registry,
             )
         current = step.relation
@@ -456,9 +451,7 @@ def _detection_outcome(task: DetectionTask) -> DetectionOutcome:
     )
     start = time.perf_counter()
     cpu0 = time.process_time()
-    violations, counters = fd_violations(
-        task.relation, task.fd, model, task.tau, task.config.join_strategy
-    )
+    violations, counters = fd_violations(task.relation, task.fd, model, task.tau)
     cpu_seconds = time.process_time() - cpu0
     return DetectionOutcome(
         index=task.index,

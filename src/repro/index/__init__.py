@@ -1,12 +1,10 @@
 """Indexes and optimizations for FT-violation detection."""
 
 from repro.index.blocking import AttributeBlocker, BlockPlan
-from repro.index.simjoin import DEFAULT_JOIN, STRATEGIES, SimilarityJoin
+from repro.index.simjoin import SimilarityJoin
 
 __all__ = [
     "SimilarityJoin",
-    "STRATEGIES",
-    "DEFAULT_JOIN",
     "AttributeBlocker",
     "BlockPlan",
 ]

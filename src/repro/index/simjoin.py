@@ -1,42 +1,38 @@
 """Similarity self-join over FD patterns.
 
 Detecting FT-violations is a threshold self-join: find every pattern pair
-whose weighted projection distance (Eq. 2) is at most ``tau``. Two
-strategies implement it:
+whose weighted projection distance (Eq. 2) is at most ``tau``.
+:class:`SimilarityJoin` runs a pigeonhole union of per-attribute
+blockers (:mod:`repro.index.blocking`) at **distinct-dictionary-id
+granularity** with numpy-batched filtering: per-attribute length-band +
+q-gram count-filter passes over the ``uint64``-word gram matrices
+propose distinct-id pairs, the survivors go as arrays through one
+batched Myers kernel call (``edits <= k``), verified value pairs fan out
+to pattern pairs through the dictionary frequency lists, and Eq. (2)
+accumulates per candidate as elementwise float64 vector ops
+(bit-identical to the scalar accumulation). When the join has fewer
+than two patterns, the FD has a custom distance override or an active
+attribute that refuses the numeric coercion, or no sound budget split
+covers ``tau``, it falls back to the length-filtered pair scan.
 
-* ``vectorized`` (the default, :data:`DEFAULT_JOIN`) — a pigeonhole
-  union of per-attribute blockers (:mod:`repro.index.blocking`) run at
-  **distinct-dictionary-id granularity** with numpy-batched filtering:
-  per-attribute length-band + q-gram count-filter passes over the
-  ``uint64``-word gram matrices propose distinct-id pairs, the
-  survivors go as arrays through one batched Myers kernel call
-  (``edits <= k``), verified value pairs fan out to pattern pairs
-  through the dictionary frequency lists, and Eq. (2) accumulates per
-  candidate as elementwise float64 vector ops (bit-identical to the
-  scalar accumulation). When the join has fewer than two patterns, the
-  FD has a custom distance override or an active attribute that refuses
-  the numeric coercion, or no sound budget split covers ``tau``, it
-  falls back to the length-filtered pair scan.
-* ``naive`` — exact distance for every pair, no filtering: the test
-  oracle.
-
-Both return exactly the same violations, in the same order, with
-bit-identical distances; only the work differs.
+Both paths return exactly the violations of the definition (Section
+2.1), in pair-scan order, with bit-identical distances; the unfiltered
+definition-level scan they are tested against lives in the test suite
+(``tests/oracles.py``).
 
 **Counter semantics:**
 
 * ``possible_pairs``       — ``P * (P - 1) / 2`` for ``P`` patterns; the
   work a full pair scan would face.
 * ``candidates_generated`` — pairs the join put on the table: the blocker
-  union's output, or ``possible_pairs`` for the scans.
+  union's output, or ``possible_pairs`` for the scan.
 * ``pairs_examined``       — candidate pairs actually inspected (always
   equals ``candidates_generated``; kept for backward compatibility).
 * ``pairs_filtered``       — of those, rejected by a cheap sound filter
   (length lower bound, edit budget) before the Eq. (2) comparison.
-  Always 0 for ``naive``, which verifies everything.
 * ``pairs_verified``       — ``pairs_examined - pairs_filtered``.
 
-Three distinct-id counters are 0 on the scans:
+Three distinct-id counters are 0 on the scan fallback:
 
 * ``distinct_pairs_examined`` — unique distinct-value pairs given an
   exact evaluation (blocker settles plus verification), summed per
@@ -74,25 +70,19 @@ from repro.index.registry import AttributeIndexRegistry
 from repro.obs import span
 from repro.obs.counters import COUNTERS
 
-STRATEGIES = ("naive", "vectorized")
-
 #: the join's counters: the ``index`` layer of the counter schema
 JOIN_COUNTERS = tuple(c.name for c in COUNTERS if c.layer == "index")
-
-#: the join every repair runs unless ``RepairConfig.join_strategy`` says
-#: otherwise
-DEFAULT_JOIN = "vectorized"
 
 
 class SimilarityJoin:
     """Threshold self-join over patterns of one FD.
 
-    See the module docstring for the two strategies and the exact counter
+    See the module docstring for the join and the exact counter
     semantics. After :meth:`join` the instance exposes
     ``possible_pairs`` / ``candidates_generated`` / ``pairs_examined`` /
     ``pairs_filtered`` / ``pairs_verified``, the achieved
-    :attr:`reduction_ratio`, and (for ``vectorized``) the :attr:`plan`
-    it ran — a blocker union, or ``scan`` after a fallback.
+    :attr:`reduction_ratio`, and the :attr:`plan` it ran — a blocker
+    union, or ``scan`` after a fallback.
     """
 
     def __init__(
@@ -100,18 +90,14 @@ class SimilarityJoin:
         fd: FD,
         model: DistanceModel,
         tau: float,
-        strategy: str = DEFAULT_JOIN,
         q: int = 2,
         registry: Optional[AttributeIndexRegistry] = None,
     ) -> None:
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; expected {STRATEGIES}")
-        if tau < 0:
-            raise ValueError("tau must be non-negative")
+        if not tau >= 0:  # NaN compares false too
+            raise ValueError(f"tau must be a non-negative number, got {tau!r}")
         self.fd = fd
         self.model = model
         self.tau = tau
-        self.strategy = strategy
         self.q = q
         #: shared attribute indexes; pass one registry to every join of a
         #: run so FDs with overlapping attributes reuse each other's work
@@ -147,27 +133,18 @@ class SimilarityJoin:
         self._reset_counters()
         self.plan = None
         model, registry = self.model, self.registry
-        with span(
-            "detect", fd=self.fd.name, strategy=self.strategy, tau=self.tau
-        ) as detect_span:
+        with span("detect", fd=self.fd.name, tau=self.tau) as detect_span:
             kernel_calls0 = model.kernel_calls + registry.kernel_calls
             builds0 = registry.index_builds
             reuses0 = registry.index_reuses
             n = len(patterns)
             self.possible_pairs = n * (n - 1) // 2
-            if self.strategy == "naive":
+            out = self._join_vectorized(patterns)
+            if out is None:
+                # tiny inputs / custom overrides / uncoercible actives /
+                # no sound budget split
+                self.plan = BlockPlan(kind="scan", estimate=self.possible_pairs)
                 out = self._join_scan(patterns)
-            else:
-                vectorized = self._join_vectorized(patterns)
-                if vectorized is None:
-                    # tiny inputs / custom overrides / uncoercible
-                    # actives / no sound budget split
-                    self.plan = BlockPlan(
-                        kind="scan", estimate=self.possible_pairs
-                    )
-                    out = self._join_scan(patterns)
-                else:
-                    out = vectorized
             self.kernel_calls = (
                 model.kernel_calls + registry.kernel_calls - kernel_calls0
             )
@@ -386,29 +363,16 @@ class SimilarityJoin:
         return out
 
     def _join_scan(self, patterns: Sequence[Pattern]) -> List[FTViolation]:
-        """The quadratic pair scan: ``naive``, or the length-filtered fallback."""
+        """The length-filtered quadratic pair scan (the fallback)."""
         out: List[FTViolation] = []
-        naive = self.strategy == "naive"
         model, fd, tau = self.model, self.fd, self.tau
-        lhs, rhs = fd.lhs, fd.rhs
         for i, left in enumerate(patterns):
             # left preparation once per row of the scan (one-vs-many):
             # the length-bound spec and per-attribute kernel comparers
             # are streamed over every right-hand pattern
-            prepared = (
-                None if naive else PreparedProjection(model, fd, left.values)
-            )
+            prepared = PreparedProjection(model, fd, left.values)
             for right in patterns[i + 1 :]:
                 self.pairs_examined += 1
-                if naive:
-                    # genuinely unfiltered: full Eq. (2), then compare
-                    self.pairs_verified += 1
-                    dist = model.projection_distance(
-                        lhs, rhs, left.values, right.values
-                    )
-                    if dist <= tau:
-                        out.append(FTViolation(left, right, dist))
-                    continue
                 if prepared.length_lower_bound(right.values) > tau:
                     self.pairs_filtered += 1
                     continue

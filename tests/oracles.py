@@ -16,10 +16,13 @@ kept so differential suites can assert the fast path reproduces it:
   scalar distance at a time, against the array-laid
   :class:`repro.core.multi.target_tree.TargetTree`
   (``tests/test_target_tree.py``);
-* :func:`scan_detection` — detection by the definition-level pair scan
-  :func:`repro.core.violation.ft_violation_pairs`, against the
-  similarity join every detection runs (``tests/test_detection.py``,
-  ``tests/test_detect.py``);
+* :class:`ScanJoin` — the definition-level FT-violation scan of
+  Section 2.1 (full Eq. (2) for every pattern pair, no filter), against
+  :class:`repro.index.simjoin.SimilarityJoin` (``tests/test_simjoin*.py``,
+  ``tests/test_blocking.py``); substituted for ``SimilarityJoin.join``
+  it drives whole repairs (``tests/test_substrate_hashes.py``).
+  :func:`scan_ft_consistent` (FT-consistency, ``D |= Sigma``) and
+  :func:`scan_detection` (a detection report) are built on it;
 * :func:`scan_consistent_everywhere` / :func:`scan_repair_record` — the
   per-record repair with the linear consistency scan over every fitted
   element, against the candidate-indexed check of
@@ -57,11 +60,13 @@ from repro.core.single.frontier import (
     min_outgoing_costs,
 )
 from repro.core.violation import (
+    FTViolation,
+    Pattern,
     PreparedProjection,
-    ft_violation_pairs,
     group_patterns,
 )
 from repro.dataset.relation import Relation
+from repro.index.simjoin import SimilarityJoin
 
 
 # ----------------------------------------------------------------------
@@ -486,6 +491,60 @@ class ScalarTargetTree:
 # ----------------------------------------------------------------------
 # FT-violation detection
 # ----------------------------------------------------------------------
+class ScanJoin(SimilarityJoin):
+    """The join by definition: full Eq. (2) for every pattern pair.
+
+    Distinct patterns differ somewhere, so condition (1) of an
+    FT-violation holds by construction and only ``distance <= tau``
+    remains. Nothing is filtered: every possible pair is examined and
+    verified, so the counters read ``pairs_filtered == 0`` and
+    ``pairs_verified == possible_pairs``; the distinct-id counters and
+    :attr:`plan` stay unset. Its ``join`` is a plain function of the
+    join's fields, so ``monkeypatch.setattr(SimilarityJoin, "join",
+    ScanJoin.join)`` runs a whole repair through the scan.
+    """
+
+    def join(self, patterns: Sequence[Pattern]) -> List[FTViolation]:
+        self._reset_counters()
+        self.plan = None
+        model, fd, tau = self.model, self.fd, self.tau
+        calls0 = model.kernel_calls
+        out: List[FTViolation] = []
+        for i, left in enumerate(patterns):
+            for right in patterns[i + 1 :]:
+                dist = model.projection_distance(
+                    fd.lhs, fd.rhs, left.values, right.values
+                )
+                if dist <= tau:
+                    out.append(FTViolation(left, right, dist))
+        n = len(patterns)
+        self.possible_pairs = n * (n - 1) // 2
+        self.candidates_generated = self.possible_pairs
+        self.pairs_examined = self.possible_pairs
+        self.pairs_verified = self.possible_pairs
+        self.kernel_calls = model.kernel_calls - calls0
+        return out
+
+
+def scan_violations(
+    relation: Relation, fd: FD, model: DistanceModel, tau: float
+) -> List[FTViolation]:
+    """The FT-violations of *fd* in *relation*, by :class:`ScanJoin`."""
+    return ScanJoin(fd, model, tau).join(group_patterns(relation, fd))
+
+
+def scan_ft_consistent(
+    relation: Relation,
+    fds: Sequence[FD],
+    model: DistanceModel,
+    thresholds: Mapping[FD, float],
+) -> bool:
+    """FT-consistency w.r.t. every FD (``D |= Sigma``), by the scan."""
+    return not any(
+        scan_violations(relation, fd, model, thresholds[fd]) for fd in fds
+    )
+
+
 def scan_detection(
     relation: Relation,
     fds: Sequence[FD],
@@ -498,9 +557,7 @@ def scan_detection(
         fds,
         thresholds,
         {
-            fd.name: ft_violation_pairs(
-                group_patterns(relation, fd), fd, model, thresholds[fd]
-            )
+            fd.name: scan_violations(relation, fd, model, thresholds[fd])
             for fd in fds
         },
     )

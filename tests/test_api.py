@@ -9,6 +9,7 @@ import pytest
 
 import repro
 import repro.api as api
+from repro.index.simjoin import SimilarityJoin
 
 
 class TestFacade:
@@ -70,38 +71,80 @@ class TestFacade:
 
 
 class TestDeprecationPolicy:
-    """Spellings removed in 2.1, 2.2, 2.4 and 2.6 raise instead of warning."""
+    """Spellings removed in 2.1, 2.2, 2.4, 2.6 and 2.9 raise instead of
+    warning."""
 
     @pytest.mark.parametrize(
-        "build,argument",
+        "build,argument,error",
         [
-            (lambda fds: repro.RepairConfig(kernel="myers"), "kernel"),
-            (lambda fds: repro.Repairer(fds, kernel="myers"), "kernel"),
-            (lambda fds: repro.Repairer(fds, rng=3), "rng"),
-            (lambda fds: repro.Repairer(fds, "exact-m"), "positional"),
-            (lambda fds: repro.RepairConfig(max_subtasks=4), "max_subtasks"),
+            (lambda fds: repro.RepairConfig(kernel="myers"), "kernel",
+             TypeError),
+            (lambda fds: repro.Repairer(fds, kernel="myers"), "kernel",
+             TypeError),
+            (lambda fds: repro.Repairer(fds, rng=3), "rng", TypeError),
+            (lambda fds: repro.Repairer(fds, "exact-m"), "positional",
+             TypeError),
+            (lambda fds: repro.RepairConfig(max_subtasks=4), "max_subtasks",
+             TypeError),
             (
                 lambda fds: repro.RepairConfig(bound_exchange=False),
                 "bound_exchange",
+                TypeError,
             ),
             (
                 lambda fds: repro.RepairConfig(split_threshold=8),
                 "split_threshold",
+                TypeError,
             ),
             (
                 lambda fds: repro.Repairer(fds, split_threshold=8),
                 "split_threshold",
+                TypeError,
+            ),
+            # the field stays with one accepted value until the
+            # benchmark stops passing it
+            (
+                lambda fds: repro.RepairConfig(join_strategy="naive"),
+                "join_strategy",
+                ValueError,
+            ),
+            (
+                lambda fds: repro.Repairer(fds, join_strategy="naive"),
+                "join_strategy",
+                ValueError,
+            ),
+            (
+                lambda fds: SimilarityJoin(fds[0], None, 0.5, strategy="naive"),
+                "strategy",
+                TypeError,
             ),
         ],
         ids=["config-kernel", "repairer-kernel", "repairer-rng",
              "repairer-positional", "config-max-subtasks",
              "config-bound-exchange", "config-split-threshold",
-             "repairer-split-threshold"],
+             "repairer-split-threshold", "config-join-strategy",
+             "repairer-join-strategy", "simjoin-strategy"],
     )
-    def test_removed_arguments_raise(self, build, argument):
+    def test_removed_arguments_raise(self, build, argument, error):
         fds = [repro.FD.parse("K -> V")]
-        with pytest.raises(TypeError, match=argument):
+        with pytest.raises(error, match=argument):
             build(fds)
+
+    def test_removed_join_names(self):
+        import repro.core
+        import repro.core.violation
+        import repro.index
+        from repro.index import simjoin
+
+        for name in ("STRATEGIES", "DEFAULT_JOIN"):
+            assert not hasattr(simjoin, name), name
+            assert not hasattr(repro.index, name), name
+        for name in ("ft_violation_pairs", "iter_tuple_violations",
+                     "is_ft_consistent", "is_ft_consistent_all",
+                     "projection_distance_within"):
+            assert not hasattr(repro.core, name), name
+            assert not hasattr(repro.core.violation, name), name
+        assert not hasattr(repro.Repairer, "join_strategy")
 
     def test_removed_relation_accessors(self):
         relation = repro.Relation(repro.Schema.of("A"), [("x",)])
@@ -140,12 +183,9 @@ class TestCliConfigNamespace:
         from repro.cli import build_parser
 
         parser = build_parser()
-        blessed = parser.parse_args(
-            ["in.csv", "--fd", "A -> B", "--join-strategy", "naive"]
-        )
-        assert blessed.join_strategy == "naive"
-        # the pre-1.2 --simjoin-strategy alias is gone in 2.0
-        with pytest.raises(SystemExit):
-            parser.parse_args(
-                ["in.csv", "--fd", "A -> B", "--simjoin-strategy", "naive"]
-            )
+        # the flag left with the naive scan in 2.9; the pre-1.2
+        # --simjoin-strategy alias in 2.0
+        for flag in ("--join-strategy", "--simjoin-strategy"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(["in.csv", "--fd", "A -> B", flag, "naive"])
+            assert exc.value.code == 2

@@ -2,11 +2,12 @@
 
 from repro.core.constraints import FD
 from repro.core.distances import DistanceModel, Weights, levenshtein
-from repro.core.violation import ft_violation_pairs, group_patterns
+from repro.core.violation import group_patterns
 from repro.dataset.relation import Relation, Schema
 from repro.index.blocking import _BUDGET_EPS, vectorized_qgram_pairs
 from repro.index.registry import _StringIndex
 from repro.index.simjoin import SimilarityJoin
+from tests.oracles import ScanJoin
 
 
 def _setup(rows, columns=("K", "V"), numeric=(), weights=None):
@@ -19,17 +20,17 @@ def _setup(rows, columns=("K", "V"), numeric=(), weights=None):
 
 
 def _violating_index_pairs(patterns, fd, model, tau):
-    """Reference: pattern-index pairs within tau, from the naive join."""
+    """Reference: pattern-index pairs within tau, from the scan oracle."""
     by_values = {p.values: i for i, p in enumerate(patterns)}
     return {
         (by_values[v.left.values], by_values[v.right.values])
-        for v in ft_violation_pairs(patterns, fd, model, tau)
+        for v in ScanJoin(fd, model, tau).join(patterns)
     }
 
 
 def _plan(fd, model, tau, patterns):
     """Run the vectorized join; return the plan it chose and the join."""
-    join = SimilarityJoin(fd, model, tau, strategy="vectorized")
+    join = SimilarityJoin(fd, model, tau)
     join.join(patterns)
     return join.plan, join
 
@@ -98,7 +99,7 @@ class TestSoundness:
         _, fd, model, patterns = _setup(rows, numeric=numeric,
                                         weights=weights)
         truth = _violating_index_pairs(patterns, fd, model, tau)
-        join = SimilarityJoin(fd, model, tau, strategy="vectorized")
+        join = SimilarityJoin(fd, model, tau)
         by_values = {p.values: i for i, p in enumerate(patterns)}
         emitted = {
             (by_values[v.left.values], by_values[v.right.values])

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, build_serve_parser, main
 from repro.dataset.csvio import read_csv, write_csv
 from repro.dataset.relation import Relation, Schema
+from repro.index.simjoin import SimilarityJoin
+from tests.oracles import ScanJoin
 
 
 @pytest.fixture
@@ -39,6 +41,30 @@ class TestParser:
             main([str(csv_path), "--fd", "sku -> product",
                   "--algorithm", "magic"])
 
+    @pytest.mark.parametrize("tau", ["nan", "-1", "-0.5", "abc"])
+    def test_bad_tau_exits_with_usage(self, csv_path, capsys, tau):
+        # a NaN tau used to repair nothing silently; a negative one
+        # crashed with a traceback from the join
+        with pytest.raises(SystemExit) as exc:
+            main([str(csv_path), "--fd", "sku -> product", "--tau", tau])
+        assert exc.value.code == 2
+        assert "argument --tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["nan", "-1"])
+    def test_serve_bad_tau_exits_with_usage(self, csv_path, capsys, tau):
+        # parsed only: a tau that got through would start the server
+        with pytest.raises(SystemExit) as exc:
+            build_serve_parser().parse_args(
+                [str(csv_path), "--fd", "sku -> product", "--tau", tau]
+            )
+        assert exc.value.code == 2
+        assert "argument --tau" in capsys.readouterr().err
+
+    def test_zero_tau_accepted(self):
+        args = build_parser().parse_args(["in.csv", "--fd", "A -> B",
+                                          "--tau", "0"])
+        assert args.tau == 0.0
+
     def test_removed_kernel_flag_exits(self, csv_path):
         # Myers is the only edit distance; --kernel is gone in 2.1
         with pytest.raises(SystemExit) as exc:
@@ -51,10 +77,12 @@ class TestParser:
             ["--max-subtasks", "4"],
             ["--no-bound-exchange"],
             ["--split-threshold", "8"],
+            ["--join-strategy", "vectorized"],
         ],
     )
     def test_removed_scheduler_flags_exit(self, csv_path, flags):
-        # the split knobs left in 2.2; the split itself in 2.6
+        # the split knobs left in 2.2, the split itself in 2.6, and the
+        # join-strategy flag with the naive scan in 2.9
         with pytest.raises(SystemExit) as exc:
             main([str(csv_path), "--fd", "sku -> product", *flags])
         assert exc.value.code == 2
@@ -140,20 +168,26 @@ class TestRun:
         assert code == 0
 
     @pytest.mark.parametrize("strategy", ["naive", "vectorized"])
-    def test_simjoin_strategy_flag(self, csv_path, capsys, strategy):
+    def test_simjoin_strategy_flag(self, csv_path, capsys, monkeypatch,
+                                   strategy):
+        # naive: the whole CLI run detects through the scan oracle
+        if strategy == "naive":
+            monkeypatch.setattr(SimilarityJoin, "join", ScanJoin.join)
         code = main(
             [str(csv_path), "--fd", "sku -> product", "--tau", "0.3",
-             "--join-strategy", strategy, "--report", "--dry-run"]
+             "--report", "--dry-run"]
         )
         assert code == 0
-        # every strategy detects the same typo and proposes the same fix
+        # the join and the oracle detect the same typo and fix it alike
         out = capsys.readouterr().out
         assert "espresso-oen" in out and "espresso-one" in out
 
     def test_unknown_simjoin_strategy_exits(self, csv_path):
-        # the removed strategies and the removed flag alias are usage errors
+        # the strategy flag, every value of it, and its older alias are
+        # usage errors
         for flag, strategy in (("--join-strategy", "indexed"),
-                               ("--join-strategy", "hash-blocking"),
+                               ("--join-strategy", "naive"),
+                               ("--join-strategy", "vectorized"),
                                ("--simjoin-strategy", "naive")):
             with pytest.raises(SystemExit) as exc:
                 main([str(csv_path), "--fd", "sku -> product", flag, strategy])
@@ -166,7 +200,7 @@ class TestRun:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "detection (vectorized):" in out
+        assert "detection:" in out
         assert "pairs_examined" in out
 
 

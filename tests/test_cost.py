@@ -1,7 +1,9 @@
 """Tests for the cost model and closed-world validity (Section 2.2)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.constraints import FD
 from repro.core.cost import (
     database_repair_cost,
     invalid_repair_tids,
@@ -11,7 +13,9 @@ from repro.core.cost import (
     tuple_repair_cost,
 )
 from repro.core.distances import DistanceModel
+from repro.core.engine import Repairer
 from repro.dataset.relation import Relation, Schema
+from tests.oracles import scan_ft_consistent
 
 
 class TestTupleCost:
@@ -97,3 +101,50 @@ class TestValidity:
         assert is_valid_database_repair(
             citizens, result.relation, citizens_fds, model, citizens_thresholds
         )
+
+
+def _flat_distance(a, b):
+    """A custom distance: it forces the join's scan fallback."""
+    return 0.0 if a == b else 0.25
+
+
+FDS_ABC = [FD.parse("A -> B"), FD.parse("B -> C")]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from(["ab", "abc", "abd", "xyz"]),
+            st.sampled_from(["p", "pq", "q"]),
+            st.sampled_from(["u", "uv", "w"]),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    tau=st.sampled_from([0.0, 0.2, 0.4, 0.7]),
+    override=st.booleans(),
+    candidate=st.sampled_from(["original", "repaired", "new-value"]),
+)
+def test_validity_agrees_with_definition(rows, tau, override, candidate):
+    """``is_valid_database_repair`` (detecting through the join) agrees
+    with closed-world validity plus the scan oracle's FT-consistency."""
+    relation = Relation(Schema.of("A", "B", "C"), rows)
+    overrides = {"B": _flat_distance} if override else None
+    model = DistanceModel(relation, overrides=overrides)
+    thresholds = {fd: tau for fd in FDS_ABC}
+    if candidate == "original":
+        repaired = relation
+    elif candidate == "repaired":
+        repaired = Repairer(
+            FDS_ABC, thresholds=thresholds, distance_overrides=overrides
+        ).repair(relation).relation
+    else:
+        repaired = relation.copy()
+        repaired.set_value(0, "C", "never-seen")
+    expected = not invalid_repair_tids(
+        relation, repaired, FDS_ABC
+    ) and scan_ft_consistent(repaired, FDS_ABC, model, thresholds)
+    assert is_valid_database_repair(
+        relation, repaired, FDS_ABC, model, thresholds
+    ) == expected

@@ -5,14 +5,20 @@ import pytest
 from repro.core.constraints import FD
 from repro.core.distances import Weights
 from repro.core.engine import ALGORITHMS, Repairer
-from repro.core.violation import is_ft_consistent_all
 from repro.dataset.citizens import CITIZENS_ERRORS
+from repro.index.simjoin import SimilarityJoin
+from tests.oracles import ScanJoin, scan_ft_consistent
 
 
 class TestConfiguration:
     def test_rejects_unknown_algorithm(self, citizens_fds):
         with pytest.raises(ValueError):
             Repairer(citizens_fds, algorithm="magic")
+
+    def test_nan_tau_raises(self, citizens, citizens_fds):
+        # a NaN tau used to repair nothing, with only a numpy warning
+        with pytest.raises(ValueError, match="non-negative"):
+            Repairer(citizens_fds, thresholds=float("nan")).repair(citizens)
 
     def test_rejects_empty_fd_list(self):
         with pytest.raises(ValueError):
@@ -79,7 +85,7 @@ class TestEndToEnd:
             # check it returns something sane
             assert result.relation is not None
         else:
-            assert is_ft_consistent_all(
+            assert scan_ft_consistent(
                 result.relation, citizens_fds, citizens_model,
                 citizens_thresholds,
             )
@@ -182,33 +188,40 @@ class TestEndToEnd:
             repairer.repair(dirty)
 
 
+def _repair_through(strategy, monkeypatch, citizens, fds, thresholds):
+    """A greedy-m repair detecting through the library join
+    (``vectorized``) or the scan oracle (``naive``)."""
+    with monkeypatch.context() as patch:
+        if strategy == "naive":
+            patch.setattr(SimilarityJoin, "join", ScanJoin.join)
+        return Repairer(
+            fds, algorithm="greedy-m", thresholds=thresholds
+        ).repair(citizens)
+
+
 class TestJoinStrategyThroughEngine:
     @pytest.mark.parametrize("strategy", ["naive", "vectorized"])
     def test_strategies_produce_identical_repairs(
-        self, strategy, citizens, citizens_fds, citizens_thresholds
+        self, strategy, monkeypatch, citizens, citizens_fds,
+        citizens_thresholds
     ):
-        reference = Repairer(
-            citizens_fds, algorithm="greedy-m",
-            thresholds=citizens_thresholds, join_strategy="naive",
-        ).repair(citizens)
-        other = Repairer(
-            citizens_fds, algorithm="greedy-m",
-            thresholds=citizens_thresholds, join_strategy=strategy,
-        ).repair(citizens)
+        args = (monkeypatch, citizens, citizens_fds, citizens_thresholds)
+        reference = _repair_through("naive", *args)
+        other = _repair_through(strategy, *args)
         assert {(e.cell, e.new) for e in other.edits} == {
             (e.cell, e.new) for e in reference.edits
         }
 
     def test_strategies_byte_identical_repaired_relations(
-        self, citizens, citizens_fds, citizens_thresholds
+        self, monkeypatch, citizens, citizens_fds, citizens_thresholds
     ):
         """Not just the same edit set: identical rows, costs and order."""
         outputs = []
         for strategy in ("naive", "vectorized"):
-            result = Repairer(
-                citizens_fds, algorithm="greedy-m",
-                thresholds=citizens_thresholds, join_strategy=strategy,
-            ).repair(citizens)
+            result = _repair_through(
+                strategy, monkeypatch, citizens, citizens_fds,
+                citizens_thresholds,
+            )
             outputs.append(
                 (
                     [tuple(result.relation.row(t))
@@ -225,11 +238,13 @@ class TestJoinStrategyThroughEngine:
         assert not hasattr(Repairer(citizens_fds), "simjoin_strategy")
 
     def test_default_strategy_is_vectorized(self, citizens_fds):
-        assert Repairer(citizens_fds).join_strategy == "vectorized"
+        # the one accepted value; the passthrough property left in 2.9
+        assert Repairer(citizens_fds).config.join_strategy == "vectorized"
+        assert not hasattr(Repairer, "join_strategy")
 
     def test_unknown_strategy_raises_at_construction(self, citizens_fds,
                                                      citizens_thresholds):
-        with pytest.raises(ValueError, match="naive"):
+        with pytest.raises(ValueError, match="test suite"):
             Repairer(
                 citizens_fds, thresholds=citizens_thresholds,
                 join_strategy="hash-blocking",

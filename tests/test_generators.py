@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.distances import DistanceModel, Weights
-from repro.core.violation import is_consistent_all, is_ft_consistent_all
+from repro.core.violation import is_consistent_all
 from repro.generator.entities import single_cell_error_bound
 from repro.generator.hosp import (
     HOSP_FDS,
@@ -21,6 +21,7 @@ from repro.generator.tax import (
     tax_fds,
     tax_thresholds,
 )
+from tests.oracles import scan_ft_consistent
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +71,11 @@ class TestCleanInstances:
     def test_clean_hosp_is_ft_consistent_at_derived_taus(self, hosp):
         """The analytic thresholds never flag clean pattern pairs."""
         model = DistanceModel(hosp)
-        assert is_ft_consistent_all(hosp, HOSP_FDS, model, hosp_thresholds())
+        assert scan_ft_consistent(hosp, HOSP_FDS, model, hosp_thresholds())
 
     def test_clean_tax_is_ft_consistent_at_derived_taus(self, tax):
         model = DistanceModel(tax)
-        assert is_ft_consistent_all(tax, TAX_FDS, model, tax_thresholds())
+        assert scan_ft_consistent(tax, TAX_FDS, model, tax_thresholds())
 
     def test_determinism(self):
         a = generate_hosp(100, rng=3, n_facilities=6, n_measures=4)

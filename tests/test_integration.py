@@ -5,9 +5,9 @@ import pytest
 from repro.core.cost import invalid_repair_tids
 from repro.core.distances import DistanceModel
 from repro.core.engine import Repairer
-from repro.core.violation import is_ft_consistent_all
 from repro.eval.metrics import evaluate_repair
 from repro.eval.runner import Trial, run_trial
+from tests.oracles import scan_ft_consistent
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ class TestInvariants:
         )
         result = repairer.repair(tax_workload["dirty"])
         model = DistanceModel(tax_workload["dirty"])
-        assert is_ft_consistent_all(
+        assert scan_ft_consistent(
             result.relation,
             tax_workload["fds"],
             model,

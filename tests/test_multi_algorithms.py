@@ -7,7 +7,7 @@ from repro.core.distances import DistanceModel
 from repro.core.multi.appro import repair_multi_fd_appro
 from repro.core.multi.exact import repair_multi_fd_exact
 from repro.core.multi.greedy import repair_multi_fd_greedy
-from repro.core.violation import is_ft_consistent_all
+from tests.oracles import scan_ft_consistent
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ class TestOnCitizens:
         result = ALGORITHMS[name](
             citizens, component, citizens_model, citizens_thresholds
         )
-        assert is_ft_consistent_all(
+        assert scan_ft_consistent(
             result.relation, component, citizens_model, citizens_thresholds
         )
 
@@ -124,7 +124,7 @@ class TestOnGeneratedData:
 
         for comp in fd_components(fds):
             result = ALGORITHMS[name](dirty, comp, model, thresholds)
-            assert is_ft_consistent_all(
+            assert scan_ft_consistent(
                 result.relation, comp, model, thresholds
             )
 

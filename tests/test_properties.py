@@ -15,8 +15,10 @@ from repro.core.distances import DistanceModel
 from repro.core.engine import Repairer
 from repro.core.single.exact import repair_single_fd_exact
 from repro.core.single.greedy import repair_single_fd_greedy
-from repro.core.violation import group_patterns, is_ft_consistent
+from repro.core.violation import group_patterns
 from repro.dataset.relation import Relation, Schema
+from repro.index.simjoin import SimilarityJoin
+from tests.oracles import scan_ft_consistent
 
 FD_KV = FD.parse("K -> V")
 
@@ -35,7 +37,7 @@ taus = st.sampled_from([0.1, 0.2, 0.3, 0.5])
 def test_greedy_repair_is_ft_consistent_and_valid(relation, tau):
     model = DistanceModel(relation)
     result = repair_single_fd_greedy(relation, FD_KV, model, tau)
-    assert is_ft_consistent(result.relation, FD_KV, model, tau)
+    assert scan_ft_consistent(result.relation, [FD_KV], model, {FD_KV: tau})
     assert invalid_repair_tids(relation, result.relation, [FD_KV]) == []
 
 
@@ -45,7 +47,7 @@ def test_exact_repair_is_ft_consistent_and_optimal_bound(relation, tau):
     model = DistanceModel(relation)
     exact = repair_single_fd_exact(relation, FD_KV, model, tau)
     greedy = repair_single_fd_greedy(relation, FD_KV, model, tau)
-    assert is_ft_consistent(exact.relation, FD_KV, model, tau)
+    assert scan_ft_consistent(exact.relation, [FD_KV], model, {FD_KV: tau})
     assert exact.cost <= greedy.cost + 1e-9
 
 
@@ -118,17 +120,15 @@ def test_engine_multi_algorithms_agree_with_direct_call(relation, tau):
 @given(relation=relations, tau=taus)
 def test_tau_monotonicity_of_detection(relation, tau):
     """Raising tau can only add FT-violations, never remove them."""
-    from repro.core.violation import ft_violation_pairs
-
     model = DistanceModel(relation)
     patterns = group_patterns(relation, FD_KV)
     small = {
         (v.left.values, v.right.values)
-        for v in ft_violation_pairs(patterns, FD_KV, model, tau)
+        for v in SimilarityJoin(FD_KV, model, tau).join(patterns)
     }
     large = {
         (v.left.values, v.right.values)
-        for v in ft_violation_pairs(patterns, FD_KV, model, tau + 0.2)
+        for v in SimilarityJoin(FD_KV, model, tau + 0.2).join(patterns)
     }
     assert small <= large
 
@@ -150,13 +150,11 @@ multi_relations = st.lists(
 @settings(deadline=None, max_examples=40)
 @given(relation=multi_relations, tau=st.sampled_from([0.2, 0.4]))
 def test_multi_engine_output_is_ft_consistent_and_valid(relation, tau):
-    from repro.core.violation import is_ft_consistent_all
-
     repairer = Repairer([FD_AB, FD_BC], algorithm="greedy-m", thresholds=tau)
     result = repairer.repair(relation)
     model = DistanceModel(relation)
     thresholds = {FD_AB: tau, FD_BC: tau}
-    assert is_ft_consistent_all(
+    assert scan_ft_consistent(
         result.relation, [FD_AB, FD_BC], model, thresholds
     )
     assert invalid_repair_tids(relation, result.relation, [FD_AB, FD_BC]) == []

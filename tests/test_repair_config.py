@@ -36,8 +36,12 @@ class TestValidation:
     def test_removed_join_strategy_rejected_at_construction(self):
         with pytest.raises(ValueError, match="join_strategy") as exc:
             RepairConfig(join_strategy="indexed")
-        # the message names the remaining choices
-        assert "'naive'" in str(exc.value) and "'vectorized'" in str(exc.value)
+        # the message names the one accepted value and where the
+        # reference scan went
+        assert "'vectorized'" in str(exc.value)
+        assert "test suite" in str(exc.value)
+        with pytest.raises(ValueError, match="test suite"):
+            RepairConfig(join_strategy="naive")
 
     def test_bad_fallback_rejected(self):
         with pytest.raises(ValueError, match="fallback"):

@@ -1,4 +1,9 @@
-"""Tests for the similarity self-join: ``vectorized`` against ``naive``."""
+"""Tests for the similarity self-join against the definition-level scan.
+
+``STRATEGIES`` names the two joins the tests compare: the library's
+``SimilarityJoin`` (``vectorized``) and the oracle ``ScanJoin``
+(``naive``), which evaluates Eq. (2) on every pattern pair.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +12,11 @@ from repro.core.constraints import FD
 from repro.core.distances import DistanceModel, Weights
 from repro.core.violation import group_patterns
 from repro.dataset.relation import Relation, Schema
-from repro.index.simjoin import STRATEGIES, SimilarityJoin
+from repro.index.simjoin import SimilarityJoin
+from tests.oracles import ScanJoin
+
+JOINS = {"naive": ScanJoin, "vectorized": SimilarityJoin}
+STRATEGIES = tuple(JOINS)
 
 
 @pytest.fixture
@@ -16,7 +25,7 @@ def fd():
 
 
 def _join(citizens, model, fd, tau, strategy):
-    join = SimilarityJoin(fd, model, tau, strategy=strategy)
+    join = JOINS[strategy](fd, model, tau)
     patterns = group_patterns(citizens, fd)
     pairs = join.join(patterns)
     return {
@@ -26,12 +35,17 @@ def _join(citizens, model, fd, tau, strategy):
 
 class TestStrategies:
     def test_unknown_strategy_rejected(self, citizens_model, fd):
-        with pytest.raises(ValueError):
+        # the strategy argument left with the naive scan (2.9)
+        with pytest.raises(TypeError, match="strategy"):
             SimilarityJoin(fd, citizens_model, 0.5, strategy="magic")
 
     def test_negative_tau_rejected(self, citizens_model, fd):
         with pytest.raises(ValueError):
             SimilarityJoin(fd, citizens_model, -0.1)
+
+    def test_nan_tau_rejected(self, citizens_model, fd):
+        with pytest.raises(ValueError, match="non-negative"):
+            SimilarityJoin(fd, citizens_model, float("nan"))
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_finds_expected_citizens_pairs(self, citizens, citizens_model, fd,
@@ -70,7 +84,7 @@ def _flat_distance(a, b):
 
 def _exact_violation_list(relation, fd, model, tau, strategy):
     """(left, right, distance) triples, in emission order."""
-    join = SimilarityJoin(fd, model, tau, strategy=strategy)
+    join = JOINS[strategy](fd, model, tau)
     return [
         (v.left.values, v.right.values, v.distance)
         for v in join.join(group_patterns(relation, fd))
@@ -96,8 +110,8 @@ def test_property_strategies_identical_on_random_relations(rows, tau):
     model = DistanceModel(relation)
     patterns = group_patterns(relation, fd)
     results = []
-    for strategy in STRATEGIES:
-        join = SimilarityJoin(fd, model, tau, strategy=strategy)
+    for join_class in JOINS.values():
+        join = join_class(fd, model, tau)
         results.append(
             {
                 frozenset((v.left.values, v.right.values))
@@ -109,7 +123,7 @@ def test_property_strategies_identical_on_random_relations(rows, tau):
 
 class TestIndexedEquivalence:
     """Index-driven detection — the vectorized blocker union and its scan
-    fallback — must match naive exactly: pairs, distances, and emission
+    fallback — must match the scan oracle exactly: pairs, distances, and emission
     order, including every degenerate regime."""
 
     @settings(deadline=None, max_examples=60)
@@ -193,7 +207,7 @@ class TestIndexedEquivalence:
 
     def test_indexed_counters_are_consistent(self, citizens, citizens_model,
                                              fd):
-        join = SimilarityJoin(fd, citizens_model, 0.55, strategy="vectorized")
+        join = SimilarityJoin(fd, citizens_model, 0.55)
         join.join(group_patterns(citizens, fd))
         assert join.candidates_generated == join.pairs_examined
         assert join.pairs_examined == join.pairs_filtered + join.pairs_verified
@@ -204,7 +218,7 @@ class TestIndexedEquivalence:
         assert counters["blocker"] is not None  # scan or a blocker label
 
     def test_naive_never_filters(self, citizens, citizens_model, fd):
-        join = SimilarityJoin(fd, citizens_model, 0.55, strategy="naive")
+        join = ScanJoin(fd, citizens_model, 0.55)
         join.join(group_patterns(citizens, fd))
         assert join.pairs_filtered == 0
         assert join.pairs_verified == join.pairs_examined == join.possible_pairs

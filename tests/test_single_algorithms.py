@@ -9,8 +9,8 @@ from repro.core.single.greedy import (
     greedy_independent_set,
     repair_single_fd_greedy,
 )
-from repro.core.violation import is_ft_consistent
 from repro.core.cost import invalid_repair_tids
+from tests.oracles import scan_ft_consistent
 
 
 class TestExactS:
@@ -32,8 +32,9 @@ class TestExactS:
         result = repair_single_fd_exact(
             citizens, fd, citizens_model, citizens_thresholds[fd]
         )
-        assert is_ft_consistent(
-            result.relation, fd, citizens_model, citizens_thresholds[fd]
+        assert scan_ft_consistent(
+            result.relation, [fd], citizens_model,
+            {fd: citizens_thresholds[fd]},
         )
 
     def test_result_is_closed_world_valid(self, citizens, citizens_fds,
@@ -129,8 +130,9 @@ class TestGreedyS:
             result = repair_single_fd_greedy(
                 citizens, fd, citizens_model, citizens_thresholds[fd]
             )
-            assert is_ft_consistent(
-                result.relation, fd, citizens_model, citizens_thresholds[fd]
+            assert scan_ft_consistent(
+                result.relation, [fd], citizens_model,
+                {fd: citizens_thresholds[fd]},
             )
 
     def test_greedy_cost_at_least_exact(self, citizens, citizens_fds,

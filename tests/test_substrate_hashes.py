@@ -3,10 +3,12 @@
 The 800-tuple noisy HOSP slice (``generate_hosp(800, rng=7)`` plus
 ``inject_noise(..., rng=11)``) has pinned output hashes for all five
 algorithms, first recorded on the pre-1.2 row-major substrate. Each
-algorithm must reproduce its hash and edit count under the naive join,
-the vectorized join, and the vectorized join at ``n_jobs=2``: the
-encoding, the join strategy and the worker pool change nothing about
-what gets repaired — every edit, in order, at identical cost.
+algorithm must reproduce its hash and edit count under the library's
+similarity join (serial and at ``n_jobs=2``) and, serially, with the
+definition-level scan oracle (:class:`tests.oracles.ScanJoin`)
+substituted for ``SimilarityJoin.join`` (the ``-naive`` cases): the
+encoding, the join and the worker pool change nothing about what gets
+repaired — every edit, in order, at identical cost.
 
 The exact algorithms run with ``fallback="greedy"``: their searches
 exhaust ``max_nodes`` on this slice's large components and degrade, as
@@ -24,7 +26,9 @@ from repro.core.distances import Weights
 from repro.core.engine import Repairer
 from repro.generator.hosp import HOSP_FDS, generate_hosp, hosp_thresholds
 from repro.generator.noise import NoiseConfig, inject_noise
+from repro.index.simjoin import SimilarityJoin
 from repro.obs import repair_output_hash
+from tests.oracles import ScanJoin
 
 #: algorithm -> (expected output hash, expected edit count)
 EXPECTED = {
@@ -35,11 +39,13 @@ EXPECTED = {
     "greedy-s": ("3a25e7b8fe51b497", 452),
 }
 
-#: join settings; the default one (vectorized, serial) has no id suffix
+#: run settings; the default one (the library join, serial) has no id
+#: suffix. ``-naive`` runs serially through the scan oracle: a
+#: monkeypatch reaches no worker process.
 SETTINGS = {
-    "": {"join_strategy": "vectorized"},
-    "-naive": {"join_strategy": "naive"},
-    "-n_jobs2": {"join_strategy": "vectorized", "n_jobs": 2},
+    "": {},
+    "-naive": {},
+    "-n_jobs2": {"n_jobs": 2},
 }
 
 
@@ -59,7 +65,11 @@ def hosp_slice():
         for setting in SETTINGS
     ],
 )
-def test_smoke_hash_matches_row_major_baseline(hosp_slice, algorithm, setting):
+def test_smoke_hash_matches_row_major_baseline(
+    hosp_slice, monkeypatch, algorithm, setting
+):
+    if setting == "-naive":
+        monkeypatch.setattr(SimilarityJoin, "join", ScanJoin.join)
     expected_hash, expected_edits = EXPECTED[algorithm]
     weights = Weights(0.5, 0.5)
     extra = {"fallback": "greedy"} if algorithm.startswith("exact") else {}

@@ -1,23 +1,34 @@
-"""Tests for FT-violation semantics (Section 2.1) on the running example."""
+"""Tests for FT-violation semantics (Section 2.1) on the running example.
+
+Violations come from the library's join (``fd_violations``);
+FT-consistency is checked by definition with the scan oracle.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.constraints import FD
+from repro.core.detection import fd_violations
 from repro.core.distances import DistanceModel, Weights
 from repro.core.violation import (
+    PreparedProjection,
     classic_violation_pairs,
-    ft_violation_pairs,
     group_patterns,
     is_consistent,
     is_consistent_all,
-    is_ft_consistent,
-    is_ft_consistent_all,
-    iter_tuple_violations,
-    projection_distance_within,
     subsumes_classic_threshold,
 )
 from repro.dataset.relation import Relation, Schema
+from tests.oracles import ScanJoin, scan_ft_consistent
+
+
+def _tuple_violations(relation, fd, model, tau):
+    """Tuple-level FT-violations ``(tid1, tid2, distance)``, tid1 < tid2."""
+    violations, _counters = fd_violations(relation, fd, model, tau)
+    for violation in violations:
+        for t1 in violation.left.tids:
+            for t2 in violation.right.tids:
+                yield min(t1, t2), max(t1, t2), violation.distance
 
 
 class TestGroupPatterns:
@@ -73,44 +84,41 @@ class TestFTViolations:
         fd = FD.parse("City -> State")
         classic = classic_violation_pairs(citizens, fd)
         assert not any(7 in pair for pair in classic)
-        ft = list(iter_tuple_violations(citizens, fd, citizens_model, 0.55))
+        ft = list(_tuple_violations(citizens, fd, citizens_model, 0.55))
         assert any(7 in (a, b) for a, b, _ in ft)
 
     def test_identical_projections_never_violate(self, citizens, citizens_model):
         fd = FD.parse("City -> State")
-        for a, b, _ in iter_tuple_violations(citizens, fd, citizens_model, 0.55):
+        for a, b, _ in _tuple_violations(citizens, fd, citizens_model, 0.55):
             assert citizens.project(a, fd.attributes) != citizens.project(
                 b, fd.attributes
             )
 
     def test_distances_below_threshold(self, citizens, citizens_model, citizens_fds):
         fd = citizens_fds[1]
-        patterns = group_patterns(citizens, fd)
-        for violation in ft_violation_pairs(patterns, fd, citizens_model, 0.55):
+        violations, _ = fd_violations(citizens, fd, citizens_model, 0.55)
+        assert violations
+        for violation in violations:
             assert violation.distance <= 0.55
 
     def test_example6_pair(self, citizens, citizens_model, citizens_fds):
         """(t4, t6) FT-violate phi1 at tau=0.35 (Example 6)."""
         fd = citizens_fds[0]
-        d = projection_distance_within(
-            citizens_model, fd, ("Masters", 4.0), ("Masers", 4.0), 0.35
-        )
+        prepared = PreparedProjection(citizens_model, fd, ("Masters", 4.0))
+        d = prepared.distance_within(("Masers", 4.0), 0.35)
         assert d == pytest.approx(0.5 / 7)
 
     def test_projection_distance_none_above_tau(self, citizens_model, citizens_fds):
         fd = citizens_fds[0]
-        assert (
-            projection_distance_within(
-                citizens_model, fd, ("Bachelors", 3.0), ("HS-grad", 9.0), 0.35
-            )
-            is None
-        )
+        prepared = PreparedProjection(citizens_model, fd, ("Bachelors", 3.0))
+        assert prepared.distance_within(("HS-grad", 9.0), 0.35) is None
 
     def test_filters_do_not_change_results(self, citizens, citizens_model):
         fd = FD.parse("City, Street -> District")
+        # the join's filters against the unfiltered scan
         patterns = group_patterns(citizens, fd)
-        with_filters = ft_violation_pairs(patterns, fd, citizens_model, 0.55, True)
-        without = ft_violation_pairs(patterns, fd, citizens_model, 0.55, False)
+        with_filters, _ = fd_violations(citizens, fd, citizens_model, 0.55)
+        without = ScanJoin(fd, citizens_model, 0.55).join(patterns)
         key = lambda v: (v.left.values, v.right.values)
         assert sorted(map(key, with_filters)) == sorted(map(key, without))
 
@@ -120,23 +128,26 @@ class TestFTViolations:
         # The *clean* instance still has near values (Boston/New York are
         # far, but (New York, NY)/(Boston, MA)... ) — check it holds for
         # phi1 at its threshold.
-        assert is_ft_consistent(
-            citizens_truth, citizens_fds[0], model, citizens_thresholds[citizens_fds[0]]
+        fd = citizens_fds[0]
+        assert scan_ft_consistent(
+            citizens_truth, [fd], model, {fd: citizens_thresholds[fd]}
         )
+        assert not fd_violations(
+            citizens_truth, fd, model, citizens_thresholds[fd]
+        )[0]
 
     def test_dirty_citizens_not_ft_consistent(
         self, citizens, citizens_model, citizens_fds, citizens_thresholds
     ):
-        assert not is_ft_consistent_all(
+        assert not scan_ft_consistent(
             citizens, citizens_fds, citizens_model, citizens_thresholds
         )
 
     def test_tau_zero_detects_only_identical_nothing(self, citizens, citizens_model):
         fd = FD.parse("City -> State")
-        patterns = group_patterns(citizens, fd)
         # tau=0: only pairs at distance exactly 0, but those are grouped
         # away — no violations at all.
-        assert ft_violation_pairs(patterns, fd, citizens_model, 0.0) == []
+        assert fd_violations(citizens, fd, citizens_model, 0.0)[0] == []
 
 
 class TestTheorem1:
@@ -168,7 +179,7 @@ class TestTheorem1:
         fd = FD.parse("A -> B")
         model = DistanceModel(rel)
         tau = subsumes_classic_threshold(fd, model)
-        if is_ft_consistent(rel, fd, model, tau):
+        if scan_ft_consistent(rel, [fd], model, {fd: tau}):
             assert is_consistent(rel, fd)
 
     def test_classic_violation_is_ft_violation_at_bound(
@@ -178,7 +189,7 @@ class TestTheorem1:
         tau = subsumes_classic_threshold(fd, citizens_model)
         ft_pairs = {
             (a, b)
-            for a, b, _ in iter_tuple_violations(citizens, fd, citizens_model, tau)
+            for a, b, _ in _tuple_violations(citizens, fd, citizens_model, tau)
         }
         for pair in classic_violation_pairs(citizens, fd):
             assert pair in ft_pairs
